@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -30,7 +31,7 @@ from .errors import (
     TaskMismatch,
 )
 from .evaluate import evaluate_classification, evaluate_regression
-from .persist import load_model, save_model
+from .persist import load_model, save_model, write_atomically
 from .provenance import (
     config_from_json,
     config_to_json,
@@ -85,16 +86,17 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model, expected_task=schema.response_type)
     source = load_csv(args.data, schema)
     labels = model.output_domain.labels() if model.task == CATEGORICAL else ()
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "prediction", *labels])
-        for i, example in enumerate(source):
-            pred = model.predict(example)
-            if model.task == CATEGORICAL:
-                scores = [repr(pred.scores.get(label, 0.0)) for label in labels]
-                writer.writerow([i, pred.output.label, *scores])
-            else:
-                writer.writerow([i, repr(pred.output.value)])
+    buffer = io.StringIO()  # written only once every row has been scored
+    writer = csv.writer(buffer)
+    writer.writerow(["row", "prediction", *labels])
+    for i, example in enumerate(source):
+        pred = model.predict(example)
+        if model.task == CATEGORICAL:
+            scores = [repr(pred.scores.get(label, 0.0)) for label in labels]
+            writer.writerow([i, pred.output.label, *scores])
+        else:
+            writer.writerow([i, repr(pred.output.value)])
+    write_atomically(args.out, buffer.getvalue())
     print(f"wrote {len(source)} predictions to {args.out}")
     return 0
 
@@ -109,9 +111,10 @@ def _cmd_evaluate(args) -> int:
     else:
         evaluation = evaluate_regression(model, dataset)
         print(f"rmse {evaluation.rmse:.6f} on {evaluation.num_examples} examples")
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(evaluation.to_report(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    buffer = io.StringIO()
+    json.dump(evaluation.to_report(), buffer, sort_keys=True, indent=2)
+    buffer.write("\n")
+    write_atomically(args.report, buffer.getvalue())
     return 0
 
 
@@ -129,9 +132,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_extract_config(args) -> int:
     model = load_model(args.model)
     records = extract_configuration(model.provenance)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(config_to_json(records))
-        fh.write("\n")
+    write_atomically(args.out, config_to_json(records) + "\n")
     print(f"wrote {len(records)} configuration records to {args.out}")
     return 0
 

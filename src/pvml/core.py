@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import platform
+import re
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -47,10 +48,13 @@ REAL = "real"
 DATASET_CLASS = "pvml.Dataset"
 
 
+_CONTROL_CHARACTER = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+
 def _check_feature_name(name: str) -> None:
     if not name:
         raise ValueError("feature names must be non-empty")
-    if any(ord(c) < 32 or 127 <= ord(c) <= 159 for c in name):
+    if _CONTROL_CHARACTER.search(name):
         raise ValueError(f"feature name {name!r} contains control characters")
 
 

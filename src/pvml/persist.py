@@ -5,13 +5,17 @@ feature and output domains it was trained over, and its parameters, so no
 external metadata store is needed to identify it.  Every float in domains
 and parameters is stored as a shortest round-trip decimal string, which
 keeps reloaded models bit-identical in their predictions even across JSON
-implementations that mangle number precision.  Keys are emitted sorted, so
-saving the same model twice produces identical bytes.
+implementations that mangle number precision.  The document is written as
+compact JSON with sorted keys, so saving the same model twice produces
+identical bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import uuid
 from typing import Callable
 
 import numpy as np
@@ -243,12 +247,29 @@ def _model_from_container(container: dict) -> Model:
         raise FormatError(f"malformed model container: {exc}") from exc
 
 
+def write_atomically(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, whole or not at all.
+
+    The text goes to a new temporary file in the target's directory, which
+    ``os.replace`` then moves over the target.  If anything fails, the
+    temporary file is removed and the target is left as it was.  Line
+    endings are written as given.
+    """
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_model(model: Model, path: str) -> None:
     """Write the model container; byte-deterministic for a fixed model."""
-    text = json.dumps(model_to_container(model), sort_keys=True, indent=2)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
+    text = json.dumps(model_to_container(model), sort_keys=True, separators=(",", ":"))
+    write_atomically(path, text + "\n")
 
 
 def load_model(path: str, expected_task: str | None = None) -> Model:

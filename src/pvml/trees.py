@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     CATEGORICAL,
@@ -145,49 +148,148 @@ def best_split(
     would fall under the leaf minimum are skipped.  Ties break toward the
     smaller feature id, then the smaller threshold.  A pure node never
     splits.
+
+    The search is a sorted sweep, O(N log N) per feature: each candidate
+    column is stable-sorted once, and running sums over the sorted rows
+    give the child impurity of every threshold.  Those sums add in another
+    order than the two-pass impurity formulas, so they may differ in the
+    last bits and serve only to shortlist the thresholds within a rounding
+    margin of the best.  Each shortlisted threshold is rescored by
+    :func:`_split_decrease` over the rows in their original order, so the
+    returned split, to the last bit of ``impurity_decrease``, is the one a
+    rescan of every threshold with the two-pass formulas would pick.
     """
     if cfg.split_kind == RANDOM_THRESHOLD and rng is None:
         raise ValueError("random-threshold splits need a random stream")
     parent = _node_impurity(rows, task)
     if parent == 0.0:
         return None
-    total_weight = sum(r.weight for r in rows)
+    fids = list(candidate_features)
+    if cfg.split_kind == RANDOM_THRESHOLD:
+        draws = np.array([rng.next_float() for _ in fids])  # one per candidate, in order
+    if not fids:
+        return None
 
-    best: Split | None = None
-    for fid in candidate_features:
-        values = [row.values.get(fid, 0.0) for row in rows]
+    x = _columns(rows, fids)
+    varying = np.flatnonzero(x.min(axis=0) < x.max(axis=0))  # a constant column cannot split
+    x = x[:, varying]
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    n = len(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
         if cfg.split_kind == EXHAUSTIVE:
-            distinct = sorted(set(values))
-            thresholds = [
-                (lo + hi) / 2.0 for lo, hi in zip(distinct, distinct[1:])
-            ]
+            pos, col = np.nonzero(xs[:-1] < xs[1:])
+            lo, hi = xs[pos, col], xs[pos + 1, col]
+            thresholds = (lo + hi) / 2.0
+            counts = pos + 1
+            # the midpoint of adjacent doubles can round onto hi, or overflow
+            for k in np.flatnonzero(~((lo <= thresholds) & (thresholds < hi))):
+                counts[k] = np.searchsorted(xs[:, col[k]], thresholds[k], side="right")
         else:
-            u = rng.next_float()
-            lo, hi = min(values), max(values)
-            thresholds = [lo + u * (hi - lo)]
+            col = np.arange(len(varying))
+            thresholds = xs[0] + draws[varying] * (xs[-1] - xs[0])
+            counts = (xs <= thresholds).sum(axis=0)
+        m = cfg.min_examples_per_leaf
+        ok = (counts >= m) & (n - counts >= m)
+        col, thresholds, counts = col[ok], thresholds[ok], counts[ok]
+        if not len(col):
+            return None
+        del xs  # only the order is needed from here on
+        approx = _swept_child_impurity(rows, task, order, col, counts)
 
-        for threshold in thresholds:
-            left = [row for row, v in zip(rows, values) if v <= threshold]
-            right = [row for row, v in zip(rows, values) if v > threshold]
-            if len(left) < cfg.min_examples_per_leaf or len(right) < cfg.min_examples_per_leaf:
-                continue
-            wl = sum(r.weight for r in left)
-            wr = sum(r.weight for r in right)
-            child = (wl * _node_impurity(left, task) + wr * _node_impurity(right, task)) / total_weight
-            decrease = parent - child
-            if (
-                best is None
-                or decrease > best.impurity_decrease
-                or (
-                    decrease == best.impurity_decrease
-                    and (fid, threshold) < (best.feature_id, best.threshold)
-                )
-            ):
-                best = Split(fid, threshold, decrease)
+    # Gini is at most 1 and its formula rounds in absolute terms; variance
+    # rounds relative to the parent's
+    margin = 1e-9 * (1.0 if task == CATEGORICAL else parent)
+    if np.isfinite(approx).all():
+        shortlist = np.flatnonzero(approx <= approx.min() + margin)
+    else:
+        shortlist = np.arange(len(col))
+    shortlist = shortlist[np.lexsort((thresholds[shortlist], col[shortlist]))]
+
+    total_weight = sum(r.weight for r in rows)
+    best: Split | None = None
+    for k in shortlist:
+        fid, threshold = fids[varying[col[k]]], float(thresholds[k])
+        decrease = _split_decrease(rows, x[:, col[k]].tolist(), threshold, parent, total_weight, cfg, task)
+        if decrease is None:
+            continue
+        if (
+            best is None
+            or decrease > best.impurity_decrease
+            or (
+                decrease == best.impurity_decrease
+                and (fid, threshold) < (best.feature_id, best.threshold)
+            )
+        ):
+            best = Split(fid, threshold, decrease)
 
     if best is None or best.impurity_decrease < cfg.min_impurity_decrease:
         return None
     return best
+
+
+def _columns(rows: Sequence[_Row], fids: Sequence[int]) -> np.ndarray:
+    """The rows' values of ``fids`` as an n x len(fids) array; absent reads 0.0."""
+    ids, inverse = np.unique(np.asarray(fids, dtype=np.int64), return_inverse=True)
+    lengths = [len(r.values) for r in rows]
+    nnz = sum(lengths)
+    keys = np.fromiter(chain.from_iterable(r.values for r in rows), np.int64, nnz)
+    values = np.fromiter(chain.from_iterable(r.values.values() for r in rows), np.float64, nnz)
+    where = np.minimum(np.searchsorted(ids, keys), len(ids) - 1)
+    hit = ids[where] == keys
+    dense = np.zeros((len(rows), len(ids)))
+    dense[np.repeat(np.arange(len(rows)), lengths)[hit], where[hit]] = values[hit]
+    return dense[:, inverse]
+
+
+def _swept_child_impurity(rows, task, order, col, counts) -> np.ndarray:
+    """Weighted child impurity over total weight, from running sums.
+
+    Candidate ``k`` sends the first ``counts[k]`` rows of sorted column
+    ``col[k]`` left.  Each side sums its own rows, from the front or from
+    the back, so no side is a difference of two large totals.
+    """
+    w = np.array([r.weight for r in rows])
+    if task == CATEGORICAL:
+        codes = {label: i for i, label in enumerate(sorted({r.target for r in rows}))}
+        y = np.array([codes[r.target] for r in rows])
+        quantities = np.where(y == np.arange(len(codes))[:, None], w, 0.0)  # weight per label
+    else:
+        y = np.array([r.target for r in rows])
+        yc = y - np.dot(w, y) / w.sum()  # centred, so the sums below do not cancel
+        quantities = np.stack([w, w * yc, w * yc * yc])
+    n = len(rows)
+    left, right = [], []
+    for quantity in quantities:  # one at a time keeps the temporaries n x F
+        swept = quantity[order]  # each column in sorted order
+        right.append(np.cumsum(swept[::-1], axis=0)[n - 1 - counts, col])
+        left.append(np.cumsum(swept, axis=0, out=swept)[counts - 1, col])
+    left, right = np.array(left), np.array(right)
+    if task == CATEGORICAL:
+        # w * gini = 2 * (sum over label pairs of c_i * c_j) / w, all terms positive
+        child = sum(
+            2.0 * (c[1:] * np.cumsum(c, axis=0)[:-1]).sum(axis=0) / c.sum(axis=0)
+            for c in (left, right)
+        )
+    else:
+        child = sum(s2 - s1 * s1 / s0 for s0, s1, s2 in (left, right))
+    return child / w.sum()
+
+
+def _split_decrease(rows, values, threshold, parent, total_weight, cfg, task) -> float | None:
+    """Impurity decrease of one threshold by the two-pass formulas, or None.
+
+    ``values`` holds each row's value of the feature, in row order.  None
+    means a child would fall under the leaf minimum.
+    """
+    left = [row for row, v in zip(rows, values) if v <= threshold]
+    right = [row for row, v in zip(rows, values) if v > threshold]
+    if len(left) < cfg.min_examples_per_leaf or len(right) < cfg.min_examples_per_leaf:
+        return None
+    wl = sum(r.weight for r in left)
+    wr = sum(r.weight for r in right)
+    child = (wl * _node_impurity(left, task) + wr * _node_impurity(right, task)) / total_weight
+    return parent - child
 
 
 # ---------------------------------------------------------------------------

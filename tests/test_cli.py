@@ -171,6 +171,20 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    def test_failed_predict_leaves_no_file(self, workspace, tmp_path):
+        assert _train(workspace) == 0
+        score = tmp_path / "score.csv"
+        rows = ["f1,f2,color"] + [f"0.{i},1.0,red" for i in range(5)] + [",,purple", "2.0,0.5,blue"]
+        score.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out" / "predictions.csv"
+        out.parent.mkdir()
+        rc = main(
+            ["predict", "--model", workspace["model"], "--data", str(score),
+             "--schema", workspace["schema"], "--out", str(out)]
+        )
+        assert rc == 2  # the sixth row shares no feature with the model
+        assert list(out.parent.iterdir()) == []
+
     def test_changed_data_reproduce_is_2(self, workspace):
         assert _train(workspace) == 0
         with open(workspace["data"], "a", encoding="utf-8") as fh:

@@ -61,8 +61,11 @@ class TestMakeExample:
             make_example([("a", 1.0)], weight=0.0)
 
     def test_control_characters_rejected(self):
-        with pytest.raises(ValueError):
-            make_example([("a\x00b", 1.0)])
+        for bad in ("\x00", "\x1f", "\x7f", "\x9f"):
+            with pytest.raises(ValueError):
+                make_example([(f"a{bad}b", 1.0)])
+        for fine in ("\x20", "\x7e", "\xa0"):
+            assert make_example([(f"a{fine}b", 1.0)]).features[0].name == f"a{fine}b"
 
     @given(
         st.lists(

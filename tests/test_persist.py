@@ -10,7 +10,7 @@ from pvml.data import load_csv
 from pvml.ensemble import BAGGING, EnsembleConfig, train_ensemble
 from pvml.errors import FormatError, TaskMismatch, UnknownModelClass
 from pvml.optimize import AdaGrad, train_linear_sgd
-from pvml.persist import load_model, save_model
+from pvml.persist import load_model, save_model, write_atomically
 from pvml.provenance import provenance_hash
 from pvml.trees import CartTrainer, TreeConfig, train_cart
 
@@ -30,6 +30,21 @@ class TestSaveModel:
         save_model(model, str(a))
         save_model(model, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_file_is_compact_sorted_json(self, tmp_path, trained):
+        _, model = trained
+        path = tmp_path / "m.pvml"
+        save_model(model, str(path))
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "m.pvml"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomically(str(path), "new\ud800")  # a lone surrogate cannot be encoded
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_file_is_json_with_magic(self, tmp_path, trained):
         _, model = trained

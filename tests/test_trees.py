@@ -1,13 +1,20 @@
 """CART: impurity, split search against brute force, growth invariants."""
 
+import hashlib
+import json
+
 import pytest
 
-from pvml.core import CATEGORICAL, REAL, build_dataset
+from pvml.core import CATEGORICAL, REAL, CategoricalOutput, RealOutput, build_dataset, make_example
+from pvml.data import InMemoryDataSource
+from pvml.ensemble import RANDOM_FOREST, EnsembleConfig, train_ensemble
 from pvml.errors import EmptyNode
+from pvml.persist import model_to_container
 from pvml.provenance import provenance_hash
 from pvml.rng import Xoshiro256StarStar
 from pvml.trees import (
     RANDOM_THRESHOLD,
+    CartTrainer,
     LeafNode,
     SplitNode,
     TreeConfig,
@@ -128,20 +135,28 @@ class TestBestSplit:
 
     def test_matches_bruteforce_on_random_instances(self):
         rng = Xoshiro256StarStar(2024)
-        cfg = TreeConfig(max_depth=3, min_examples_per_leaf=1)
-        for trial in range(60):
+        # values that are adjacent doubles, whose midpoints round onto one of them
+        tight = [1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51, 1.0 + 3 * 2.0 ** -52]
+        for trial in range(240):
             task = CATEGORICAL if trial % 2 == 0 else REAL
+            cfg = TreeConfig(max_depth=3, min_examples_per_leaf=1 + (trial // 2) % 3)
+            weighted = trial % 4 >= 2
+            offset = 1e6 if trial % 8 >= 4 else 0.0
             n = 2 + rng.next_below(15)
             n_features = 1 + rng.next_below(4)
             rows = []
             for _ in range(n):
                 values = {
-                    fid: rng.next_below(8) / 2.0
+                    fid: (tight[rng.next_below(4)] if trial % 16 >= 8 and fid == 0 else rng.next_below(8) / 2.0)
                     for fid in range(n_features)
                     if rng.next_float() < 0.8
                 }
-                target = ("x", "y", "z")[rng.next_below(3)] if task == CATEGORICAL else rng.next_below(5) / 2.0
-                rows.append(_Row(values, target, 1.0))
+                if task == CATEGORICAL:
+                    target = ("x", "y", "z")[rng.next_below(3)]
+                else:
+                    target = offset + rng.next_below(5) / 2.0 + rng.next_float() * 1e-3
+                weight = 0.1 + rng.next_float() * 3.0 if weighted else 1.0
+                rows.append(_Row(values, target, weight))
             expected = _brute_force_split(rows, list(range(n_features)), cfg, task)
             actual = best_split(rows, list(range(n_features)), cfg, task)
             if expected is None:
@@ -155,6 +170,16 @@ class TestBestSplit:
         cfg = TreeConfig(max_depth=3, split_kind=RANDOM_THRESHOLD)
         split = best_split(rows, [0], cfg, CATEGORICAL, Xoshiro256StarStar(4))
         assert 0.0 <= split.threshold < 9.0
+
+    def test_random_threshold_on_a_value_sends_it_left(self):
+        class ZeroDraws:
+            def next_float(self):
+                return 0.0
+
+        rows = _rows([({0: 0.0}, "a", 1.0), ({0: 0.0}, "a", 1.0), ({0: 1.0}, "b", 1.0), ({0: 2.0}, "b", 1.0)])
+        cfg = TreeConfig(max_depth=3, split_kind=RANDOM_THRESHOLD)
+        split = best_split(rows, [0], cfg, CATEGORICAL, ZeroDraws())
+        assert (split.feature_id, split.threshold, split.impurity_decrease) == (0, 0.0, 0.5)
 
     def test_random_threshold_deterministic_per_seed(self):
         rows = _rows([({0: float(i)}, "a" if i < 5 else "b", 1.0) for i in range(10)])
@@ -258,3 +283,63 @@ class TestTrainCart:
             1 for ex in ds.examples if model.predict(ex).output == ex.output
         ) / len(ds.examples)
         assert accuracy >= 0.75
+
+
+def _golden_dataset(task: str, seed: int):
+    """Weighted examples with repeated, absent and far-from-zero values."""
+    rng = Xoshiro256StarStar(seed)
+    examples = []
+    for _ in range(150):
+        pairs = [
+            (f"x{j}", rng.next_below(40) / 4.0 - 3.0) for j in range(5) if rng.next_float() < 0.85
+        ]
+        pairs.append(("noise", rng.next_float()))
+        signal = sum(v for name, v in pairs if name in ("x0", "x1")) + rng.next_float()
+        if task == CATEGORICAL:
+            output = CategoricalOutput("abc"[min(2, max(0, int(signal // 3) + 1))])
+        else:
+            output = RealOutput(1e3 + signal)
+        examples.append(make_example(pairs, output, weight=0.5 + rng.next_below(4) / 2.0))
+    return build_dataset(InMemoryDataSource(examples))
+
+
+def _parameter_sha256(model) -> str:
+    """SHA-256 of the parameter block as compact sorted-key JSON, members nested."""
+
+    def block(container):
+        params = container["parameters"]
+        if "members" in params:
+            params = {
+                "memberWeights": params["memberWeights"],
+                "members": [block(m) for m in params["members"]],
+            }
+        return params
+
+    text = json.dumps(block(model_to_container(model)), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenTrees:
+    """Trained parameters pinned bit for bit, so a change to any tree fails here."""
+
+    def test_exhaustive_gini_tree(self):
+        model = train_cart(_golden_dataset(CATEGORICAL, 11), TreeConfig(max_depth=5, seed=3))
+        assert _parameter_sha256(model) == GOLDEN_EXHAUSTIVE_GINI
+
+    def test_random_forest_regressor(self):
+        base = CartTrainer(TreeConfig(max_depth=4, min_examples_per_leaf=2, feature_subsampling_fraction=0.5, seed=5))
+        cfg = EnsembleConfig(base_trainer=base, num_members=4, seed=7, variant=RANDOM_FOREST)
+        model = train_ensemble(_golden_dataset(REAL, 12), cfg)
+        assert _parameter_sha256(model) == GOLDEN_FOREST_REGRESSOR
+
+    def test_random_threshold_tree(self):
+        cfg = TreeConfig(max_depth=6, split_kind=RANDOM_THRESHOLD, seed=9)
+        model = train_cart(_golden_dataset(CATEGORICAL, 13), cfg)
+        assert _parameter_sha256(model) == GOLDEN_RANDOM_THRESHOLD
+
+
+# Recorded with the search that rescanned every row for every threshold, which
+# the sorted sweep replaced; the sweep must reproduce its trees bit for bit.
+GOLDEN_EXHAUSTIVE_GINI = "1a5dfca40e456a175d04a76a99cae75e2f9ab1aba49e2817ea46404a4cec0cf0"
+GOLDEN_FOREST_REGRESSOR = "c2a8b7fd570446714a4365a0579704fe17b207393354a71605ca10bae5b637fb"
+GOLDEN_RANDOM_THRESHOLD = "f3f1a0361f5f3ea512b216f922793d1ceb041dc12dcdd5e7cf83882f3e56475d"
