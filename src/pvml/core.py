@@ -15,7 +15,10 @@ import re
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ._version import __version__
 from .errors import (
@@ -297,6 +300,60 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.examples)
+
+    @cached_property
+    def columns(self) -> Columns:
+        """The examples compiled to arrays, once, on first use.
+
+        Built lazily so that datasets which are only scored never pay for it.
+        """
+        labels = self.output_domain.labels() if self.task == CATEGORICAL else None
+        return compile_examples(self.examples, self.feature_domain, labels)
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Examples compiled to arrays against a feature domain.
+
+    Row ``i`` holds the features ``feature_ids[indptr[i]:indptr[i + 1]]``
+    with ``values`` alongside, in name order; absent features read as 0.0.
+    ``targets`` are label indices into the sorted labels for
+    classification and target values for regression.
+    """
+
+    indptr: np.ndarray  # int64, one more than the rows
+    feature_ids: np.ndarray  # int32
+    values: np.ndarray  # float64
+    targets: np.ndarray  # intp label indices, or float64 targets
+    weights: np.ndarray  # float64
+
+
+def compile_examples(
+    examples: Sequence[Example], domain: FeatureDomain, labels: Sequence[str] | None = None
+) -> Columns:
+    """Map feature names to ids once, dropping names outside ``domain``.
+
+    With ``labels``, the targets are each example's label index into them;
+    without, each example's real-valued target.
+    """
+    index = {name: info.id for name, info in domain.items()}
+    ids = np.array([index.get(f.name, -1) for ex in examples for f in ex.features], dtype=np.int32)
+    values = np.array([f.value for ex in examples for f in ex.features], dtype=np.float64)
+    lengths = np.array([len(ex.features) for ex in examples], dtype=np.int64)
+    known = ids >= 0
+    if not known.all():
+        rows = np.repeat(np.arange(len(examples)), lengths)
+        ids, values = ids[known], values[known]
+        lengths = np.bincount(rows[known], minlength=len(examples))
+    indptr = np.zeros(len(examples) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    if labels is None:
+        targets = np.array([ex.output.value for ex in examples], dtype=np.float64)
+    else:
+        position = {label: i for i, label in enumerate(labels)}
+        targets = np.array([position[ex.output.label] for ex in examples], dtype=np.intp)
+    weights = np.array([ex.weight for ex in examples], dtype=np.float64)
+    return Columns(indptr, ids, values, targets, weights)
 
 
 def data_provenance(

@@ -17,6 +17,7 @@ from .core import (
     CATEGORICAL,
     REAL,
     CategoricalOutput,
+    Columns,
     Dataset,
     Example,
     FeatureDomain,
@@ -24,6 +25,7 @@ from .core import (
     Output,
     RealOutput,
     Trainer,
+    compile_examples,
     model_provenance,
 )
 from .errors import NonFiniteGradient, ShapeMismatch, TaskMismatch, UnlabelledExample
@@ -147,15 +149,15 @@ def optimizer_step(
 # Objectives
 # ---------------------------------------------------------------------------
 
-def _design_matrix(examples: Sequence[Example], domain: FeatureDomain) -> np.ndarray:
-    """Dense (batch, features + 1) matrix with a trailing bias column of ones."""
-    x = np.zeros((len(examples), len(domain) + 1))
+def _design_matrix(columns: Columns, rows: np.ndarray, num_features: int) -> np.ndarray:
+    """Dense (batch, features + 1) matrix of ``rows`` with a trailing bias column of ones."""
+    starts = columns.indptr[rows]
+    lengths = columns.indptr[rows + 1] - starts
+    # the positions of every batch row's entries, row after row
+    at = np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
+    x = np.zeros((len(rows), num_features + 1))
     x[:, -1] = 1.0
-    for i, ex in enumerate(examples):
-        for f in ex.features:
-            fid = domain.id_of(f.name)
-            if fid is not None:
-                x[i, fid] = f.value
+    x[np.repeat(np.arange(len(rows)), lengths), columns.feature_ids[at]] = columns.values[at]
     return x
 
 
@@ -163,6 +165,33 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _logistic_loss(params, x, targets, w) -> tuple[float, np.ndarray]:
+    n = len(targets)
+    probs = _softmax(x @ params)
+    picked = probs[np.arange(n), targets]
+    loss = float(np.sum(w * -np.log(picked)) / n)
+
+    delta = probs.copy()
+    delta[np.arange(n), targets] -= 1.0
+    grads = x.T @ (delta * (w / n)[:, None])
+    return loss, grads
+
+
+def _squared_loss(params, x, y, w) -> tuple[float, np.ndarray]:
+    n = len(y)
+    pred = (x @ params)[:, 0]
+    resid = pred - y
+    loss = float(np.sum(w * 0.5 * resid * resid) / n)
+    grads = x.T @ (resid * w / n)[:, None]
+    return loss, grads
+
+
+def _batch_loss(loss, params, columns: Columns, rows: np.ndarray, num_features: int):
+    """``loss`` and its gradient over the compiled ``rows``."""
+    x = _design_matrix(columns, rows, num_features)
+    return loss(params, x, columns.targets[rows], columns.weights[rows])
 
 
 def logistic_objective(
@@ -179,24 +208,10 @@ def logistic_objective(
     """
     if not examples:
         raise ValueError("empty batch")
-    index = {label: i for i, label in enumerate(labels)}
-    n = len(examples)
-    x = _design_matrix(examples, domain)
-    w = np.array([ex.weight for ex in examples])
-    targets = np.zeros(n, dtype=int)
-    for i, ex in enumerate(examples):
-        if not isinstance(ex.output, CategoricalOutput):
-            raise UnlabelledExample("logistic objective needs categorical ground truth")
-        targets[i] = index[ex.output.label]
-
-    probs = _softmax(x @ params)
-    picked = probs[np.arange(n), targets]
-    loss = float(np.sum(w * -np.log(picked)) / n)
-
-    delta = probs.copy()
-    delta[np.arange(n), targets] -= 1.0
-    grads = x.T @ (delta * (w / n)[:, None])
-    return loss, grads
+    if not all(isinstance(ex.output, CategoricalOutput) for ex in examples):
+        raise UnlabelledExample("logistic objective needs categorical ground truth")
+    columns = compile_examples(examples, domain, labels)
+    return _batch_loss(_logistic_loss, params, columns, np.arange(len(examples)), len(domain))
 
 
 def squared_objective(
@@ -207,20 +222,10 @@ def squared_objective(
     """Half squared error (weighted, mean over the batch) and its gradient."""
     if not examples:
         raise ValueError("empty batch")
-    n = len(examples)
-    x = _design_matrix(examples, domain)
-    w = np.array([ex.weight for ex in examples])
-    y = np.zeros(n)
-    for i, ex in enumerate(examples):
-        if not isinstance(ex.output, RealOutput):
-            raise UnlabelledExample("squared objective needs real-valued ground truth")
-        y[i] = ex.output.value
-
-    pred = (x @ params)[:, 0]
-    resid = pred - y
-    loss = float(np.sum(w * 0.5 * resid * resid) / n)
-    grads = x.T @ (resid * w / n)[:, None]
-    return loss, grads
+    if not all(isinstance(ex.output, RealOutput) for ex in examples):
+        raise UnlabelledExample("squared objective needs real-valued ground truth")
+    columns = compile_examples(examples, domain)
+    return _batch_loss(_squared_loss, params, columns, np.arange(len(examples)), len(domain))
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +333,20 @@ class LinearSgdTrainer(Trainer):
             )
 
         domain = dataset.feature_domain
-        if dataset.task == CATEGORICAL:
-            labels = dataset.output_domain.labels()
-            k = len(labels)
-        else:
-            labels = None
-            k = 1
+        k = len(dataset.output_domain.labels()) if dataset.task == CATEGORICAL else 1
         weights = np.zeros((len(domain) + 1, k))
         state = init_state(self.optimizer, weights.shape)
 
+        columns = dataset.columns
+        loss = _logistic_loss if self.objective == LOGISTIC else _squared_loss
         rng = Xoshiro256StarStar(self.stream_seed(count))
         order = list(range(len(dataset.examples)))
         for _ in range(self.epochs):
             rng.shuffle(order)
+            shuffled = np.array(order)
             for start in range(0, len(order), self.batch_size):
-                batch = [dataset.examples[i] for i in order[start : start + self.batch_size]]
-                if self.objective == LOGISTIC:
-                    _, grads = logistic_objective(weights, batch, domain, labels)
-                else:
-                    _, grads = squared_objective(weights, batch, domain)
+                rows = shuffled[start : start + self.batch_size]
+                _, grads = _batch_loss(loss, weights, columns, rows, len(domain))
                 state, weights = optimizer_step(self.optimizer, state, weights, grads)
 
         prov = model_provenance(

@@ -105,6 +105,8 @@ class PTimestamp:
     nanos: int = 0
 
     def __post_init__(self):
+        if type(self.seconds) is not int or type(self.nanos) is not int:
+            raise TypeError("PTimestamp takes int seconds and nanos")
         if not INT64_MIN <= self.seconds <= INT64_MAX:
             raise ValueError("seconds out of signed 64-bit range")
         if not 0 <= self.nanos < 1_000_000_000:
@@ -117,6 +119,8 @@ class PHash:
     digest: str
 
     def __post_init__(self):
+        if not isinstance(self.algorithm, str) or not isinstance(self.digest, str):
+            raise TypeError("PHash takes a str algorithm and digest")
         if not self.algorithm or not self.digest:
             raise ValueError("hash needs an algorithm and a digest")
 
@@ -153,15 +157,14 @@ class PMap:
         if any(not isinstance(k, str) for k in keys):
             raise TypeError("map keys must be strings")
         object.__setattr__(self, "entries", tuple(sorted(pairs, key=lambda kv: kv[0])))
+        # a lookup index, not a field, so equality, repr and encoding ignore it
+        object.__setattr__(self, "_index", dict(pairs))
 
     def keys(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.entries)
 
     def get(self, key: str, default=None):
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return default
+        return self._index.get(key, default)
 
     def __getitem__(self, key: str):
         v = self.get(key, _MISSING)
@@ -194,6 +197,8 @@ class PObj:
     fields: PMap = field(default_factory=PMap)
 
     def __post_init__(self):
+        if not isinstance(self.class_name, str):
+            raise TypeError("PObj takes a str class name")
         if not self.class_name:
             raise ValueError("object class name must be non-empty")
         if not isinstance(self.fields, PMap):
@@ -458,6 +463,8 @@ def from_json_value(node) -> ProvValue:
             if not isinstance(value, dict):
                 raise ParseError("map value must be an object")
             return PMap({k: from_json_value(val) for k, val in value.items()})
+        if not isinstance(value["fields"], dict):
+            raise ParseError("object fields must be an object")
         return PObj(value["class"], PMap({k: from_json_value(val) for k, val in value["fields"].items()}))
     except (TypeError, ValueError, KeyError) as exc:
         raise ParseError(f"malformed {tag!r} value: {exc}") from exc

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     CATEGORICAL,
     CategoricalOutput,
+    Columns,
     Dataset,
     Model,
     Output,
@@ -113,13 +114,97 @@ class _Row:
     weight: float
 
 
-def _node_impurity(rows: Sequence[_Row], task: str) -> float:
+def _impurity(targets: Sequence, weights: Sequence[float], task: str) -> float:
+    """Two-pass impurity of rows given as parallel target and weight lists."""
     if task == CATEGORICAL:
-        weights: dict[str, float] = {}
-        for row in rows:
-            weights[row.target] = weights.get(row.target, 0.0) + row.weight
-        return gini_impurity(weights)
-    return weighted_variance([r.target for r in rows], [r.weight for r in rows])
+        per_label: dict = {}
+        for target, weight in zip(targets, weights):
+            per_label[target] = per_label.get(target, 0.0) + weight
+        return gini_impurity(per_label)
+    return weighted_variance(targets, weights)
+
+
+class _Sample:
+    """A tree's training rows as arrays, every feature sorted once at the root.
+
+    ``x`` holds the values as a dense (features, rows) matrix; absent
+    features read 0.0.  Row ``f`` of ``order`` lists the row positions
+    sorted by feature ``f``, ties in position order, and its last row lists
+    the positions in order.  Growth stable-partitions each split node's
+    segment ``order[:, start:end]`` in place, so every node's segment holds
+    its rows sorted by each feature, and in sample order in the last row.
+    """
+
+    def __init__(self, columns: Columns, num_features: int, labels: Sequence[str] | None):
+        n = len(columns.weights)
+        self.columns = columns
+        self.labels = labels  # label of each target index; None for regression
+        self.x = np.zeros((num_features, n))
+        self.x[columns.feature_ids, np.repeat(np.arange(n), np.diff(columns.indptr))] = columns.values
+        self.order = np.empty((num_features + 1, n), dtype=np.int32)
+        self.order[:-1] = np.argsort(self.x, axis=1, kind="stable")
+        self.order[-1] = np.arange(n)
+        if labels is not None:  # each row's weight under its label, zero under the others
+            one_hot = columns.targets == np.arange(len(labels))[:, None]
+            self.label_weights = np.where(one_hot, columns.weights, 0.0)
+
+    def partition(self, start: int, end: int, feature_id: int, threshold: float) -> int:
+        """Send the segment's rows at or under the threshold to its front; returns the boundary."""
+        segment = self.order[:, start:end]
+        goes_left = (self.x[feature_id].take(segment) <= threshold).ravel()
+        left = np.compress(goes_left, segment).reshape(len(segment), -1)
+        right = np.compress(~goes_left, segment).reshape(len(segment), -1)
+        n_left = left.shape[1]
+        segment[:, :n_left] = left
+        segment[:, n_left:] = right
+        return start + n_left
+
+
+class _Node:
+    """The rows of one tree node, as :func:`best_split` searches them.
+
+    It has a ``len()``, and iterating it yields the rows as :class:`_Row`s,
+    in sample order, built on demand.  Its sorted segment is valid until
+    growth partitions the node.
+    """
+
+    def __init__(self, sample: _Sample, start: int, end: int):
+        self.sample, self.start, self.end = sample, start, end
+        self.rows = sample.order[-1, start:end].copy()  # row positions, ascending
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+    def __iter__(self):
+        columns, labels = self.sample.columns, self.sample.labels
+        for i in self.rows.tolist():
+            a, b = columns.indptr[i], columns.indptr[i + 1]
+            values = dict(zip(columns.feature_ids[a:b].tolist(), columns.values[a:b].tolist()))
+            target = columns.targets[i].item()
+            yield _Row(values, target if labels is None else labels[target], columns.weights[i].item())
+
+    def targets_and_weights(self) -> tuple[list, list[float]]:
+        """The node's targets (label indices or values) and weights, in sample order."""
+        columns = self.sample.columns
+        return columns.targets.take(self.rows).tolist(), columns.weights.take(self.rows).tolist()
+
+
+def _node_of_rows(rows: Sequence[_Row], candidate_features: Sequence[int], task: str) -> _Node:
+    """Compile a list of rows into the single node of a sample of their own."""
+    lengths = [len(r.values) for r in rows]
+    ids = np.fromiter(chain.from_iterable(r.values for r in rows), np.int32, sum(lengths))
+    values = np.fromiter(chain.from_iterable(r.values.values() for r in rows), np.float64, sum(lengths))
+    if task == CATEGORICAL:
+        labels = tuple(sorted({r.target for r in rows}))
+        position = {label: i for i, label in enumerate(labels)}
+        targets = np.array([position[r.target] for r in rows], dtype=np.intp)
+    else:
+        labels = None
+        targets = np.array([r.target for r in rows], dtype=np.float64)
+    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    columns = Columns(indptr, ids, values, targets, np.array([r.weight for r in rows], dtype=np.float64))
+    num_features = 1 + max(max(candidate_features, default=-1), int(ids.max(initial=-1)))
+    return _Node(_Sample(columns, num_features, labels), 0, len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +234,28 @@ def best_split(
     smaller feature id, then the smaller threshold.  A pure node never
     splits.
 
-    The search is a sorted sweep, O(N log N) per feature: each candidate
-    column is stable-sorted once, and running sums over the sorted rows
-    give the child impurity of every threshold.  Those sums add in another
-    order than the two-pass impurity formulas, so they may differ in the
-    last bits and serve only to shortlist the thresholds within a rounding
-    margin of the best.  Each shortlisted threshold is rescored by
-    :func:`_split_decrease` over the rows in their original order, so the
-    returned split, to the last bit of ``impurity_decrease``, is the one a
-    rescan of every threshold with the two-pass formulas would pick.
+    ``rows`` is a list of :class:`_Row`, or the node view that tree growth
+    passes: an object with a ``len()`` whose iteration yields the node's
+    ``_Row``s in sample order.  A list is compiled on entry into a view of
+    its own, so both take the same path.
+
+    The search is a sorted sweep.  The view holds every candidate column
+    already sorted, ties in row order: growth sorts each feature once at
+    the root and stable-partitions the order down the tree.  Running sums
+    over the sorted rows give the child impurity of every threshold.  Those
+    sums add in another order than the two-pass impurity formulas, so they
+    may differ in the last bits and serve only to shortlist the thresholds
+    within a rounding margin of the best.  Each shortlisted threshold is
+    rescored by :func:`_split_decrease` over the rows in their original
+    order, so the returned split, to the last bit of ``impurity_decrease``,
+    is the one a rescan of every threshold with the two-pass formulas would
+    pick.
     """
     if cfg.split_kind == RANDOM_THRESHOLD and rng is None:
         raise ValueError("random-threshold splits need a random stream")
-    parent = _node_impurity(rows, task)
+    node = rows if isinstance(rows, _Node) else _node_of_rows(rows, candidate_features, task)
+    targets, weights = node.targets_and_weights()
+    parent = _impurity(targets, weights, task)
     if parent == 0.0:
         return None
     fids = list(candidate_features)
@@ -170,32 +264,32 @@ def best_split(
     if not fids:
         return None
 
-    x = _columns(rows, fids)
-    varying = np.flatnonzero(x.min(axis=0) < x.max(axis=0))  # a constant column cannot split
-    x = x[:, varying]
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    n = len(rows)
+    sample = node.sample
+    n = len(node)
+    order = sample.order[fids, node.start : node.end]
+    xs = sample.x.take(order + len(sample.order[0]) * np.array(fids)[:, None])  # values, each row sorted
+    varying = np.flatnonzero(xs[:, 0] < xs[:, -1])  # a constant column cannot split
+    order, xs = order.take(varying, axis=0), xs.take(varying, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.split_kind == EXHAUSTIVE:
-            pos, col = np.nonzero(xs[:-1] < xs[1:])
-            lo, hi = xs[pos, col], xs[pos + 1, col]
+            col, pos = (xs[:, :-1] < xs[:, 1:]).nonzero()
+            lo, hi = xs[col, pos], xs[col, pos + 1]
             thresholds = (lo + hi) / 2.0
             counts = pos + 1
             # the midpoint of adjacent doubles can round onto hi, or overflow
             for k in np.flatnonzero(~((lo <= thresholds) & (thresholds < hi))):
-                counts[k] = np.searchsorted(xs[:, col[k]], thresholds[k], side="right")
+                counts[k] = np.searchsorted(xs[col[k]], thresholds[k], side="right")
         else:
             col = np.arange(len(varying))
-            thresholds = xs[0] + draws[varying] * (xs[-1] - xs[0])
-            counts = (xs <= thresholds).sum(axis=0)
+            thresholds = xs[:, 0] + draws.take(varying) * (xs[:, -1] - xs[:, 0])
+            counts = (xs <= thresholds[:, None]).sum(axis=1)
         m = cfg.min_examples_per_leaf
         ok = (counts >= m) & (n - counts >= m)
         col, thresholds, counts = col[ok], thresholds[ok], counts[ok]
         if not len(col):
             return None
-        del xs  # only the order is needed from here on
-        approx = _swept_child_impurity(rows, task, order, col, counts)
+        total_weight = sum(weights)
+        approx = _swept_child_impurity(node, task, order, col, counts) / total_weight
 
     # Gini is at most 1 and its formula rounds in absolute terms; variance
     # rounds relative to the parent's
@@ -203,14 +297,13 @@ def best_split(
     if np.isfinite(approx).all():
         shortlist = np.flatnonzero(approx <= approx.min() + margin)
     else:
-        shortlist = np.arange(len(col))
-    shortlist = shortlist[np.lexsort((thresholds[shortlist], col[shortlist]))]
+        shortlist = range(len(col))
 
-    total_weight = sum(r.weight for r in rows)
     best: Split | None = None
     for k in shortlist:
         fid, threshold = fids[varying[col[k]]], float(thresholds[k])
-        decrease = _split_decrease(rows, x[:, col[k]].tolist(), threshold, parent, total_weight, cfg, task)
+        values = sample.x[fid].take(node.rows).tolist()
+        decrease = _split_decrease(values, targets, weights, threshold, parent, total_weight, cfg, task)
         if decrease is None:
             continue
         if (
@@ -228,68 +321,54 @@ def best_split(
     return best
 
 
-def _columns(rows: Sequence[_Row], fids: Sequence[int]) -> np.ndarray:
-    """The rows' values of ``fids`` as an n x len(fids) array; absent reads 0.0."""
-    ids, inverse = np.unique(np.asarray(fids, dtype=np.int64), return_inverse=True)
-    lengths = [len(r.values) for r in rows]
-    nnz = sum(lengths)
-    keys = np.fromiter(chain.from_iterable(r.values for r in rows), np.int64, nnz)
-    values = np.fromiter(chain.from_iterable(r.values.values() for r in rows), np.float64, nnz)
-    where = np.minimum(np.searchsorted(ids, keys), len(ids) - 1)
-    hit = ids[where] == keys
-    dense = np.zeros((len(rows), len(ids)))
-    dense[np.repeat(np.arange(len(rows)), lengths)[hit], where[hit]] = values[hit]
-    return dense[:, inverse]
+def _swept_child_impurity(node: _Node, task, order, col, counts) -> np.ndarray:
+    """Weighted child impurity of each candidate, from running sums.
 
-
-def _swept_child_impurity(rows, task, order, col, counts) -> np.ndarray:
-    """Weighted child impurity over total weight, from running sums.
-
-    Candidate ``k`` sends the first ``counts[k]`` rows of sorted column
-    ``col[k]`` left.  Each side sums its own rows, from the front or from
-    the back, so no side is a difference of two large totals.
+    Row ``c`` of ``order`` lists the node's row positions sorted by one
+    candidate column; candidate ``k`` sends the first ``counts[k]`` rows of
+    row ``col[k]`` left.  Each side sums its own rows, from the front or
+    from the back, so no side is a difference of two large totals.
     """
-    w = np.array([r.weight for r in rows])
+    sample = node.sample
     if task == CATEGORICAL:
-        codes = {label: i for i, label in enumerate(sorted({r.target for r in rows}))}
-        y = np.array([codes[r.target] for r in rows])
-        quantities = np.where(y == np.arange(len(codes))[:, None], w, 0.0)  # weight per label
+        present = np.flatnonzero(np.bincount(sample.columns.targets.take(node.rows)))
+        quantities = sample.label_weights.take(present, axis=0)  # weight per label
     else:
-        y = np.array([r.target for r in rows])
-        yc = y - np.dot(w, y) / w.sum()  # centred, so the sums below do not cancel
-        quantities = np.stack([w, w * yc, w * yc * yc])
-    n = len(rows)
+        w, y = sample.columns.weights, sample.columns.targets
+        node_w = w.take(node.rows)
+        yc = y - np.dot(node_w, y.take(node.rows)) / node_w.sum()  # centred, so the sums below do not cancel
+        quantities = (w, w * yc, w * yc * yc)
+    n = order.shape[1]
     left, right = [], []
     for quantity in quantities:  # one at a time keeps the temporaries n x F
-        swept = quantity[order]  # each column in sorted order
-        right.append(np.cumsum(swept[::-1], axis=0)[n - 1 - counts, col])
-        left.append(np.cumsum(swept, axis=0, out=swept)[counts - 1, col])
+        swept = quantity.take(order)  # each candidate's rows in sorted order
+        right.append(np.add.accumulate(swept[:, ::-1], axis=1)[col, n - 1 - counts])
+        left.append(np.add.accumulate(swept, axis=1, out=swept)[col, counts - 1])
     left, right = np.array(left), np.array(right)
     if task == CATEGORICAL:
         # w * gini = 2 * (sum over label pairs of c_i * c_j) / w, all terms positive
-        child = sum(
-            2.0 * (c[1:] * np.cumsum(c, axis=0)[:-1]).sum(axis=0) / c.sum(axis=0)
+        return sum(
+            2.0 * (c[1:] * np.add.accumulate(c)[:-1]).sum(axis=0) / c.sum(axis=0)
             for c in (left, right)
         )
-    else:
-        child = sum(s2 - s1 * s1 / s0 for s0, s1, s2 in (left, right))
-    return child / w.sum()
+    return sum(s2 - s1 * s1 / s0 for s0, s1, s2 in (left, right))
 
 
-def _split_decrease(rows, values, threshold, parent, total_weight, cfg, task) -> float | None:
+def _split_decrease(values, targets, weights, threshold, parent, total_weight, cfg, task) -> float | None:
     """Impurity decrease of one threshold by the two-pass formulas, or None.
 
-    ``values`` holds each row's value of the feature, in row order.  None
-    means a child would fall under the leaf minimum.
+    ``values``, ``targets`` and ``weights`` list the node's rows in sample
+    order.  None means a child would fall under the leaf minimum.
     """
-    left = [row for row, v in zip(rows, values) if v <= threshold]
-    right = [row for row, v in zip(rows, values) if v > threshold]
+    left = [i for i, v in enumerate(values) if v <= threshold]
+    right = [i for i, v in enumerate(values) if v > threshold]
     if len(left) < cfg.min_examples_per_leaf or len(right) < cfg.min_examples_per_leaf:
         return None
-    wl = sum(r.weight for r in left)
-    wr = sum(r.weight for r in right)
-    child = (wl * _node_impurity(left, task) + wr * _node_impurity(right, task)) / total_weight
-    return parent - child
+    child = 0.0
+    for side in (left, right):
+        side_weights = [weights[i] for i in side]
+        child += sum(side_weights) * _impurity([targets[i] for i in side], side_weights, task)
+    return parent - child / total_weight
 
 
 # ---------------------------------------------------------------------------
@@ -348,44 +427,40 @@ class CartTrainer(Trainer):
             raise TaskMismatch("classification dataset has no labels")
 
         domain = dataset.feature_domain
-        rows = []
-        for ex in dataset.examples:
-            values = {domain.id_of(f.name): f.value for f in ex.features}
-            target = ex.output.label if task == CATEGORICAL else ex.output.value
-            rows.append(_Row(values, target, ex.weight))
-
         num_features = len(domain)
+        labels = dataset.output_domain.labels() if task == CATEGORICAL else None
+        sample = _Sample(dataset.columns, num_features, labels)
         k = math.ceil(self.cfg.feature_subsampling_fraction * num_features)
         rng = Xoshiro256StarStar(self.stream_seed(count))
         cfg = self.cfg
 
-        def make_leaf(node_rows: Sequence[_Row]) -> LeafNode:
+        def make_leaf(node: _Node) -> LeafNode:
+            targets, weights = node.targets_and_weights()
             if task == CATEGORICAL:
                 counts: dict[str, float] = {}
-                for row in node_rows:
-                    counts[row.target] = counts.get(row.target, 0.0) + row.weight
-                return LeafNode(len(node_rows), counts=counts)
-            total = sum(r.weight for r in node_rows)
-            mean = sum(r.target * r.weight for r in node_rows) / total
-            return LeafNode(len(node_rows), mean=mean)
+                for target, weight in zip(targets, weights):
+                    counts[labels[target]] = counts.get(labels[target], 0.0) + weight
+                return LeafNode(len(node), counts=counts)
+            mean = sum(t * w for t, w in zip(targets, weights)) / sum(weights)
+            return LeafNode(len(node), mean=mean)
 
-        def grow(node_rows: Sequence[_Row], depth: int) -> TreeNode:
-            if depth >= cfg.max_depth or len(node_rows) < 2 * cfg.min_examples_per_leaf:
-                return make_leaf(node_rows)
+        def grow(start: int, end: int, depth: int) -> TreeNode:
+            node = _Node(sample, start, end)
+            if depth >= cfg.max_depth or len(node) < 2 * cfg.min_examples_per_leaf:
+                return make_leaf(node)
             if k < num_features:
                 candidates = sorted(rng.sample_prefix(num_features, k))
             else:
                 candidates = list(range(num_features))  # no draw when taking everything
-            split = best_split(node_rows, candidates, cfg, task, rng)
+            split = best_split(node, candidates, cfg, task, rng)
             if split is None:
-                return make_leaf(node_rows)
-            left_rows = [r for r in node_rows if r.values.get(split.feature_id, 0.0) <= split.threshold]
-            right_rows = [r for r in node_rows if r.values.get(split.feature_id, 0.0) > split.threshold]
-            left = grow(left_rows, depth + 1)
-            right = grow(right_rows, depth + 1)
+                return make_leaf(node)
+            middle = sample.partition(start, end, split.feature_id, split.threshold)
+            left = grow(start, middle, depth + 1)
+            right = grow(middle, end, depth + 1)
             return SplitNode(split.feature_id, split.threshold, left, right)
 
-        root = grow(rows, 0)
+        root = grow(0, len(dataset), 0)
         prov = model_provenance(
             TREE_MODEL_CLASS,
             trainer_provenance=self.provenance_with_count(count),

@@ -5,6 +5,7 @@ criteria execute.  Tolerances are fixed here, not configurable.
 """
 
 import contextlib
+import hashlib
 import random
 import time
 
@@ -47,6 +48,7 @@ from pvml.provenance import (
     PObj,
     PStr,
     PTimestamp,
+    canonical_encode,
     instance_section,
     parse_provenance,
     provenance_hash,
@@ -126,6 +128,18 @@ def test_criterion_1_provenance_round_trip():
 
         elapsed = time.monotonic() - started
         assert elapsed < 30.0, f"criterion 1 took {elapsed:.1f}s"
+
+
+def test_criterion_1_corpus_bytes_and_hashes_pinned():
+    # digest of the canonical bytes and hashes of the corpus above, recorded
+    # before map lookups were indexed
+    rnd = random.Random(20250)
+    digest = hashlib.sha256()
+    for _ in range(10_000):
+        value = _random_prov_value(rnd, depth=3)
+        digest.update(canonical_encode(value))
+        digest.update(provenance_hash(value).encode())
+    assert digest.hexdigest() == "eb2e82a5a03073e5a3aaf728d77bf7f82f7f821454c7a2077dc662ca3ab2d082"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI workflows and their exit-code contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -79,8 +80,8 @@ class TestHappyPaths:
                  "--schema", workspace["schema"], "--out", out]
             )
             assert rc == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-        header = open(out1).readline().strip().split(",")
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
+        header = Path(out1).read_text().splitlines()[0].split(",")
         assert header == ["row", "prediction", "a", "b"]
 
     def test_evaluate_writes_report(self, workspace, tmp_path):
@@ -140,7 +141,7 @@ class TestTransformFlag:
              "--transform", str(transform_path)]
         )
         assert rc == 0
-        container = json.loads(open(workspace["model"]).read())
+        container = json.loads(Path(workspace["model"]).read_text())
         prov = from_json_value(container["provenance"])
         transformations = instance_section(instance_section(prov)["data"])["transformations"]
         assert len(transformations) == 1
@@ -195,7 +196,7 @@ class TestExitCodes:
     def test_reproduction_mismatch_is_4(self, workspace):
         assert _train(workspace, trainer_key="tree_trainer") == 0
         # forge the recorded example count so the rebuilt hash cannot match
-        container = json.loads(open(workspace["model"]).read())
+        container = json.loads(Path(workspace["model"]).read_text())
         prov = from_json_value(container["provenance"])
         data = instance_section(prov)["data"]
         forged_data = object_provenance(

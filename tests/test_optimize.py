@@ -1,5 +1,7 @@
 """Optimizer updates, objective gradients, and SGD training behaviour."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -19,6 +21,7 @@ from pvml.optimize import (
     squared_objective,
     train_linear_sgd,
 )
+from pvml.persist import model_to_container
 from pvml.provenance import PInt, config_section, instance_section, provenance_hash
 from pvml.rng import Xoshiro256StarStar
 
@@ -157,6 +160,23 @@ class TestLogisticObjective:
         assert loss2 == pytest.approx(2 * loss1, rel=1e-12)
 
 
+    def test_features_outside_the_domain_are_ignored(self):
+        known = [
+            make_example([("a", 1.0), ("b", 2.0)], CategoricalOutput("x")),
+            make_example([("a", -1.0)], CategoricalOutput("y"), 2.0),
+        ]
+        domain = _domain_for(known)
+        extra = [
+            make_example([("a", 1.0), ("b", 2.0), ("zz", 5.0)], CategoricalOutput("x")),
+            make_example([("_", 3.0), ("a", -1.0)], CategoricalOutput("y"), 2.0),
+        ]
+        params = np.array([[0.3, -0.1], [0.2, 0.4], [0.0, 0.2]])
+        loss, grads = logistic_objective(params, known, domain, ("x", "y"))
+        loss_extra, grads_extra = logistic_objective(params, extra, domain, ("x", "y"))
+        assert loss_extra == loss
+        assert np.array_equal(grads_extra, grads)
+
+
 class TestSquaredObjective:
     def test_zero_loss_at_perfect_fit(self):
         examples = [make_example([("a", 2.0)], RealOutput(0.0))]
@@ -243,3 +263,46 @@ class TestTrainLinearSgd:
         for ex in separable_dataset.examples[:10]:
             pred = model.predict(ex)
             assert pred.scores[pred.output.label] == max(pred.scores.values())
+
+
+def _golden_dataset(labels, seed):
+    """Sparse weighted examples: each row holds a few of twelve features."""
+    rng = Xoshiro256StarStar(seed)
+    examples = []
+    for _ in range(90):
+        pairs = [(f"t{j:02d}", rng.next_float() * 4 - 2) for j in range(12) if rng.next_float() < 0.3]
+        pairs.append(("bias-ish", 1.0 + rng.next_below(3)))
+        signal = sum(v for name, v in pairs if name in ("t00", "t03", "t07"))
+        if labels is None:
+            output = RealOutput(signal + rng.next_float())
+        else:
+            output = CategoricalOutput(labels[min(len(labels) - 1, max(0, int(signal + 1.5)))])
+        examples.append(make_example(pairs, output, weight=0.5 + rng.next_below(4) / 2.0))
+    return build_dataset(InMemoryDataSource(examples))
+
+
+def _weights_sha256(model) -> str:
+    """SHA-256 of the parameter block as compact sorted-key JSON."""
+    params = model_to_container(model)["parameters"]
+    text = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenWeights:
+    """Trained weights pinned bit for bit, so a change to any SGD kernel fails here."""
+
+    def test_logistic_adagrad(self):
+        dataset = _golden_dataset(("a", "b", "c"), 41)
+        model = train_linear_sgd(dataset, "logistic", AdaGrad(0.3), epochs=4, batch_size=7, shuffle_seed=42)
+        assert _weights_sha256(model) == GOLDEN_LOGISTIC_ADAGRAD
+
+    def test_squared_adam(self):
+        dataset = _golden_dataset(None, 43)
+        model = train_linear_sgd(dataset, "squared", Adam(0.05), epochs=4, batch_size=8, shuffle_seed=44)
+        assert _weights_sha256(model) == GOLDEN_SQUARED_ADAM
+
+
+# Recorded with the design matrix built from feature names batch by batch,
+# which the compiled dataset replaced.
+GOLDEN_LOGISTIC_ADAGRAD = "8b4ff0d5d3fc9dcc8ca8aad920dbd502b519c6849d60307be29a324fe46dd594"
+GOLDEN_SQUARED_ADAM = "3e6e3d096b6540fe8b3dc18abdcb4b0bb28f60a025c58796384066637b50380e"

@@ -41,6 +41,31 @@ BOOL_TRUE_SHA256 = "38b8bc5c86db41a80615b2f4694fc754cccffb95e8933d5b376021feab83
 # Canonical encoding
 # ---------------------------------------------------------------------------
 
+class TestMapLookup:
+    def test_lookups_on_a_large_map(self):
+        rnd = random.Random(8)
+        entries = {f"key-{rnd.randrange(10**9):09d}": PInt(i) for i in range(1000)}
+        m = PMap(entries)
+        assert len(m) == len(entries)
+        for key, value in entries.items():
+            assert m.get(key) is value
+            assert m[key] is value
+            assert key in m
+        for missing in ("", "key-", "key-x", "zzz"):
+            assert m.get(missing) is None
+            assert m.get(missing, PStr("d")) == PStr("d")
+            assert missing not in m
+            with pytest.raises(KeyError):
+                m[missing]
+
+    def test_index_is_not_part_of_the_value(self):
+        a = PMap({"b": PInt(2), "a": PInt(1)})
+        b = PMap([("a", PInt(1)), ("b", PInt(2))])
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "PMap(entries=(('a', PInt(value=1)), ('b', PInt(value=2))))"
+        assert a.with_entry("c", PInt(3))["c"] == PInt(3)
+
+
 class TestCanonicalEncoding:
     def test_bool_true_bytes(self):
         assert canonical_encode(PBool(True)) == bytes([0x04, 0x01])
@@ -262,6 +287,33 @@ class TestJsonRoundTrip:
     def test_unencodable_string_rejected(self):
         with pytest.raises(ValueError):
             PStr("\ud800")  # lone surrogate has no UTF-8 form
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type":"obj","value":{"class":"c","fields":[]}}',
+            '{"type":"obj","value":{"class":"c","fields":"ab"}}',
+            '{"type":"obj","value":{"class":5,"fields":{}}}',
+            '{"type":"obj","value":[]}',
+            '{"type":"hash","value":{"algorithm":1,"digest":2}}',
+            '{"type":"hash","value":{"algorithm":"SHA-256","digest":["00"]}}',
+            '{"type":"timestamp","value":{"seconds":true,"nanos":0}}',
+            '{"type":"timestamp","value":{"seconds":1,"nanos":0.5}}',
+        ],
+    )
+    def test_malformed_structures_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_provenance(text)
+
+    def test_value_parts_must_have_their_types(self):
+        with pytest.raises(TypeError):
+            PHash(1, 2)
+        with pytest.raises(TypeError):
+            PTimestamp(seconds=True)
+        with pytest.raises(TypeError):
+            PTimestamp(1, nanos=1.0)
+        with pytest.raises(TypeError):
+            PObj(5)
 
 
 # ---------------------------------------------------------------------------

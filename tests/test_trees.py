@@ -1,18 +1,22 @@
 """CART: impurity, split search against brute force, growth invariants."""
 
+import copy
 import hashlib
 import json
 
 import pytest
 
+import pvml.trees
+
 from pvml.core import CATEGORICAL, REAL, CategoricalOutput, RealOutput, build_dataset, make_example
 from pvml.data import InMemoryDataSource
-from pvml.ensemble import RANDOM_FOREST, EnsembleConfig, train_ensemble
+from pvml.ensemble import ADABOOST, BAGGING, RANDOM_FOREST, EnsembleConfig, train_ensemble
 from pvml.errors import EmptyNode
 from pvml.persist import model_to_container
 from pvml.provenance import provenance_hash
 from pvml.rng import Xoshiro256StarStar
 from pvml.trees import (
+    EXHAUSTIVE,
     RANDOM_THRESHOLD,
     CartTrainer,
     LeafNode,
@@ -337,9 +341,86 @@ class TestGoldenTrees:
         model = train_cart(_golden_dataset(CATEGORICAL, 13), cfg)
         assert _parameter_sha256(model) == GOLDEN_RANDOM_THRESHOLD
 
+    def test_bagged_gini_classifier(self):
+        # bootstrap samples hold the same example more than once
+        base = CartTrainer(TreeConfig(max_depth=4, seed=15))
+        cfg = EnsembleConfig(base_trainer=base, num_members=3, seed=16, variant=BAGGING)
+        model = train_ensemble(_golden_dataset(CATEGORICAL, 14), cfg)
+        assert _parameter_sha256(model) == GOLDEN_BAGGED_GINI
+
+    def test_samme_adaboost(self):
+        # every round after the first trains on non-uniform example weights
+        base = CartTrainer(TreeConfig(max_depth=2, seed=17))
+        cfg = EnsembleConfig(base_trainer=base, num_members=4, seed=18, variant=ADABOOST)
+        model = train_ensemble(_golden_dataset(CATEGORICAL, 15), cfg)
+        assert len(model.members) == 4
+        assert _parameter_sha256(model) == GOLDEN_SAMME_ADABOOST
+
+
+def _split_bits(split):
+    if split is None:
+        return None
+    return split.feature_id, split.threshold.hex(), split.impurity_decrease.hex()
+
+
+class TestNodeView:
+    """Tree growth passes node views; a list of the same rows must search alike."""
+
+    @pytest.mark.parametrize("split_kind", [EXHAUSTIVE, RANDOM_THRESHOLD])
+    @pytest.mark.parametrize("task", [CATEGORICAL, REAL])
+    def test_view_and_row_list_give_the_same_split(self, monkeypatch, task, split_kind):
+        search = pvml.trees.best_split
+        splits = []
+
+        def both(node, candidates, cfg, node_task, rng=None):
+            rows = list(node)
+            assert len(rows) == len(node)
+            replay = copy.deepcopy(rng)
+            split = search(node, candidates, cfg, node_task, rng)
+            assert _split_bits(search(rows, candidates, cfg, node_task, replay)) == _split_bits(split)
+            assert replay._s == rng._s
+            splits.append(split)
+            return split
+
+        monkeypatch.setattr(pvml.trees, "best_split", both)
+        base = CartTrainer(
+            TreeConfig(
+                max_depth=5,
+                min_examples_per_leaf=2,
+                feature_subsampling_fraction=0.5,
+                split_kind=split_kind,
+                seed=19,
+            )
+        )
+        cfg = EnsembleConfig(base_trainer=base, num_members=2, seed=20, variant=RANDOM_FOREST)
+        train_ensemble(_golden_dataset(task, 16), cfg)
+        assert len(splits) > 10 and any(s is not None for s in splits)
+
+    def test_root_view_yields_the_dataset_rows(self, monkeypatch):
+        dataset = _golden_dataset(CATEGORICAL, 17)
+        domain = dataset.feature_domain
+        expected = [
+            _Row({domain.id_of(f.name): f.value for f in ex.features}, ex.output.label, ex.weight)
+            for ex in dataset.examples
+        ]
+        seen = []
+        search = pvml.trees.best_split
+
+        def keep(node, *args):
+            seen.append(list(node))
+            return search(node, *args)
+
+        monkeypatch.setattr(pvml.trees, "best_split", keep)
+        train_cart(dataset, TreeConfig(max_depth=2))
+        assert seen[0] == expected
+
 
 # Recorded with the search that rescanned every row for every threshold, which
 # the sorted sweep replaced; the sweep must reproduce its trees bit for bit.
 GOLDEN_EXHAUSTIVE_GINI = "1a5dfca40e456a175d04a76a99cae75e2f9ab1aba49e2817ea46404a4cec0cf0"
 GOLDEN_FOREST_REGRESSOR = "c2a8b7fd570446714a4365a0579704fe17b207393354a71605ca10bae5b637fb"
 GOLDEN_RANDOM_THRESHOLD = "f3f1a0361f5f3ea512b216f922793d1ceb041dc12dcdd5e7cf83882f3e56475d"
+# Recorded with the search that gathered every node's columns from per-row
+# dicts, which the root presort replaced.
+GOLDEN_BAGGED_GINI = "1c5b89bcea0e3cb3cf617a2bf263bfe8e9e98fbeee291f786c2077d45d9625a3"
+GOLDEN_SAMME_ADABOOST = "9a00debbb958b361ec61a02db534ede8ae95e1cc593b772fd4a29082df7483d0"
