@@ -22,7 +22,7 @@ from .data import (
     fit_transformers,
     load_csv,
     schema_from_properties,
-    transform_spec_from_record,
+    transform_spec_from_provenance,
 )
 from .errors import (
     OutputTypeMismatch,
@@ -36,6 +36,7 @@ from .provenance import (
     config_from_json,
     config_to_json,
     extract_configuration,
+    object_provenance,
     provenance_hash,
     redact,
     serialize_provenance,
@@ -72,7 +73,7 @@ def _cmd_train(args) -> int:
     dataset = build_dataset(load_csv(args.data, schema))
     if args.transform:
         for record in config_from_json(_read(args.transform)):
-            spec = transform_spec_from_record(record)
+            spec = transform_spec_from_provenance(object_provenance(record.class_name, config=record.properties))
             dataset = apply_transformers(dataset, fit_transformers(dataset, spec))
     model = trainer.train(dataset)
     save_model(model, args.output)

@@ -36,8 +36,6 @@ from .errors import (
     UnparseableNumeric,
 )
 from .provenance import (
-    CONFIG_SECTION,
-    INSTANCE_SECTION,
     PBool,
     PFlt,
     PHash,
@@ -52,6 +50,7 @@ from .provenance import (
     object_provenance,
     sha256_hex,
     timestamp_now,
+    with_instance_entry,
 )
 
 NUMERIC = "numeric"
@@ -123,16 +122,24 @@ def schema_from_properties(properties: Mapping[str, object]) -> ColumnarSchema:
         if key not in properties:
             raise MissingProperty(key)
     columns = properties["columns"]
-    processors = []
-    for entry in columns:
-        if not isinstance(entry, PMap) or "column" not in entry or "kind" not in entry:
-            raise ParseError("schema column entries need 'column' and 'kind'")
-        processors.append(FieldProcessor(entry["column"].value, entry["kind"].value))
-    return ColumnarSchema(
-        response_column=properties["response-column"].value,
-        response_type=properties["response-type"].value,
-        processors=tuple(processors),
-    )
+    if not isinstance(columns, PList) or not all(
+        isinstance(entry, PMap) and "column" in entry and "kind" in entry for entry in columns
+    ):
+        raise ParseError("schema columns must be a list of entries with 'column' and 'kind'")
+    try:
+        return ColumnarSchema(
+            response_column=_text(properties["response-column"]),
+            response_type=_text(properties["response-type"]),
+            processors=tuple(FieldProcessor(_text(e["column"]), _text(e["kind"])) for e in columns),
+        )
+    except ValueError as exc:
+        raise ParseError(f"invalid schema: {exc}") from exc
+
+
+def _text(v: ProvValue) -> str:
+    if not isinstance(v, PStr):
+        raise ParseError(f"expected a string, found {type(v).__name__}")
+    return v.value
 
 
 def featurize_row(schema: ColumnarSchema, row: Mapping[str, str]) -> Example:
@@ -422,31 +429,20 @@ def apply_transformers(dataset: Dataset, transformer: TransformerMap) -> Dataset
 
 
 def _append_transformation(dp: PObj, tprov: PObj) -> PObj:
-    inst = instance_section(dp)
-    existing = inst.get("transformations", PList())
-    new_list = PList(tuple(existing.items) + (tprov,))
-    return PObj(
-        dp.class_name,
-        PMap({CONFIG_SECTION: config_section(dp), INSTANCE_SECTION: inst.with_entry("transformations", new_list)}),
-    )
-
-
-def _spec_from_parts(class_name: str, features: ProvValue | None) -> TransformSpec:
-    kind = _TRANSFORM_KINDS.get(class_name)
-    if kind is None:
-        from .errors import UnknownClass
-
-        raise UnknownClass(f"unknown transformation class {class_name!r}")
-    if features is None or (isinstance(features, PStr) and features.value == "*"):
-        return TransformSpec(kind, None)
-    return TransformSpec(kind, tuple(f.value for f in features.items))
+    existing = instance_section(dp).get("transformations", PList())
+    return with_instance_entry(dp, "transformations", PList(tuple(existing.items) + (tprov,)))
 
 
 def transform_spec_from_provenance(tprov: PObj) -> TransformSpec:
     """Recover the fit spec (not the fitted numbers) from a recorded transform."""
-    return _spec_from_parts(tprov.class_name, config_section(tprov).get("features"))
+    kind = _TRANSFORM_KINDS.get(tprov.class_name)
+    if kind is None:
+        from .errors import UnknownClass
 
-
-def transform_spec_from_record(record) -> TransformSpec:
-    """The same recovery from an extracted configuration record."""
-    return _spec_from_parts(record.class_name, record.properties.get("features"))
+        raise UnknownClass(f"unknown transformation class {tprov.class_name!r}")
+    features = config_section(tprov).get("features")
+    if features is None or (isinstance(features, PStr) and features.value == "*"):
+        return TransformSpec(kind, None)
+    if not isinstance(features, PList):
+        raise ParseError("transformation 'features' must be a list or \"*\"")
+    return TransformSpec(kind, tuple(_text(f) for f in features.items))

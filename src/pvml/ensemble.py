@@ -1,15 +1,15 @@
 """Bagging, random forests and multi-class AdaBoost over any base trainer.
 
-Member seeds are derived as splitmix64(seed + i) and member invocation
-counts are reserved as a block up front, so training members concurrently
-is bit-identical to training them serially.  Ensemble provenance nests one
+Member i trains from the stream seeded by splitmix64(seed + i) with
+invocation count base + i, where the block of counts starting at base is
+reserved up front, so each member is exactly the model the base trainer
+would build alone from those two numbers.  Ensemble provenance nests one
 full model provenance per member.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -226,9 +226,7 @@ class EnsembleTrainer(Trainer):
             instance={"invocation-count": PInt(count)},
         )
 
-    def train_with_count(
-        self, dataset: Dataset, count: int, user_info=None, workers: int = 1
-    ) -> EnsembleModel:
+    def train_with_count(self, dataset: Dataset, count: int, user_info=None) -> EnsembleModel:
         cfg = self.cfg
         if cfg.variant == ADABOOST and dataset.task != CATEGORICAL:
             raise TaskMismatch("adaboost requires a classification dataset")
@@ -239,7 +237,7 @@ class EnsembleTrainer(Trainer):
         if cfg.variant == ADABOOST:
             members, member_weights = self._boost(dataset, base_count)
         else:
-            members = self._bag(dataset, base_count, workers)
+            members = self._bag(dataset, base_count)
             member_weights = [1.0 / cfg.num_members] * cfg.num_members
 
         prov = model_provenance(
@@ -258,20 +256,14 @@ class EnsembleTrainer(Trainer):
             member_weights,
         )
 
-    def _bag(self, dataset: Dataset, base_count: int, workers: int) -> list[Model]:
+    def _bag(self, dataset: Dataset, base_count: int) -> list[Model]:
         cfg = self.cfg
-
-        def train_member(i: int) -> Model:
+        members = []
+        for i in range(cfg.num_members):
             member_seed = splitmix64((self.seed + i) & MASK64)
-            sample = bootstrap_sample(
-                dataset, cfg.sample_fraction, cfg.with_replacement, member_seed
-            )
-            return cfg.base_trainer.train_with_count(sample, base_count + i)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(train_member, range(cfg.num_members)))
-        return [train_member(i) for i in range(cfg.num_members)]
+            sample = bootstrap_sample(dataset, cfg.sample_fraction, cfg.with_replacement, member_seed)
+            members.append(cfg.base_trainer.train_with_count(sample, base_count + i))
+        return members
 
     def _boost(self, dataset: Dataset, base_count: int) -> tuple[list[Model], list[float]]:
         """SAMME: reweight examples, weight members by their alpha.
@@ -314,15 +306,13 @@ class EnsembleTrainer(Trainer):
         return members, alphas
 
 
-def train_ensemble(
-    dataset: Dataset, cfg: EnsembleConfig, user_info=None, workers: int = 1
-) -> EnsembleModel:
-    """Train an ensemble; ``workers`` > 1 trains bagging members concurrently.
+def train_ensemble(dataset: Dataset, cfg: EnsembleConfig, user_info=None) -> EnsembleModel:
+    """Train an ensemble with a fresh :class:`EnsembleTrainer`.
 
-    Concurrency is an execution detail: results are bit-identical to the
-    serial run because member seeds and invocation counts are fixed up
-    front.  AdaBoost is inherently sequential and ignores ``workers``.
+    Bagging and random-forest members are trained one after another; each
+    depends only on its member seed and invocation count, so the result is
+    the same in any order.  AdaBoost is inherently sequential.
     """
     trainer = EnsembleTrainer(cfg)
     count = trainer.reserve_invocations(1)
-    return trainer.train_with_count(dataset, count, user_info=user_info, workers=workers)
+    return trainer.train_with_count(dataset, count, user_info=user_info)

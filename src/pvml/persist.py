@@ -231,7 +231,7 @@ def _model_from_container(container: dict) -> Model:
     if container.get("version") != FORMAT_VERSION:
         raise FormatError(f"unsupported container version {container.get('version')!r}")
     class_name = container.get("modelClass")
-    restore = _RESTORERS.get(class_name)
+    restore = _RESTORERS.get(class_name) if isinstance(class_name, str) else None
     if restore is None:
         raise UnknownModelClass(f"model class {class_name!r} is not registered")
     try:
@@ -284,8 +284,8 @@ def load_model(path: str, expected_task: str | None = None) -> Model:
         text = fh.read()
     try:
         container = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc.msg} (line {exc.lineno})") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise FormatError(f"not valid JSON: {exc}") from exc
     model = _model_from_container(container)
     if expected_task is not None and model.task != expected_task:
         raise TaskMismatch(

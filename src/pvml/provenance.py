@@ -283,6 +283,38 @@ def with_instance_entry(obj: PObj, key: str, value: ProvValue) -> PObj:
 
 
 # ---------------------------------------------------------------------------
+# Structural rewrite
+# ---------------------------------------------------------------------------
+
+def rewrite(v, visit):
+    """Rebuild a provenance tree top-down.
+
+    ``visit(node)`` returns the node's replacement (any value, such as a
+    :class:`ConfigRef`), or ``None`` to rebuild a list, map or object around
+    its rewritten children, in order and map entries by key, and to keep
+    any other node.  A container whose children all come back unchanged is
+    kept, so only the paths to replaced nodes are copied.
+    """
+    out = visit(v)
+    if out is not None:
+        return out
+    if isinstance(v, PList):
+        items = tuple(rewrite(item, visit) for item in v.items)
+        return v if _same(items, v.items) else PList(items)
+    if isinstance(v, PMap):
+        values = [rewrite(val, visit) for _, val in v.entries]
+        return v if _same(values, [val for _, val in v.entries]) else PMap(zip(v.keys(), values))
+    if isinstance(v, PObj):
+        fields = rewrite(v.fields, visit)
+        return v if fields is v.fields else PObj(v.class_name, fields)
+    return v
+
+
+def _same(new, old) -> bool:
+    return all(a is b for a, b in zip(new, old))
+
+
+# ---------------------------------------------------------------------------
 # Canonical byte encoding
 # ---------------------------------------------------------------------------
 
@@ -359,6 +391,9 @@ def _encode_into(v: ProvValue, out: bytearray) -> None:
 # Hashing
 # ---------------------------------------------------------------------------
 
+_VOLATILE = PStr(REDACTED_VOLATILE)
+
+
 def strip_volatile(v: ProvValue) -> ProvValue:
     """Replace environment-dependent fields with a fixed placeholder.
 
@@ -366,28 +401,20 @@ def strip_volatile(v: ProvValue) -> ProvValue:
     are rewritten to the string ``<REDACTED-VOLATILE>`` so that reruns of
     the same configuration over the same data hash identically.
     """
-    return _strip(v, in_instance=False)
 
+    def visit(node):
+        if isinstance(node, PTimestamp):
+            return _VOLATILE
+        if isinstance(node, PObj) and is_object_provenance(node):
+            instance = [
+                (k, _VOLATILE if k in VOLATILE_INSTANCE_KEYS else rewrite(val, visit))
+                for k, val in instance_section(node).entries
+            ]
+            config = rewrite(config_section(node), visit)
+            return PObj(node.class_name, PMap({CONFIG_SECTION: config, INSTANCE_SECTION: PMap(instance)}))
+        return None
 
-def _strip(v: ProvValue, in_instance: bool) -> ProvValue:
-    if isinstance(v, PTimestamp):
-        return PStr(REDACTED_VOLATILE)
-    if isinstance(v, PObj):
-        if is_object_provenance(v):
-            cfg = _strip(config_section(v), in_instance=False)
-            inst_pairs = []
-            for key, val in instance_section(v).entries:
-                if key in VOLATILE_INSTANCE_KEYS:
-                    inst_pairs.append((key, PStr(REDACTED_VOLATILE)))
-                else:
-                    inst_pairs.append((key, _strip(val, in_instance=True)))
-            return PObj(v.class_name, PMap({CONFIG_SECTION: cfg, INSTANCE_SECTION: PMap(inst_pairs)}))
-        return PObj(v.class_name, _strip(v.fields, in_instance))
-    if isinstance(v, PMap):
-        return PMap([(k, _strip(val, in_instance)) for k, val in v.entries])
-    if isinstance(v, PList):
-        return PList(tuple(_strip(item, in_instance) for item in v.items))
-    return v
+    return rewrite(v, visit)
 
 
 def provenance_hash(v: ProvValue) -> str:
@@ -426,18 +453,24 @@ def to_json_value(v: ProvValue):
             "type": "obj",
             "value": {"class": v.class_name, "fields": {k: to_json_value(val) for k, val in v.fields.entries}},
         }
+    if isinstance(v, ConfigRef):
+        return {"type": "ref", "value": v.name}
     raise TypeError(f"not a provenance value: {type(v).__name__}")
 
 
 _KNOWN_TAGS = frozenset({"str", "int", "flt", "bool", "timestamp", "hash", "list", "map", "obj"})
 
 
-def from_json_value(node) -> ProvValue:
-    """Inverse of :func:`to_json_value`; raises on malformed structures."""
+def from_json_value(node, allow_refs: bool = False) -> ProvValue:
+    """Inverse of :func:`to_json_value`; raises on malformed structures.
+
+    A ``ref`` leaf decodes to a :class:`ConfigRef` only with ``allow_refs``,
+    which configuration documents set; anywhere else it is an unknown tag.
+    """
     if not isinstance(node, dict) or "type" not in node:
         raise ParseError("expected an object with a 'type' field")
     tag = node["type"]
-    if tag not in _KNOWN_TAGS:
+    if not isinstance(tag, str) or (tag not in _KNOWN_TAGS and not (allow_refs and tag == "ref")):
         raise UnknownTag(f"unrecognized type tag {tag!r}")
     if "value" not in node:
         raise ParseError(f"tag {tag!r} has no 'value'")
@@ -458,14 +491,17 @@ def from_json_value(node) -> ProvValue:
         if tag == "hash":
             return PHash(value["algorithm"], value["digest"])
         if tag == "list":
-            return PList(tuple(from_json_value(item) for item in value))
+            return PList(tuple(from_json_value(item, allow_refs) for item in value))
         if tag == "map":
             if not isinstance(value, dict):
                 raise ParseError("map value must be an object")
-            return PMap({k: from_json_value(val) for k, val in value.items()})
+            return PMap({k: from_json_value(val, allow_refs) for k, val in value.items()})
+        if tag == "ref":
+            return ConfigRef(value)
         if not isinstance(value["fields"], dict):
             raise ParseError("object fields must be an object")
-        return PObj(value["class"], PMap({k: from_json_value(val) for k, val in value["fields"].items()}))
+        fields = {k: from_json_value(val, allow_refs) for k, val in value["fields"].items()}
+        return PObj(value["class"], PMap(fields))
     except (TypeError, ValueError, KeyError) as exc:
         raise ParseError(f"malformed {tag!r} value: {exc}") from exc
 
@@ -475,12 +511,19 @@ def serialize_provenance(v: ProvValue) -> str:
     return json.dumps(to_json_value(v), sort_keys=True, indent=2)
 
 
-def parse_provenance(text: str) -> ProvValue:
+def _parse_json(text: str, decode):
+    """``decode(json.loads(text))``, with malformed or too deeply nested
+    text raised as :class:`ParseError`."""
     try:
-        node = json.loads(text)
+        return decode(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return from_json_value(node)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+
+
+def parse_provenance(text: str) -> ProvValue:
+    return _parse_json(text, from_json_value)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +535,10 @@ class ConfigRef:
     """Reference from one configuration record to another, by record name."""
 
     name: str
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError("ConfigRef takes a str record name")
 
 
 @dataclass(frozen=True)
@@ -506,13 +553,6 @@ class ConfigRecord:
     class_name: str
     properties: dict
 
-    def require(self, key: str) -> ProvValue:
-        from .errors import MissingProperty
-
-        if key not in self.properties:
-            raise MissingProperty(key)
-        return self.properties[key]
-
 
 def extract_configuration(root: PObj) -> list[ConfigRecord]:
     """Collect the configuration of every object node under ``root``.
@@ -524,65 +564,24 @@ def extract_configuration(root: PObj) -> list[ConfigRecord]:
     inside dataset provenance) are extracted too.
     """
     records: list[ConfigRecord] = []
-    counter = [0]
+
+    def substitute(v):
+        return rewrite(v, lambda node: ConfigRef(visit(node)) if isinstance(node, PObj) else None)
 
     def visit(obj: PObj) -> str:
-        name = f"{obj.class_name}-{counter[0]}"
-        counter[0] += 1
         slot = len(records)
+        name = f"{obj.class_name}-{slot}"
         records.append(None)  # reserve position: parents precede children
         if is_object_provenance(obj):
-            config = config_section(obj)
-            instance = instance_section(obj)
+            config, instance = config_section(obj), instance_section(obj)
         else:
             config, instance = obj.fields, PMap()
-        properties = {k: substitute(v) for k, v in config.entries}
-        records[slot] = ConfigRecord(name, obj.class_name, properties)
-        for _, v in instance.entries:
-            scan(v)
+        records[slot] = ConfigRecord(name, obj.class_name, {k: substitute(v) for k, v in config.entries})
+        substitute(instance)  # extracts the objects stored there; the copy is dropped
         return name
-
-    def substitute(v: ProvValue):
-        if isinstance(v, PObj):
-            return ConfigRef(visit(v))
-        if isinstance(v, PList):
-            return PList(tuple(substitute(item) for item in v.items))
-        if isinstance(v, PMap):
-            return PMap([(k, substitute(val)) for k, val in v.entries])
-        return v
-
-    def scan(v: ProvValue) -> None:
-        if isinstance(v, PObj):
-            visit(v)
-        elif isinstance(v, PList):
-            for item in v.items:
-                scan(item)
-        elif isinstance(v, PMap):
-            for _, val in v.entries:
-                scan(val)
 
     visit(root)
     return records
-
-
-def _property_to_json(v):
-    if isinstance(v, ConfigRef):
-        return {"type": "ref", "value": v.name}
-    if isinstance(v, PList):
-        return {"type": "list", "value": [_property_to_json(item) for item in v.items]}
-    if isinstance(v, PMap):
-        return {"type": "map", "value": {k: _property_to_json(val) for k, val in v.entries}}
-    return to_json_value(v)
-
-
-def _property_from_json(node):
-    if isinstance(node, dict) and node.get("type") == "ref":
-        return ConfigRef(node["value"])
-    if isinstance(node, dict) and node.get("type") == "list":
-        return PList(tuple(_property_from_json(item) for item in node["value"]))
-    if isinstance(node, dict) and node.get("type") == "map":
-        return PMap({k: _property_from_json(val) for k, val in node["value"].items()})
-    return from_json_value(node)
 
 
 def config_to_json(records: list[ConfigRecord]) -> str:
@@ -592,7 +591,7 @@ def config_to_json(records: list[ConfigRecord]) -> str:
             {
                 "name": r.name,
                 "class": r.class_name,
-                "properties": {k: _property_to_json(v) for k, v in r.properties.items()},
+                "properties": {k: to_json_value(v) for k, v in r.properties.items()},
             }
             for r in records
         ]
@@ -601,24 +600,18 @@ def config_to_json(records: list[ConfigRecord]) -> str:
 
 
 def config_from_json(text: str) -> list[ConfigRecord]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    return _parse_json(text, _config_records)
+
+
+def _config_records(doc) -> list[ConfigRecord]:
     if not isinstance(doc, dict) or not isinstance(doc.get("config"), list):
         raise ParseError("configuration document must be {\"config\": [...]}")
     records = []
     for entry in doc["config"]:
-        try:
-            records.append(
-                ConfigRecord(
-                    entry["name"],
-                    entry["class"],
-                    {k: _property_from_json(v) for k, v in entry["properties"].items()},
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed configuration record: {exc}") from exc
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in ("name", "class")):
+            raise ParseError("a configuration record needs a string 'name' and 'class'")
+        properties = from_json_value({"type": "map", "value": entry.get("properties")}, allow_refs=True)
+        records.append(ConfigRecord(entry["name"], entry["class"], properties.as_dict()))
     return records
 
 
@@ -637,41 +630,29 @@ def redact(model_prov: PObj) -> tuple[str, PObj]:
     kept elsewhere.
     """
     digest = provenance_hash(model_prov)
+    blank = PStr(REDACTED)
 
-    def redact_values(v: ProvValue) -> ProvValue:
-        if isinstance(v, PObj):
-            return PObj(v.class_name, redact_values(v.fields))
-        if isinstance(v, PMap):
-            return PMap([(k, redact_values(val)) for k, val in v.entries])
-        if isinstance(v, PList):
-            return PList(tuple(redact_values(item) for item in v.items))
-        return PStr(REDACTED)
+    def redact_values(node):
+        # lists, maps and objects are rebuilt around their blanked leaves
+        return None if isinstance(node, (PList, PMap, PObj)) else blank
 
     def redact_model(mp: PObj) -> PObj:
         config = config_section(mp)
+        trainer = config.get("trainer")
+        if isinstance(trainer, PObj):
+            # configuration values are blanked; the instance side
+            # (invocation count) is not considered confidential
+            blanked = rewrite(config_section(trainer), redact_values)
+            config = config.with_entry(
+                "trainer", PObj(trainer.class_name, trainer.fields.with_entry(CONFIG_SECTION, blanked))
+            )
         instance = instance_section(mp)
-        new_config = []
-        for key, val in config.entries:
-            if key == "trainer" and isinstance(val, PObj):
-                new_config.append((key, _redact_trainer(val)))
-            else:
-                new_config.append((key, val))
-        new_instance = []
-        for key, val in instance.entries:
-            if key == "data":
-                new_instance.append((key, redact_values(val)))
-            elif key == "members" and isinstance(val, PList):
-                new_instance.append((key, PList(tuple(redact_model(m) for m in val.items))))
-            else:
-                new_instance.append((key, val))
-        return PObj(mp.class_name, PMap({CONFIG_SECTION: PMap(new_config), INSTANCE_SECTION: PMap(new_instance)}))
+        if "data" in instance:
+            instance = instance.with_entry("data", rewrite(instance["data"], redact_values))
+        members = instance.get("members")
+        if isinstance(members, PList):
+            instance = instance.with_entry("members", PList(tuple(redact_model(m) for m in members.items)))
+        return PObj(mp.class_name, PMap({CONFIG_SECTION: config, INSTANCE_SECTION: instance}))
 
-    def _redact_trainer(tp: PObj) -> PObj:
-        # configuration values are blanked; the instance side (invocation
-        # count) is not considered confidential
-        cfg = PMap([(k, redact_values(v)) for k, v in config_section(tp).entries])
-        return PObj(tp.class_name, PMap({CONFIG_SECTION: cfg, INSTANCE_SECTION: instance_section(tp)}))
-
-    redacted = redact_model(model_prov)
-    redacted = with_instance_entry(redacted, "provenance-hash", PHash("SHA-256", digest))
+    redacted = with_instance_entry(redact_model(model_prov), "provenance-hash", PHash("SHA-256", digest))
     return digest, redacted

@@ -22,7 +22,7 @@ from .data import (
     transform_spec_from_provenance,
 )
 from .ensemble import ENSEMBLE_TRAINER_CLASS, EnsembleConfig, EnsembleTrainer
-from .errors import MissingProperty, ReproductionMismatch, ResourceChanged, UnknownClass
+from .errors import MissingProperty, ParseError, ReproductionMismatch, ResourceChanged, UnknownClass
 from .optimize import (
     LINEAR_TRAINER_CLASS,
     Adam,
@@ -49,27 +49,33 @@ from .provenance import (
     extract_configuration,
     instance_section,
     is_object_provenance,
+    object_provenance,
     provenance_hash,
+    rewrite,
 )
 from .rng import to_unsigned64
 from .trees import CART_TRAINER_CLASS, CartTrainer, TreeConfig
 
 # ---------------------------------------------------------------------------
-# A uniform view over the two configuration carriers
+# The configuration carrier
 # ---------------------------------------------------------------------------
 
 
 class _Props:
-    """Property access over either a provenance object or a config record."""
+    """One object's configuration, as registered builders read it; an object
+    outside the config/instance convention reads its fields."""
 
-    def __init__(self, class_name: str, get, nested, invocation_count: int):
-        self.class_name = class_name
-        self._get = get
-        self.nested = nested  # key -> _Props for object-valued properties
-        self.invocation_count = invocation_count
+    def __init__(self, obj: PObj):
+        self.class_name = obj.class_name
+        if is_object_provenance(obj):
+            self._config = config_section(obj)
+            recorded = instance_section(obj).get("invocation-count")
+        else:
+            self._config, recorded = obj.fields, None
+        self.invocation_count = recorded.value if isinstance(recorded, PInt) else 0
 
     def raw(self, key: str) -> ProvValue:
-        v = self._get(key)
+        v = self._config.get(key)
         if v is None:
             raise MissingProperty(key)
         return v
@@ -80,35 +86,45 @@ class _Props:
             return v.value
         return v
 
-
-def _props_from_obj(obj: PObj) -> _Props:
-    config = config_section(obj) if is_object_provenance(obj) else obj.fields
-    count = 0
-    if is_object_provenance(obj):
-        recorded = instance_section(obj).get("invocation-count")
-        if isinstance(recorded, PInt):
-            count = recorded.value
-
-    def nested(key: str) -> _Props:
-        v = config.get(key)
+    def nested(self, key: str) -> "_Props":
+        v = self._config.get(key)
         if not isinstance(v, PObj):
             raise MissingProperty(key)
-        return _props_from_obj(v)
-
-    return _Props(obj.class_name, config.get, nested, count)
+        return _Props(v)
 
 
-def _props_from_record(record: ConfigRecord, by_name: Mapping[str, ConfigRecord]) -> _Props:
-    def nested(key: str) -> _Props:
-        v = record.properties.get(key)
-        if not isinstance(v, ConfigRef):
-            raise MissingProperty(key)
-        target = by_name.get(v.name)
-        if target is None:
-            raise MissingProperty(f"{key} (dangling reference {v.name!r})")
-        return _props_from_record(target, by_name)
+def _resolve(records: Sequence[ConfigRecord], registry: Mapping, kind: str) -> PObj:
+    """The first record of a registered class as a config-only object, every
+    :class:`ConfigRef` below it replaced by the object of the record it
+    names.  A dangling reference raises :class:`MissingProperty`, a cycle
+    :class:`ParseError`."""
+    records = list(records)
+    # a document extracted from a whole model starts at the model record;
+    # the first registered class in visit order is the right root
+    root = next((r for r in records if r.class_name in registry), None)
+    if root is None:
+        found = ", ".join(sorted({r.class_name for r in records})) or "an empty configuration"
+        raise UnknownClass(f"no registered {kind} class among: {found}")
+    by_name = {r.name: r for r in records}
+    resolved: dict[str, PObj | None] = {}  # None while a record is being resolved
 
-    return _Props(record.class_name, record.properties.get, nested, 0)
+    def visit(node):
+        if not isinstance(node, ConfigRef):
+            return None
+        if node.name not in by_name:
+            raise MissingProperty(f"{node.name} (dangling reference)")
+        return resolve(by_name[node.name])
+
+    def resolve(record: ConfigRecord) -> PObj:
+        if record.name not in resolved:
+            resolved[record.name] = None
+            config = {k: rewrite(v, visit) for k, v in record.properties.items()}
+            resolved[record.name] = object_provenance(record.class_name, config=config)
+        elif resolved[record.name] is None:
+            raise ParseError(f"configuration record {record.name!r} refers back to itself")
+        return resolved[record.name]
+
+    return resolve(root)
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +218,13 @@ def reconstruct_source(
 ):
     """Re-instantiate a data loader from extracted configuration records.
 
-    The first record is the loader itself; later records are referenced
-    components (for example the columnar schema).  When
-    ``expected_data_hash`` is given, the freshly loaded resource's SHA-256
-    must match it or :class:`ResourceChanged` is raised.
+    The first record of a registered loader class is the loader itself;
+    the records it refers to are its components (for example the columnar
+    schema).  When ``expected_data_hash`` is given, the freshly loaded
+    resource's SHA-256 must match it or :class:`ResourceChanged` is raised.
     """
-    if not records:
-        raise UnknownClass("empty configuration")
-    root = next((r for r in records if r.class_name in _LOADER_BUILDERS), None)
-    if root is None:
-        raise UnknownClass(
-            f"no registered loader class among: "
-            f"{', '.join(sorted({r.class_name for r in records}))}"
-        )
-    by_name = {r.name: r for r in records}
-    source = _LOADER_BUILDERS[root.class_name](_props_from_record(root, by_name))
+    loader = _resolve(records, _LOADER_BUILDERS, "loader")
+    source = _build(_LOADER_BUILDERS[loader.class_name], _Props(loader))
     if expected_data_hash is not None:
         actual = instance_section(source.provenance).get("data-hash")
         if not isinstance(actual, PHash) or actual.digest != expected_data_hash:
@@ -228,11 +236,19 @@ def reconstruct_source(
     return source
 
 
+def _build(builder: Callable, props: _Props):
+    """Run a registered builder; a property of the wrong type or range is a ParseError."""
+    try:
+        return builder(props)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"invalid configuration for {props.class_name!r}: {exc}") from exc
+
+
 def _trainer_from_props(props: _Props) -> Trainer:
     builder = _TRAINER_BUILDERS.get(props.class_name)
     if builder is None:
         raise UnknownClass(f"trainer class {props.class_name!r} is not registered")
-    trainer = builder(props)
+    trainer = _build(builder, props)
     trainer.set_invocation_count(props.invocation_count)
     return trainer
 
@@ -245,21 +261,9 @@ def reconstruct_trainer(spec: PObj | Sequence[ConfigRecord]) -> Trainer:
     reproduced call consumes the same random stream position.  From
     configuration records the counters start at zero.
     """
-    if isinstance(spec, PObj):
-        return _trainer_from_props(_props_from_obj(spec))
-    records = list(spec)
-    if not records:
-        raise UnknownClass("empty configuration")
-    # a document extracted from a whole model starts at the model record;
-    # the first registered trainer class in visit order is the right root
-    root = next((r for r in records if r.class_name in _TRAINER_BUILDERS), None)
-    if root is None:
-        raise UnknownClass(
-            f"no registered trainer class among: "
-            f"{', '.join(sorted({r.class_name for r in records}))}"
-        )
-    by_name = {r.name: r for r in records}
-    return _trainer_from_props(_props_from_record(root, by_name))
+    if not isinstance(spec, PObj):
+        spec = _resolve(spec, _TRAINER_BUILDERS, "trainer")
+    return _trainer_from_props(_Props(spec))
 
 
 def rebuild_dataset(data_prov: PObj) -> Dataset:

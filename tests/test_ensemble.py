@@ -1,5 +1,6 @@
 """Bagging/random-forest/AdaBoost training, combination, and provenance."""
 
+import json
 import math
 
 import pytest
@@ -23,8 +24,38 @@ from pvml.ensemble import (
 )
 from pvml.errors import AllMembersRejected, InconsistentTask, TaskMismatch
 from pvml.optimize import LinearSgdTrainer, Sgd
-from pvml.provenance import PInt, instance_section, provenance_hash
+from pvml.persist import model_to_container
+from pvml.provenance import (
+    PInt,
+    canonical_encode,
+    config_section,
+    instance_section,
+    provenance_hash,
+    strip_volatile,
+)
+from pvml.rng import MASK64, splitmix64
 from pvml.trees import CartTrainer, TreeConfig
+
+
+def assert_members_trained_alone(dataset, cfg, model):
+    """Member i equals the base trainer's model trained alone on the sample
+    drawn from splitmix64(seed + i), with invocation count base + i."""
+    trainer_prov = config_section(model.provenance)["trainer"]
+    base = instance_section(config_section(trainer_prov)["base-trainer"])["invocation-count"].value
+    assert len(model.members) == cfg.num_members
+    for i, member in enumerate(model.members):
+        member_seed = splitmix64((cfg.seed + i) & MASK64)
+        sample = bootstrap_sample(dataset, cfg.sample_fraction, cfg.with_replacement, member_seed)
+        alone = cfg.base_trainer.train_with_count(sample, base + i)
+        assert member.root == alone.root
+        assert provenance_hash(member.provenance) == provenance_hash(alone.provenance)
+
+
+def ensemble_bytes(model) -> bytes:
+    """Member parameters and weights, then the non-volatile provenance."""
+    params = [model_to_container(m)["parameters"] for m in model.members]
+    text = json.dumps([params, [repr(w) for w in model.member_weights]], sort_keys=True)
+    return text.encode() + canonical_encode(strip_volatile(model.provenance))
 
 
 class TestBootstrapSample:
@@ -131,22 +162,19 @@ class TestTrainEnsemble:
         assert [m.root for m in a.members] == [m.root for m in b.members]
 
     def test_parallel_equals_serial(self, clf_csv):
+        # each member depends only on its seed and count, so any execution
+        # order, serial or concurrent, gives the same ensemble
         path, schema = clf_csv
         ds = build_dataset(load_csv(str(path), schema))
 
-        def run(workers):
-            cfg = EnsembleConfig(
-                CartTrainer(TreeConfig(max_depth=3, feature_subsampling_fraction=0.5, seed=2)),
-                num_members=8,
-                seed=14,
-                variant=RANDOM_FOREST,
-            )
-            return train_ensemble(ds, cfg, workers=workers)
+        def run():
+            base = CartTrainer(TreeConfig(max_depth=3, feature_subsampling_fraction=0.5, seed=2))
+            base.set_invocation_count(3)
+            cfg = EnsembleConfig(base, num_members=8, seed=14, variant=RANDOM_FOREST)
+            return cfg, train_ensemble(ds, cfg)
 
-        serial, parallel = run(1), run(4)
-        assert [m.root for m in serial.members] == [m.root for m in parallel.members]
-        assert serial.member_weights == parallel.member_weights
-        assert provenance_hash(serial.provenance) == provenance_hash(parallel.provenance)
+        assert_members_trained_alone(ds, *run())
+        assert ensemble_bytes(run()[1]) == ensemble_bytes(run()[1])
 
     def test_random_forest_requires_subsampled_trees(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,384 @@
+"""Malformed input at the three JSON parse boundaries raises a PvmlError.
+
+The boundaries are ``parse_provenance``, ``config_from_json`` and
+``load_model``.  Each input either round-trips or raises a ``PvmlError``
+subclass, and through the CLI each malformed file exits with code 2.
+"""
+
+import json
+import os
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from pvml.cli import main
+from pvml.errors import FormatError, MissingProperty, ParseError, PvmlError, UnknownTag
+from pvml.persist import load_model, model_to_container, save_model
+from pvml.provenance import (
+    ConfigRef,
+    config_from_json,
+    config_to_json,
+    extract_configuration,
+    object_provenance,
+    parse_provenance,
+    provenance_hash,
+    serialize_provenance,
+)
+from pvml.repro import reconstruct_trainer
+from pvml.trees import CartTrainer, TreeConfig, train_cart
+
+from test_provenance import _corpus_object, prov_values
+
+DEEP_BRACKETS = "[" * 3000 + "]" * 3000
+DEEP_LISTS = '{"type":"list","value":[' * 600 + '{"type":"int","value":1}' + "]}" * 600
+
+
+def _v(kind, value):
+    return {"type": kind, "value": value}
+
+
+def _doc(*records):
+    return json.dumps({"config": [{"name": n, "class": c, "properties": p} for n, c, p in records]})
+
+
+def _ensemble_doc(base_ref):
+    return _doc(
+        (
+            "pvml.EnsembleTrainer-0",
+            "pvml.EnsembleTrainer",
+            {
+                "base-trainer": _v("ref", base_ref),
+                "num-members": _v("int", 2),
+                "seed": _v("int", 3),
+                "sample-fraction": _v("flt", 1.0),
+                "with-replacement": _v("bool", True),
+                "variant": _v("str", "bagging"),
+            },
+        )
+    )
+
+
+def _config_with_property(node):
+    return '{"config":[{"name":"a","class":"b","properties":{"p":' + node + "}}]}"
+
+
+# ---------------------------------------------------------------------------
+# The cases found by hand
+# ---------------------------------------------------------------------------
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("text", [DEEP_BRACKETS, DEEP_LISTS], ids=["brackets", "lists"])
+    def test_parse_provenance(self, text):
+        with pytest.raises(ParseError):
+            parse_provenance(text)
+
+    @pytest.mark.parametrize(
+        "text", [DEEP_BRACKETS, _config_with_property(DEEP_LISTS)], ids=["brackets", "lists"]
+    )
+    def test_config_from_json(self, text):
+        with pytest.raises(ParseError):
+            config_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [DEEP_BRACKETS, '{"formatName":"PVML","provenance":' + DEEP_LISTS + "}"],
+        ids=["brackets", "lists"],
+    )
+    def test_load_model(self, tmp_path, text):
+        path = tmp_path / "deep.pvml"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            load_model(str(path))
+
+
+class TestConfigurationDocuments:
+    def test_properties_must_be_an_object(self):
+        with pytest.raises(ParseError):
+            config_from_json('{"config":[{"name":"a","class":"b","properties":[]}]}')
+
+    def test_map_value_must_be_an_object(self):
+        with pytest.raises(ParseError):
+            config_from_json(_config_with_property('{"type":"map","value":[]}'))
+
+    @pytest.mark.parametrize("field", ["name", "class"])
+    def test_name_and_class_must_be_strings(self, field):
+        record = {"name": "a", "class": "b", "properties": {}}
+        record[field] = ["x"]
+        with pytest.raises(ParseError):
+            config_from_json(json.dumps({"config": [record]}))
+
+    def test_reference_is_decoded_only_in_configuration_documents(self, tmp_path):
+        assert config_from_json(_config_with_property('{"type":"ref","value":"x"}'))[0].properties == {
+            "p": ConfigRef("x")
+        }
+        with pytest.raises(UnknownTag):
+            parse_provenance('{"type":"ref","value":"x"}')
+        container = model_to_container(_tiny_model())
+        container["provenance"] = _v("ref", "x")
+        path = tmp_path / "ref.pvml"
+        path.write_text(json.dumps(container))
+        with pytest.raises(FormatError) as raised:  # a model file's errors are format errors
+            load_model(str(path))
+        assert isinstance(raised.value.__cause__, UnknownTag)
+
+    @pytest.mark.parametrize("value", [1, None, [], {}])
+    def test_reference_names_a_record(self, value):
+        with pytest.raises(ParseError):
+            config_from_json(_config_with_property(json.dumps(_v("ref", value))))
+
+    def test_self_referencing_base_trainer(self):
+        with pytest.raises(ParseError, match="pvml.EnsembleTrainer-0"):
+            reconstruct_trainer(config_from_json(_ensemble_doc("pvml.EnsembleTrainer-0")))
+
+    def test_dangling_reference_names_the_reference(self):
+        with pytest.raises(MissingProperty, match="nowhere-1"):
+            reconstruct_trainer(config_from_json(_ensemble_doc("nowhere-1")))
+
+
+def _tiny_model():
+    from pvml import CategoricalOutput, InMemoryDataSource, build_dataset, make_example
+
+    examples = [
+        make_example([("x", float(i))], CategoricalOutput("a" if i < 3 else "b")) for i in range(6)
+    ]
+    return train_cart(build_dataset(InMemoryDataSource(examples)), TreeConfig(max_depth=2))
+
+
+class TestCommandLine:
+    """Each malformed file exits 2 with a one-line error, never a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path, clf_csv, clf_schema):
+        data, _ = clf_csv
+        schema = tmp_path / "schema.json"
+        schema.write_text(config_to_json(extract_configuration(clf_schema.provenance())))
+        trainer = tmp_path / "trainer.json"
+        trainer.write_text(config_to_json(extract_configuration(CartTrainer(TreeConfig(max_depth=2)).provenance())))
+        return {"data": str(data), "schema": str(schema), "trainer": str(trainer), "dir": tmp_path}
+
+    def _write(self, files, name, text):
+        path = files["dir"] / name
+        path.write_text(text)
+        return str(path)
+
+    def _train(self, files, **overrides):
+        paths = {**files, **overrides}
+        return main(
+            ["train", "--data", paths["data"], "--schema", paths["schema"],
+             "--trainer", paths["trainer"], "--output", str(files["dir"] / "m.pvml")]
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            DEEP_BRACKETS,
+            _config_with_property(DEEP_LISTS),
+            '{"config":[{"name":"a","class":"b","properties":[]}]}',
+            _config_with_property('{"type":"map","value":[]}'),
+            _ensemble_doc("pvml.EnsembleTrainer-0"),
+        ],
+        ids=["deep-brackets", "deep-lists", "properties-list", "map-value-list", "self-reference"],
+    )
+    def test_bad_trainer_document(self, files, capsys, text):
+        assert self._train(files, trainer=self._write(files, "bad.json", text)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [DEEP_BRACKETS, '{"config":[{"name":"a","class":"b","properties":[]}]}'],
+        ids=["deep-brackets", "properties-list"],
+    )
+    def test_bad_schema_document(self, files, capsys, text):
+        assert self._train(files, schema=self._write(files, "bad.json", text)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_deeply_nested_model_file(self, files, capsys):
+        path = self._write(files, "deep.pvml", DEEP_BRACKETS)
+        assert main(["inspect", "--model", path]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max-depth", _v("str", "x")), ("max-depth", _v("int", 0)), ("seed", _v("flt", 1.5)),
+         ("split-kind", _v("list", []))],
+    )
+    def test_trainer_property_of_the_wrong_type_or_range(self, files, key, value):
+        doc = json.loads(Path(files["trainer"]).read_text(encoding="utf-8"))
+        doc["config"][0]["properties"][key] = value
+        assert self._train(files, trainer=self._write(files, "bad.json", json.dumps(doc))) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("response-column", _v("list", [])), ("response-type", _v("str", "ordinal")),
+         ("columns", _v("int", 1)),
+         ("columns", _v("list", [_v("map", {"column": _v("int", 1), "kind": _v("str", "numeric")})]))],
+    )
+    def test_schema_property_of_the_wrong_type_or_range(self, files, key, value):
+        doc = json.loads(Path(files["schema"]).read_text(encoding="utf-8"))
+        doc["config"][0]["properties"][key] = value
+        assert self._train(files, schema=self._write(files, "bad.json", json.dumps(doc))) == 2
+
+    @pytest.mark.parametrize("features", [_v("int", 1), _v("list", [_v("int", 1)])])
+    def test_transform_features_of_the_wrong_type(self, files, features):
+        doc = _doc(("t-0", "pvml.ZScoreTransform", {"features": features}))
+        rc = main(
+            ["train", "--data", files["data"], "--schema", files["schema"], "--trainer", files["trainer"],
+             "--output", str(files["dir"] / "m.pvml"), "--transform", self._write(files, "t.json", doc)]
+        )
+        assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every input round-trips or raises a PvmlError
+# ---------------------------------------------------------------------------
+
+_TAGS = ("str", "int", "flt", "bool", "timestamp", "hash", "list", "map", "obj", "ref", "other")
+_KEYS = st.sampled_from(("type", "value", "class", "fields", "seconds", "nanos", "algorithm", "digest", "a"))
+
+
+def _json_values(max_leaves=25):
+    """Arbitrary JSON, biased towards the shapes of tagged provenance nodes."""
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.floats(),  # NaN and infinities too: json writes and reads them
+        st.text(max_size=6),
+        st.sampled_from(_TAGS),
+    )
+    return st.recursive(
+        scalars,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.dictionaries(st.one_of(_KEYS, st.text(max_size=4)), children, max_size=4),
+            st.fixed_dictionaries({"type": st.sampled_from(_TAGS), "value": children}),
+            st.fixed_dictionaries(
+                {"type": st.just("obj"), "value": st.fixed_dictionaries({"class": children, "fields": children})}
+            ),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+_PROVENANCE_NODES = st.one_of(_json_values(), prov_values().map(lambda v: json.loads(serialize_provenance(v))))
+
+
+def _fuzz(max_examples):
+    return settings(max_examples=max_examples, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestFuzzParseProvenance:
+    @given(_PROVENANCE_NODES)
+    @_fuzz(300)
+    def test_round_trips_or_raises(self, node):
+        try:
+            value = parse_provenance(json.dumps(node))
+        except PvmlError:
+            return
+        assert parse_provenance(serialize_provenance(value)) == value
+        assert len(provenance_hash(value)) == 64
+
+
+def _records():
+    properties = st.one_of(
+        st.dictionaries(st.text(max_size=6), _PROVENANCE_NODES, max_size=3),
+        _json_values(max_leaves=6),
+    )
+    names = st.one_of(st.text(max_size=6), _json_values(max_leaves=2))
+    return st.fixed_dictionaries({"name": names, "class": names, "properties": properties})
+
+
+_CONFIG_DOCS = st.one_of(
+    _json_values(),
+    st.fixed_dictionaries({"config": st.one_of(st.lists(_records(), max_size=3), _json_values(max_leaves=4))}),
+)
+
+
+def _objects():
+    """Object provenances, from the seeded corpus generator and from Hypothesis."""
+    seeded = st.integers(min_value=0, max_value=2**32).map(lambda s: _corpus_object(random.Random(s), depth=3))
+    drawn = st.tuples(
+        st.text(min_size=1, max_size=6),
+        st.dictionaries(st.sampled_from("abc"), prov_values(max_leaves=6), max_size=3),
+        st.dictionaries(st.sampled_from("xyz"), prov_values(max_leaves=6), max_size=3),
+    ).map(lambda t: object_provenance(*t))
+    return st.one_of(seeded, drawn)
+
+
+class TestFuzzConfigDocuments:
+    @given(_CONFIG_DOCS)
+    @_fuzz(250)
+    def test_round_trips_or_raises(self, doc):
+        try:
+            records = config_from_json(json.dumps(doc))
+        except PvmlError:
+            return
+        assert config_from_json(config_to_json(records)) == records
+
+    @given(_objects())
+    @_fuzz(100)
+    def test_extracted_records_round_trip(self, obj):
+        records = extract_configuration(obj)
+        assert config_from_json(config_to_json(records)) == records
+
+
+def _containers():
+    from pvml import CategoricalOutput, InMemoryDataSource, RealOutput, build_dataset, make_example
+    from pvml.ensemble import RANDOM_FOREST, EnsembleConfig, train_ensemble
+    from pvml.optimize import Sgd, train_linear_sgd
+
+    rows = [([("x", float(i)), (f"t@{i % 3}", 1.0)], i) for i in range(8)]
+    clf = build_dataset(InMemoryDataSource([make_example(f, CategoricalOutput("ab"[i % 2])) for f, i in rows]))
+    reg = build_dataset(InMemoryDataSource([make_example(f, RealOutput(float(i))) for f, i in rows]))
+    forest = EnsembleConfig(
+        CartTrainer(TreeConfig(max_depth=2, feature_subsampling_fraction=0.5, seed=1)), 2, 2, variant=RANDOM_FOREST
+    )
+    models = [
+        train_cart(clf, TreeConfig(max_depth=2)),
+        train_linear_sgd(clf, "logistic", Sgd(0.1), 1, 4, 3),
+        train_ensemble(reg, forest),
+    ]
+    return [model_to_container(m) for m in models]
+
+
+_CONTAINERS = _containers()
+
+
+def _load_or_raise(text):
+    """load_model on ``text``; if it loads, it saves and loads back equal."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.pvml")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            model = load_model(path)
+        except PvmlError:
+            return
+        save_model(model, path)
+        assert model_to_container(load_model(path)) == model_to_container(model)
+
+
+class TestFuzzModelFiles:
+    @given(_json_values())
+    @_fuzz(200)
+    def test_arbitrary_json(self, node):
+        _load_or_raise(json.dumps(node))
+
+    @given(st.data())
+    @_fuzz(150)
+    def test_one_subtree_replaced(self, data):
+        container = json.loads(json.dumps(data.draw(st.sampled_from(_CONTAINERS))))
+        node = container
+        while True:  # walk down a random path and replace what is there
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+                node = child
+                continue
+            node[key] = data.draw(_json_values(max_leaves=8))
+            break
+        _load_or_raise(json.dumps(container))

@@ -1,5 +1,7 @@
 """Provenance values: canonical encoding, hashing, JSON, extraction, redaction."""
 
+import functools
+import hashlib
 import random
 
 import pytest
@@ -29,6 +31,7 @@ from pvml.provenance import (
     provenance_hash,
     redact,
     serialize_provenance,
+    strip_volatile,
     to_json_value,
     from_json_value,
 )
@@ -409,3 +412,104 @@ class TestRedact:
 
     def test_deterministic(self):
         assert redact(_model_fixture()) == redact(_model_fixture())
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs of the structural rewrites
+# ---------------------------------------------------------------------------
+
+_CORPUS_KEYS = (
+    "a", "b", "c", "seed", "path", "trainer", "data", "members", "source",
+    "trained-at", "loaded-at", "os-name", "architecture", "user-info", "invocation-count",
+)
+
+
+def _corpus_leaf(rnd: random.Random):
+    pick = rnd.randrange(6)
+    if pick == 0:
+        return PStr("".join(rnd.choices("abz09 /@", k=rnd.randrange(0, 7))))
+    if pick == 1:
+        return PInt(rnd.randrange(-(2**63), 2**63))
+    if pick == 2:
+        return PFlt(rnd.uniform(-1e6, 1e6))
+    if pick == 3:
+        return PBool(rnd.random() < 0.5)
+    if pick == 4:
+        return PTimestamp(rnd.randrange(0, 2**40), rnd.randrange(0, 10**9))
+    return PHash("SHA-256", "".join(rnd.choices("0123456789abcdef", k=12)))
+
+
+def _corpus_value(rnd: random.Random, depth: int):
+    if depth <= 0 or rnd.random() < 0.4:
+        return _corpus_leaf(rnd)
+    pick = rnd.randrange(5)
+    if pick == 0:
+        return PList(tuple(_corpus_value(rnd, depth - 1) for _ in range(rnd.randrange(0, 4))))
+    if pick == 1:
+        keys = rnd.sample(_CORPUS_KEYS, k=rnd.randrange(0, 4))
+        return PMap({k: _corpus_value(rnd, depth - 1) for k in keys})
+    if pick == 2:  # an object outside the config/instance convention
+        keys = rnd.sample(_CORPUS_KEYS, k=rnd.randrange(0, 3))
+        return PObj(f"plain{rnd.randrange(3)}", PMap({k: _corpus_value(rnd, depth - 1) for k in keys}))
+    return _corpus_object(rnd, depth - 1)
+
+
+def _corpus_object(rnd: random.Random, depth: int) -> PObj:
+    """An object provenance whose sections hold leaves, containers and objects.
+
+    ``trainer`` (config) and ``members`` (instance) always hold object
+    provenances, the shape :func:`redact` expects of a model.
+    """
+    keys = rnd.sample(_CORPUS_KEYS, k=rnd.randrange(0, 7))
+    split = rnd.randrange(0, len(keys) + 1)
+    sections: list[dict] = [{}, {}]
+    for i, key in enumerate(keys):
+        if key == "trainer" and i < split:
+            value = _corpus_object(rnd, depth - 1)
+        elif key == "members" and i >= split:
+            value = PList(tuple(_corpus_object(rnd, depth - 1) for _ in range(rnd.randrange(0, 3))))
+        else:
+            value = _corpus_value(rnd, depth)
+        sections[i >= split][key] = value
+    return object_provenance(f"cls{rnd.randrange(4)}", config=sections[0], instance=sections[1])
+
+
+@functools.lru_cache(maxsize=1)
+def _pinned_corpus():
+    rnd = random.Random(5005)
+    return tuple(_corpus_object(rnd, depth=4) for _ in range(400))
+
+
+class TestPinnedDigests:
+    """SHA-256 over a seeded corpus of object provenances, per operation.
+
+    The constants were recorded with the hand-written recursions that the
+    generic ``rewrite`` walk replaced; equal digests mean equal bytes.
+    """
+
+    @staticmethod
+    def _digest(render) -> str:
+        h = hashlib.sha256()
+        for value in _pinned_corpus():
+            out = render(value)
+            h.update(out if isinstance(out, bytes) else out.encode())
+        return h.hexdigest()
+
+    def test_corpus_exercises_every_shape(self):
+        text = "".join(serialize_provenance(v) for v in _pinned_corpus())
+        for marker in ('"timestamp"', '"trained-at"', '"members"', '"plain', '"trainer"', '"hash"'):
+            assert marker in text
+
+    def test_extracted_configuration_documents(self):
+        assert self._digest(lambda v: config_to_json(extract_configuration(v))) == PINNED_CONFIG
+
+    def test_redacted_trees(self):
+        assert self._digest(lambda v: serialize_provenance(redact(v)[1])) == PINNED_REDACTED
+
+    def test_stripped_canonical_bytes(self):
+        assert self._digest(lambda v: canonical_encode(strip_volatile(v))) == PINNED_STRIPPED
+
+
+PINNED_CONFIG = "546b06d5c60a51188a7f44c2859d3c25d3be82ce54f7821c983a21c88e29c5ef"
+PINNED_REDACTED = "5c34a37cd6f3a020a13d0f8eee1bfef55276ad72e8e419bf1e5533595c65cdf3"
+PINNED_STRIPPED = "d28b03b580952f0956072ca6f13ff6b5f729e2bffd405d322272c35eb4885fb3"
