@@ -56,6 +56,7 @@ from .evaluate import (
 from .optimize import (
     Adam,
     AdaGrad,
+    LinearSgdConfig,
     LinearSgdModel,
     LinearSgdTrainer,
     Sgd,

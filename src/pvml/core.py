@@ -14,9 +14,9 @@ import platform
 import re
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache, cached_property
+from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -25,25 +25,29 @@ from .errors import (
     EmptyExample,
     EmptyScores,
     EmptySource,
+    MissingProperty,
     MixedOutputTypes,
     NoFeatureOverlap,
     NonFiniteFeature,
     OutputTypeMismatch,
+    ParseError,
+    UnknownClass,
     UnlabelledExample,
 )
 from .provenance import (
-    PHash,
+    PBool,
+    PFlt,
     PInt,
     PList,
     PMap,
     PObj,
     PStr,
     ProvValue,
-    instance_section,
+    config_fields,
     object_provenance,
     timestamp_now,
 )
-from .rng import MASK64, splitmix64
+from .rng import MASK64, splitmix64, to_signed64, to_unsigned64
 
 CATEGORICAL = "categorical"
 REAL = "real"
@@ -556,6 +560,8 @@ def predict(model: Model, example: Example, expected_task: str | None = None) ->
 class Trainer(ABC):
     """An algorithm configuration with a seed and an invocation counter.
 
+    Subclasses keep their configuration in ``cfg``, a frozen dataclass whose
+    fields :func:`config_properties` records as the trainer provenance.
     The counter increases once per training call and is recorded in the
     trainer provenance, so the pseudo-random stream position of any past
     call can be re-created.  ``train_with_count`` is pure; the stateful
@@ -600,18 +606,79 @@ class Trainer(ABC):
     ) -> Model:
         """Train a model as invocation ``count``; pure given its arguments."""
 
-    @abstractmethod
-    def provenance_with_count(self, count: int) -> PObj:
-        """Trainer provenance (config + the given invocation count)."""
+    def provenance_with_count(self, count: int, nested_count: int | None = None) -> PObj:
+        """Trainer provenance: the fields of ``self.cfg``, nested trainers at
+        ``nested_count`` (or their own count), and invocation ``count``."""
+        return object_provenance(
+            self.trainer_class,
+            config=config_properties(self.cfg, nested_count),
+            instance={"invocation-count": PInt(count)},
+        )
 
     def provenance(self) -> PObj:
         return self.provenance_with_count(self._count)
 
 
-def dataset_data_hash(provenance: PObj) -> PHash | None:
-    """The source data hash recorded inside a dataset provenance, if any."""
-    source = instance_section(provenance).get("source")
-    if source is None:
-        return None
-    h = instance_section(source).get("data-hash")
-    return h if isinstance(h, PHash) else None
+# ---------------------------------------------------------------------------
+# Configurations as provenance
+# ---------------------------------------------------------------------------
+
+_LEAF_TYPES = {int: PInt, float: PFlt, str: PStr, bool: PBool}
+
+
+@cache
+def _declared_fields(cls) -> tuple[tuple[str, str, object], ...]:
+    """Name, property key and annotated type of each field of config class ``cls``."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, f.name.replace("_", "-"), hints[f.name]) for f in fields(cls))
+
+
+def config_properties(cfg, nested_count: int | None = None) -> dict[str, ProvValue]:
+    """The fields of the config dataclass ``cfg`` as provenance properties.
+
+    Field ``snake_name`` is written under the key ``snake-name``, as the leaf
+    its annotation names (``int``, ``float``, ``str`` or ``bool``); ``seed``
+    is written as a signed 64-bit integer.  A nested config dataclass is
+    written as a ``pvml.<ClassName>`` object, and a nested trainer as its
+    own provenance, at invocation ``nested_count`` when that is given.
+    """
+    properties: dict[str, ProvValue] = {}
+    for name, key, kind in _declared_fields(type(cfg)):
+        value = getattr(cfg, name)
+        if isinstance(value, Trainer):
+            count = value.invocation_count if nested_count is None else nested_count
+            properties[key] = value.provenance_with_count(count)
+        elif is_dataclass(value):
+            properties[key] = object_provenance(f"pvml.{type(value).__name__}", config=config_properties(value))
+        else:
+            properties[key] = PInt(to_signed64(value)) if name == "seed" else _LEAF_TYPES[kind](value)
+    return properties
+
+
+def config_from_properties(cls, properties: PMap, read_trainer: Callable[[PObj], Trainer]):
+    """Inverse of :func:`config_properties`: the ``cls`` that ``properties`` record.
+
+    Nested trainers are rebuilt by ``read_trainer``.  A missing property
+    raises :class:`MissingProperty`, one of the wrong type
+    :class:`ParseError`, and a nested config of a class the annotation does
+    not name :class:`UnknownClass`.
+    """
+    values = {}
+    for name, key, kind in _declared_fields(cls):
+        prov = properties.get(key)
+        if prov is None:
+            raise MissingProperty(key)
+        if kind in _LEAF_TYPES:
+            if type(prov) is not _LEAF_TYPES[kind]:
+                raise ParseError(f"property {key!r} must be {_LEAF_TYPES[kind].__name__}, found {type(prov).__name__}")
+            values[name] = to_unsigned64(prov.value) if name == "seed" else prov.value
+        elif not isinstance(prov, PObj):
+            raise ParseError(f"property {key!r} must be an object, found {type(prov).__name__}")
+        elif isinstance(kind, type) and issubclass(kind, Trainer):
+            values[name] = read_trainer(prov)
+        else:
+            classes = {f"pvml.{c.__name__}": c for c in get_args(kind) or (kind,)}
+            if prov.class_name not in classes:
+                raise UnknownClass(f"property {key!r} names unknown class {prov.class_name!r}")
+            values[name] = config_from_properties(classes[prov.class_name], config_fields(prov), read_trainer)
+    return cls(**values)

@@ -114,8 +114,8 @@ class ColumnarSchema:
         )
 
 
-def schema_from_properties(properties: Mapping[str, object]) -> ColumnarSchema:
-    """Rebuild a schema from extracted configuration properties."""
+def schema_from_properties(properties: Mapping[str, ProvValue] | PMap) -> ColumnarSchema:
+    """Rebuild a schema from the configuration properties of its record."""
     from .errors import MissingProperty
 
     for key in ("response-column", "response-type", "columns"):

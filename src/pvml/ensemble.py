@@ -30,15 +30,13 @@ from .core import (
     model_provenance,
     output_task,
 )
-from .errors import AllMembersRejected, InconsistentTask, NoFeatureOverlap, TaskMismatch
+from .errors import AllMembersRejected, EmptySource, InconsistentTask, NoFeatureOverlap, TaskMismatch
 from .provenance import (
     PBool,
     PFlt,
     PHash,
     PInt,
     PList,
-    PObj,
-    PStr,
     canonical_encode,
     object_provenance,
     sha256_hex,
@@ -94,7 +92,7 @@ def bootstrap_sample(
     n_total = len(dataset.examples)
     n_draw = int(math.floor(fraction * n_total + 0.5))
     if n_draw < 1:
-        raise ValueError("sample would be empty")
+        raise EmptySource(f"a {fraction} sample of {n_total} examples would be empty")
     rng = Xoshiro256StarStar(member_seed)
     if with_replacement:
         indices = [rng.next_below(n_total) for _ in range(n_draw)]
@@ -207,32 +205,13 @@ class EnsembleTrainer(Trainer):
         super().__init__(cfg.seed)
         self.cfg = cfg
 
-    def provenance_with_count(self, count: int, base_count: int | None = None) -> PObj:
-        cfg = self.cfg
-        base = cfg.base_trainer
-        base_prov = base.provenance_with_count(
-            base.invocation_count if base_count is None else base_count
-        )
-        return object_provenance(
-            self.trainer_class,
-            config={
-                "variant": PStr(cfg.variant),
-                "num-members": PInt(cfg.num_members),
-                "sample-fraction": PFlt(cfg.sample_fraction),
-                "with-replacement": PBool(cfg.with_replacement),
-                "seed": PInt(to_signed64(self.seed)),
-                "base-trainer": base_prov,
-            },
-            instance={"invocation-count": PInt(count)},
-        )
-
     def train_with_count(self, dataset: Dataset, count: int, user_info=None) -> EnsembleModel:
         cfg = self.cfg
         if cfg.variant == ADABOOST and dataset.task != CATEGORICAL:
             raise TaskMismatch("adaboost requires a classification dataset")
 
         base_count = cfg.base_trainer.reserve_invocations(cfg.num_members)
-        trainer_prov = self.provenance_with_count(count, base_count=base_count)
+        trainer_prov = self.provenance_with_count(count, base_count)
 
         if cfg.variant == ADABOOST:
             members, member_weights = self._boost(dataset, base_count)

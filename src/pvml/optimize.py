@@ -29,8 +29,7 @@ from .core import (
     model_provenance,
 )
 from .errors import NonFiniteGradient, ShapeMismatch, TaskMismatch, UnlabelledExample
-from .provenance import PInt, PObj, PStr, object_provenance
-from .rng import Xoshiro256StarStar, to_signed64
+from .rng import Xoshiro256StarStar
 
 LOGISTIC = "logistic"
 SQUARED = "squared"
@@ -81,6 +80,21 @@ class Adam:
 
 
 OptimizerConfig = Sgd | AdaGrad | Adam
+
+
+@dataclass(frozen=True)
+class LinearSgdConfig:
+    objective: str
+    optimizer: OptimizerConfig
+    epochs: int
+    batch_size: int
+    seed: int
+
+    def __post_init__(self):
+        if self.objective not in (LOGISTIC, SQUARED):
+            raise ValueError(f"unknown objective {self.objective!r}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -232,27 +246,6 @@ def squared_objective(
 # Model and trainer
 # ---------------------------------------------------------------------------
 
-def _optimizer_provenance(cfg: OptimizerConfig) -> PObj:
-    from .provenance import PFlt
-
-    if isinstance(cfg, Sgd):
-        return object_provenance("pvml.Sgd", config={"lr": PFlt(cfg.lr)}, instance={})
-    if isinstance(cfg, AdaGrad):
-        return object_provenance(
-            "pvml.AdaGrad", config={"lr": PFlt(cfg.lr), "eps": PFlt(cfg.eps)}, instance={}
-        )
-    return object_provenance(
-        "pvml.Adam",
-        config={
-            "lr": PFlt(cfg.lr),
-            "beta1": PFlt(cfg.beta1),
-            "beta2": PFlt(cfg.beta2),
-            "eps": PFlt(cfg.eps),
-        },
-        instance={},
-    )
-
-
 class LinearSgdModel(Model):
     """Linear predictor; softmax scores for classification, raw value for regression."""
 
@@ -302,52 +295,35 @@ class LinearSgdTrainer(Trainer):
         batch_size: int,
         seed: int,
     ):
-        if objective not in (LOGISTIC, SQUARED):
-            raise ValueError(f"unknown objective {objective!r}")
-        if epochs < 1 or batch_size < 1:
-            raise ValueError("epochs and batch size must be >= 1")
+        self.cfg = LinearSgdConfig(objective, optimizer, epochs, batch_size, seed)
         super().__init__(seed)
-        self.objective = objective
-        self.optimizer = optimizer
-        self.epochs = epochs
-        self.batch_size = batch_size
-
-    def provenance_with_count(self, count: int) -> PObj:
-        return object_provenance(
-            self.trainer_class,
-            config={
-                "objective": PStr(self.objective),
-                "optimizer": _optimizer_provenance(self.optimizer),
-                "epochs": PInt(self.epochs),
-                "batch-size": PInt(self.batch_size),
-                "seed": PInt(to_signed64(self.seed)),
-            },
-            instance={"invocation-count": PInt(count)},
-        )
 
     def train_with_count(self, dataset: Dataset, count: int, user_info=None) -> LinearSgdModel:
-        expected_task = CATEGORICAL if self.objective == LOGISTIC else REAL
+        cfg = self.cfg
+        expected_task = CATEGORICAL if cfg.objective == LOGISTIC else REAL
         if dataset.task != expected_task:
             raise TaskMismatch(
-                f"{self.objective} objective needs a {expected_task} dataset, got {dataset.task}"
+                f"{cfg.objective} objective needs a {expected_task} dataset, got {dataset.task}"
             )
 
         domain = dataset.feature_domain
         k = len(dataset.output_domain.labels()) if dataset.task == CATEGORICAL else 1
         weights = np.zeros((len(domain) + 1, k))
-        state = init_state(self.optimizer, weights.shape)
+        state = init_state(cfg.optimizer, weights.shape)
 
         columns = dataset.columns
-        loss = _logistic_loss if self.objective == LOGISTIC else _squared_loss
+        loss = _logistic_loss if cfg.objective == LOGISTIC else _squared_loss
         rng = Xoshiro256StarStar(self.stream_seed(count))
         order = list(range(len(dataset.examples)))
-        for _ in range(self.epochs):
+        for _ in range(cfg.epochs):
             rng.shuffle(order)
             shuffled = np.array(order)
-            for start in range(0, len(order), self.batch_size):
-                rows = shuffled[start : start + self.batch_size]
+            for start in range(0, len(order), cfg.batch_size):
+                rows = shuffled[start : start + cfg.batch_size]
                 _, grads = _batch_loss(loss, weights, columns, rows, len(domain))
-                state, weights = optimizer_step(self.optimizer, state, weights, grads)
+                state, weights = optimizer_step(cfg.optimizer, state, weights, grads)
+        if not np.all(np.isfinite(weights)):
+            raise NonFiniteGradient("an update overflowed: the weights are not finite")
 
         prov = model_provenance(
             LINEAR_MODEL_CLASS,
@@ -356,7 +332,7 @@ class LinearSgdTrainer(Trainer):
             user_info=user_info,
         )
         return LinearSgdModel(
-            f"linear-sgd-{self.objective}", prov, domain, dataset.output_domain, weights
+            f"linear-sgd-{cfg.objective}", prov, domain, dataset.output_domain, weights
         )
 
 

@@ -276,6 +276,12 @@ def instance_section(obj: PObj) -> PMap:
     return obj.fields[INSTANCE_SECTION]
 
 
+def config_fields(obj: PObj) -> PMap:
+    """An object's configuration section, or all its fields when it does not
+    follow the config/instance convention."""
+    return config_section(obj) if is_object_provenance(obj) else obj.fields
+
+
 def with_instance_entry(obj: PObj, key: str, value: ProvValue) -> PObj:
     """Copy an object provenance node with one instance field replaced."""
     inst = instance_section(obj).with_entry(key, value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .core import Dataset, Model, Trainer, build_dataset
+from .core import Dataset, Model, Trainer, build_dataset, config_from_properties
 from .data import (
     CSV_SOURCE_CLASS,
     CsvDataSource,
@@ -23,14 +23,7 @@ from .data import (
 )
 from .ensemble import ENSEMBLE_TRAINER_CLASS, EnsembleConfig, EnsembleTrainer
 from .errors import MissingProperty, ParseError, ReproductionMismatch, ResourceChanged, UnknownClass
-from .optimize import (
-    LINEAR_TRAINER_CLASS,
-    Adam,
-    AdaGrad,
-    LinearSgdTrainer,
-    OptimizerConfig,
-    Sgd,
-)
+from .optimize import LINEAR_TRAINER_CLASS, LinearSgdConfig, LinearSgdTrainer
 from .provenance import (
     ConfigRecord,
     ConfigRef,
@@ -45,6 +38,7 @@ from .provenance import (
     PTimestamp,
     ProvValue,
     VOLATILE_INSTANCE_KEYS,
+    config_fields,
     config_section,
     extract_configuration,
     instance_section,
@@ -53,7 +47,6 @@ from .provenance import (
     provenance_hash,
     rewrite,
 )
-from .rng import to_unsigned64
 from .trees import CART_TRAINER_CLASS, CartTrainer, TreeConfig
 
 # ---------------------------------------------------------------------------
@@ -63,19 +56,20 @@ from .trees import CART_TRAINER_CLASS, CartTrainer, TreeConfig
 
 class _Props:
     """One object's configuration, as registered builders read it; an object
-    outside the config/instance convention reads its fields."""
+    outside the config/instance convention reads its fields.  A recorded
+    invocation count must be a non-negative int."""
 
     def __init__(self, obj: PObj):
         self.class_name = obj.class_name
-        if is_object_provenance(obj):
-            self._config = config_section(obj)
-            recorded = instance_section(obj).get("invocation-count")
-        else:
-            self._config, recorded = obj.fields, None
-        self.invocation_count = recorded.value if isinstance(recorded, PInt) else 0
+        self.config = config_fields(obj)
+        instance = instance_section(obj) if is_object_provenance(obj) else PMap()
+        recorded = instance.get("invocation-count", PInt(0))
+        if not (isinstance(recorded, PInt) and recorded.value >= 0):
+            raise ParseError(f"the invocation-count of {obj.class_name!r} must be a non-negative int")
+        self.invocation_count = recorded.value
 
     def raw(self, key: str) -> ProvValue:
-        v = self._config.get(key)
+        v = self.config.get(key)
         if v is None:
             raise MissingProperty(key)
         return v
@@ -87,10 +81,14 @@ class _Props:
         return v
 
     def nested(self, key: str) -> "_Props":
-        v = self._config.get(key)
+        v = self.config.get(key)
         if not isinstance(v, PObj):
             raise MissingProperty(key)
         return _Props(v)
+
+    def read(self, cls):
+        """The config dataclass ``cls`` these properties record; see :func:`config_properties`."""
+        return config_from_properties(cls, self.config, _trainer_from)
 
 
 def _resolve(records: Sequence[ConfigRecord], registry: Mapping, kind: str) -> PObj:
@@ -140,73 +138,26 @@ def register_loader_class(class_name: str, builder: Callable) -> None:
 
 
 def register_trainer_class(class_name: str, builder: Callable) -> None:
+    """Make trainers of ``class_name`` rebuildable from their provenance.
+
+    ``builder`` receives the recorded configuration (``class_name``,
+    ``raw``, ``value``, ``nested`` and ``read``) and returns the trainer.
+    A :class:`Trainer` subclass that keeps a frozen config dataclass in
+    ``self.cfg`` declares its configuration once: the base class records
+    the fields, and ``props.read(ConfigClass)`` rebuilds them, for example
+    ``lambda props: StumpTrainer(props.read(StumpConfig))``.  See the README
+    for the recording rules.
+    """
     _TRAINER_BUILDERS[class_name] = builder
 
 
-def _build_csv_source(props: _Props) -> CsvDataSource:
-    schema_props = props.nested("schema")
-    schema = schema_from_properties(
-        {key: schema_props.raw(key) for key in ("response-column", "response-type", "columns")}
-    )
-    return CsvDataSource(props.value("path"), schema)
-
-
-def _build_linear_trainer(props: _Props) -> LinearSgdTrainer:
-    opt = props.nested("optimizer")
-    optimizer = _optimizer_from_props(opt)
-    return LinearSgdTrainer(
-        objective=props.value("objective"),
-        optimizer=optimizer,
-        epochs=props.value("epochs"),
-        batch_size=props.value("batch-size"),
-        seed=to_unsigned64(props.value("seed")),
-    )
-
-
-def _optimizer_from_props(props: _Props) -> OptimizerConfig:
-    if props.class_name == "pvml.Sgd":
-        return Sgd(props.value("lr"))
-    if props.class_name == "pvml.AdaGrad":
-        return AdaGrad(props.value("lr"), props.value("eps"))
-    if props.class_name == "pvml.Adam":
-        return Adam(
-            props.value("lr"), props.value("beta1"), props.value("beta2"), props.value("eps")
-        )
-    raise UnknownClass(f"unknown optimizer class {props.class_name!r}")
-
-
-def _build_cart_trainer(props: _Props) -> CartTrainer:
-    return CartTrainer(
-        TreeConfig(
-            max_depth=props.value("max-depth"),
-            min_examples_per_leaf=props.value("min-examples-per-leaf"),
-            min_impurity_decrease=props.value("min-impurity-decrease"),
-            feature_subsampling_fraction=props.value("feature-subsampling-fraction"),
-            split_kind=props.value("split-kind"),
-            seed=to_unsigned64(props.value("seed")),
-        )
-    )
-
-
-def _build_ensemble_trainer(props: _Props) -> EnsembleTrainer:
-    base_props = props.nested("base-trainer")
-    base = _trainer_from_props(base_props)
-    return EnsembleTrainer(
-        EnsembleConfig(
-            base_trainer=base,
-            num_members=props.value("num-members"),
-            seed=to_unsigned64(props.value("seed")),
-            sample_fraction=props.value("sample-fraction"),
-            with_replacement=props.value("with-replacement"),
-            variant=props.value("variant"),
-        )
-    )
-
-
-register_loader_class(CSV_SOURCE_CLASS, _build_csv_source)
-register_trainer_class(LINEAR_TRAINER_CLASS, _build_linear_trainer)
-register_trainer_class(CART_TRAINER_CLASS, _build_cart_trainer)
-register_trainer_class(ENSEMBLE_TRAINER_CLASS, _build_ensemble_trainer)
+register_loader_class(
+    CSV_SOURCE_CLASS,
+    lambda props: CsvDataSource(props.value("path"), schema_from_properties(props.nested("schema").config)),
+)
+register_trainer_class(LINEAR_TRAINER_CLASS, lambda props: LinearSgdTrainer(**vars(props.read(LinearSgdConfig))))
+register_trainer_class(CART_TRAINER_CLASS, lambda props: CartTrainer(props.read(TreeConfig)))
+register_trainer_class(ENSEMBLE_TRAINER_CLASS, lambda props: EnsembleTrainer(props.read(EnsembleConfig)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +195,9 @@ def _build(builder: Callable, props: _Props):
         raise ParseError(f"invalid configuration for {props.class_name!r}: {exc}") from exc
 
 
-def _trainer_from_props(props: _Props) -> Trainer:
+def _trainer_from(obj: PObj) -> Trainer:
+    """The trainer ``obj`` configures, at the invocation count it records."""
+    props = _Props(obj)
     builder = _TRAINER_BUILDERS.get(props.class_name)
     if builder is None:
         raise UnknownClass(f"trainer class {props.class_name!r} is not registered")
@@ -263,7 +216,7 @@ def reconstruct_trainer(spec: PObj | Sequence[ConfigRecord]) -> Trainer:
     """
     if not isinstance(spec, PObj):
         spec = _resolve(spec, _TRAINER_BUILDERS, "trainer")
-    return _trainer_from_props(_Props(spec))
+    return _trainer_from(spec)
 
 
 def rebuild_dataset(data_prov: PObj) -> Dataset:
@@ -277,6 +230,8 @@ def rebuild_dataset(data_prov: PObj) -> Dataset:
     source = reconstruct_source(extract_configuration(source_prov), expected_data_hash=digest)
     dataset = build_dataset(source)
     transformations = inst.get("transformations", PList())
+    if not isinstance(transformations, PList) or not all(map(is_object_provenance, transformations)):
+        raise ParseError("data provenance 'transformations' must be a list of object provenances")
     for tprov in transformations.items:
         spec = transform_spec_from_provenance(tprov)
         dataset = apply_transformers(dataset, fit_transformers(dataset, spec))

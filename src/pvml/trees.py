@@ -28,8 +28,7 @@ from .core import (
     model_provenance,
 )
 from .errors import EmptyNode, TaskMismatch
-from .provenance import PFlt, PInt, PObj, PStr, object_provenance
-from .rng import Xoshiro256StarStar, to_signed64
+from .rng import Xoshiro256StarStar
 
 EXHAUSTIVE = "exhaustive"
 RANDOM_THRESHOLD = "random-threshold"
@@ -405,21 +404,6 @@ class CartTrainer(Trainer):
     def __init__(self, cfg: TreeConfig):
         super().__init__(cfg.seed)
         self.cfg = cfg
-
-    def provenance_with_count(self, count: int) -> PObj:
-        cfg = self.cfg
-        return object_provenance(
-            self.trainer_class,
-            config={
-                "max-depth": PInt(cfg.max_depth),
-                "min-examples-per-leaf": PInt(cfg.min_examples_per_leaf),
-                "min-impurity-decrease": PFlt(cfg.min_impurity_decrease),
-                "feature-subsampling-fraction": PFlt(cfg.feature_subsampling_fraction),
-                "split-kind": PStr(cfg.split_kind),
-                "seed": PInt(to_signed64(self.seed)),
-            },
-            instance={"invocation-count": PInt(count)},
-        )
 
     def train_with_count(self, dataset: Dataset, count: int, user_info=None) -> TreeModel:
         task = dataset.task

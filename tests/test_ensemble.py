@@ -22,7 +22,7 @@ from pvml.ensemble import (
     combine,
     train_ensemble,
 )
-from pvml.errors import AllMembersRejected, InconsistentTask, TaskMismatch
+from pvml.errors import AllMembersRejected, EmptySource, InconsistentTask, TaskMismatch
 from pvml.optimize import LinearSgdTrainer, Sgd
 from pvml.persist import model_to_container
 from pvml.provenance import (
@@ -73,6 +73,11 @@ class TestBootstrapSample:
         examples = [make_example([("x", float(i))], CategoricalOutput("a")) for i in range(4)]
         ds = build_dataset(InMemoryDataSource(examples))
         assert len(bootstrap_sample(ds, 0.5, False, member_seed=1).examples) == 2
+
+    def test_empty_draw_is_an_empty_source(self, interleaved_dataset):
+        # a fraction that rounds to no examples is a data error, not a crash
+        with pytest.raises(EmptySource):
+            bootstrap_sample(interleaved_dataset, 0.03125, True, member_seed=1)
 
     def test_sample_provenance_records_seed_and_indices_hash(self, interleaved_dataset):
         sample = bootstrap_sample(interleaved_dataset, 0.5, True, member_seed=33)

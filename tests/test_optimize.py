@@ -246,6 +246,11 @@ class TestTrainLinearSgd:
             losses.append(loss)
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
+    def test_overflowing_last_step_is_a_non_finite_gradient(self, regression_dataset):
+        # one step whose update overflows to infinity, with no later gradient to catch it
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteGradient):
+            train_linear_sgd(regression_dataset, "squared", Sgd(1e308), 1, len(regression_dataset), 1)
+
     def test_provenance_records_config_and_count(self, separable_dataset):
         trainer = LinearSgdTrainer("logistic", Adam(0.01), epochs=2, batch_size=4, seed=9)
         trainer.train(separable_dataset)

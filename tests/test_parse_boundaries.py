@@ -11,6 +11,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -18,7 +19,14 @@ from pvml.cli import main
 from pvml.errors import FormatError, MissingProperty, ParseError, PvmlError, UnknownTag
 from pvml.persist import load_model, model_to_container, save_model
 from pvml.provenance import (
+    ConfigRecord,
     ConfigRef,
+    PBool,
+    PFlt,
+    PHash,
+    PInt,
+    PStr,
+    PTimestamp,
     config_from_json,
     config_to_json,
     extract_configuration,
@@ -28,6 +36,7 @@ from pvml.provenance import (
     serialize_provenance,
 )
 from pvml.repro import reconstruct_trainer
+from pvml.optimize import Sgd
 from pvml.trees import CartTrainer, TreeConfig, train_cart
 
 from test_provenance import _corpus_object, prov_values
@@ -63,6 +72,26 @@ def _ensemble_doc(base_ref):
 
 def _config_with_property(node):
     return '{"config":[{"name":"a","class":"b","properties":{"p":' + node + "}}]}"
+
+
+def _section(node, name):
+    """The entries of section ``name`` of an object provenance in JSON form."""
+    return node["value"]["fields"][name]["value"]
+
+
+def _trainers():
+    """One fresh trainer of each built-in class, with an optimizer and base trainers."""
+    from pvml.ensemble import ADABOOST, EnsembleConfig, EnsembleTrainer
+    from pvml.optimize import Adam, LinearSgdTrainer
+
+    return {
+        "cart": CartTrainer(TreeConfig(max_depth=2)),
+        "linear": LinearSgdTrainer("logistic", Adam(0.1), 2, 4, seed=5),
+        "ensemble": EnsembleTrainer(EnsembleConfig(CartTrainer(TreeConfig(max_depth=1)), 2, seed=7)),
+        "boosted": EnsembleTrainer(
+            EnsembleConfig(LinearSgdTrainer("logistic", Sgd(0.5), 1, 4, 3), 2, seed=9, variant=ADABOOST)
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +241,53 @@ class TestCommandLine:
         assert self._train(files, trainer=self._write(files, "bad.json", json.dumps(doc))) == 2
 
     @pytest.mark.parametrize(
+        "trainer, record_class, key, value",
+        [
+            ("cart", "pvml.CartTrainer", "min-impurity-decrease", _v("int", 0)),
+            ("cart", "pvml.CartTrainer", "max-depth", _v("bool", True)),
+            ("linear", "pvml.LinearSgdTrainer", "seed", _v("flt", 3.0)),
+            ("linear", "pvml.Adam", "beta1", _v("int", 0)),
+            ("ensemble", "pvml.EnsembleTrainer", "with-replacement", _v("str", "yes")),
+        ],
+        ids=["int-for-flt", "bool-for-int", "flt-for-seed", "int-for-nested-flt", "str-for-bool"],
+    )
+    def test_trainer_property_of_the_wrong_leaf_type(self, files, capsys, trainer, record_class, key, value):
+        doc = json.loads(config_to_json(extract_configuration(_trainers()[trainer].provenance())))
+        next(r for r in doc["config"] if r["class"] == record_class)["properties"][key] = value
+        assert self._train(files, trainer=self._write(files, "bad.json", json.dumps(doc))) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def _reproduce_edited(self, files, edit):
+        """Exit code of ``pvml reproduce`` on a freshly trained model file after ``edit(provenance)``."""
+        assert self._train(files) == 0
+        container = json.loads((files["dir"] / "m.pvml").read_text(encoding="utf-8"))
+        edit(container["provenance"])
+        path = self._write(files, "edited.pvml", json.dumps(container))
+        return main(["reproduce", "--model", path, "--output", str(files["dir"] / "r.pvml")])
+
+    @pytest.mark.parametrize(
+        "count", [_v("int", -1), _v("str", "0"), _v("flt", 0.0)], ids=["negative", "str", "flt"]
+    )
+    def test_reproduce_rejects_a_malformed_invocation_count(self, files, capsys, count):
+        def edit(prov):
+            _section(_section(prov, "config")["trainer"], "instance")["invocation-count"] = count
+
+        assert self._reproduce_edited(files, edit) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "transformations",
+        [_v("str", "zscore"), _v("list", [_v("str", "zscore")]), _v("list", [_v("obj", {"class": "pvml.ZScoreTransform", "fields": {}})])],
+        ids=["str", "str-entry", "sectionless-entry"],
+    )
+    def test_reproduce_rejects_malformed_transformations(self, files, capsys, transformations):
+        def edit(prov):
+            _section(_section(prov, "instance")["data"], "instance")["transformations"] = transformations
+
+        assert self._reproduce_edited(files, edit) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "key, value",
         [("response-column", _v("list", [])), ("response-type", _v("str", "ordinal")),
          ("columns", _v("int", 1)),
@@ -326,14 +402,24 @@ class TestFuzzConfigDocuments:
         assert config_from_json(config_to_json(records)) == records
 
 
-def _containers():
+def _datasets():
+    """A small classification and a small regression dataset."""
     from pvml import CategoricalOutput, InMemoryDataSource, RealOutput, build_dataset, make_example
-    from pvml.ensemble import RANDOM_FOREST, EnsembleConfig, train_ensemble
-    from pvml.optimize import Sgd, train_linear_sgd
 
     rows = [([("x", float(i)), (f"t@{i % 3}", 1.0)], i) for i in range(8)]
     clf = build_dataset(InMemoryDataSource([make_example(f, CategoricalOutput("ab"[i % 2])) for f, i in rows]))
     reg = build_dataset(InMemoryDataSource([make_example(f, RealOutput(float(i))) for f, i in rows]))
+    return clf, reg
+
+
+_DATASETS = _datasets()
+
+
+def _containers():
+    from pvml.ensemble import RANDOM_FOREST, EnsembleConfig, train_ensemble
+    from pvml.optimize import train_linear_sgd
+
+    clf, reg = _DATASETS
     forest = EnsembleConfig(
         CartTrainer(TreeConfig(max_depth=2, feature_subsampling_fraction=0.5, seed=1)), 2, 2, variant=RANDOM_FOREST
     )
@@ -382,3 +468,37 @@ class TestFuzzModelFiles:
             node[key] = data.draw(_json_values(max_leaves=8))
             break
         _load_or_raise(json.dumps(container))
+
+
+_TRAINER_DOCUMENTS = [extract_configuration(t.provenance()) for t in _trainers().values()]
+
+# small integers keep the fuzzed epochs, members and depths quick to train
+_LEAVES = st.one_of(
+    st.text(max_size=8).map(PStr),
+    st.integers(min_value=-3, max_value=12).map(PInt),
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(PFlt),
+    st.booleans().map(PBool),
+    st.integers(min_value=0, max_value=2**40).map(PTimestamp),
+    st.just(PHash("SHA-256", "ab")),
+)
+
+
+class TestFuzzTrainerDocuments:
+    @given(st.data())
+    @_fuzz(200)
+    def test_one_property_replaced(self, data):
+        records = list(data.draw(st.sampled_from(_TRAINER_DOCUMENTS)))
+        i = data.draw(st.integers(min_value=0, max_value=len(records) - 1))
+        key = data.draw(st.sampled_from(sorted(records[i].properties)))
+        properties = {**records[i].properties, key: data.draw(_LEAVES)}
+        records[i] = ConfigRecord(records[i].name, records[i].class_name, properties)
+        try:
+            trainer = reconstruct_trainer(records)
+        except PvmlError:
+            return
+        for dataset in _DATASETS:
+            try:
+                with np.errstate(all="ignore"):  # fuzzed learning rates overflow
+                    trainer.train(dataset)
+            except PvmlError:
+                pass

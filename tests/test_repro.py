@@ -1,17 +1,21 @@
 """Reconstruction from configuration, full reproduction, and provenance diff."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from pvml.core import build_dataset
 from pvml.data import TransformSpec, apply_transformers, fit_transformers, load_csv
-from pvml.ensemble import BAGGING, EnsembleConfig, EnsembleTrainer
+from pvml.ensemble import ADABOOST, BAGGING, RANDOM_FOREST, EnsembleConfig, EnsembleTrainer
 from pvml.errors import MissingProperty, ReproductionMismatch, ResourceChanged, UnknownClass
-from pvml.optimize import AdaGrad, LinearSgdTrainer
+from pvml.optimize import Adam, AdaGrad, LinearSgdTrainer, Sgd
 from pvml.provenance import (
+    PBool,
     PFlt,
     PInt,
+    PMap,
     PStr,
     PTimestamp,
     canonical_encode,
@@ -27,7 +31,7 @@ from pvml.repro import (
     reconstruct_trainer,
     reproduce_model,
 )
-from pvml.trees import CartTrainer, TreeConfig
+from pvml.trees import EXHAUSTIVE, RANDOM_THRESHOLD, CartTrainer, TreeConfig
 
 from test_provenance import prov_values
 
@@ -63,6 +67,13 @@ class TestReconstructSource:
             extract_configuration(source.provenance), expected_data_hash=recorded
         )
         assert list(rebuilt) == list(source)
+
+
+@dataclass(frozen=True)
+class _StumpConfig:
+    min_gain: float
+    with_bias: bool = True
+    seed: int = 0
 
 
 class TestReconstructTrainer:
@@ -112,6 +123,58 @@ class TestReconstructTrainer:
         prov = object_provenance("mystery.Trainer", config={}, instance={})
         with pytest.raises(UnknownClass):
             reconstruct_trainer(prov)
+
+
+_SEEDS = st.integers(min_value=-(2**63), max_value=2**64 - 1)
+_COUNTS = st.integers(min_value=1, max_value=2**63 - 1)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+_OPTIMIZERS = st.one_of(
+    st.builds(Sgd, _POSITIVE),
+    st.builds(AdaGrad, _POSITIVE, st.floats(min_value=0.0, allow_infinity=False)),
+    st.builds(Adam, _POSITIVE, _UNIT, _UNIT, _POSITIVE),
+)
+
+
+def _cart_trainers(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True)):
+    return st.builds(
+        lambda *args: CartTrainer(TreeConfig(*args)),
+        _COUNTS,
+        _COUNTS,
+        st.floats(min_value=0.0, allow_infinity=False),
+        fraction,
+        st.sampled_from((EXHAUSTIVE, RANDOM_THRESHOLD)),
+        _SEEDS,
+    )
+
+
+_LINEAR_TRAINERS = st.builds(
+    LinearSgdTrainer, st.sampled_from(("logistic", "squared")), _OPTIMIZERS, _COUNTS, _COUNTS, _SEEDS
+)
+
+
+@st.composite
+def _ensemble_trainers(draw):
+    variant = draw(st.sampled_from((BAGGING, RANDOM_FOREST, ADABOOST)))
+    if variant == RANDOM_FOREST:
+        base = draw(_cart_trainers(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)))
+    else:
+        base = draw(st.one_of(_cart_trainers(), _LINEAR_TRAINERS))
+    fraction = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    return EnsembleTrainer(EnsembleConfig(base, draw(_COUNTS), draw(_SEEDS), fraction, draw(st.booleans()), variant))
+
+
+class TestConfigurationRoundTrip:
+    @given(st.one_of(_cart_trainers(), _LINEAR_TRAINERS, _ensemble_trainers()), st.integers(0, 2**63 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_random_valid_configs_round_trip(self, trainer, count):
+        trainer.set_invocation_count(count)
+        via_records = reconstruct_trainer(extract_configuration(trainer.provenance()))
+        assert config_section(via_records.provenance()) == config_section(trainer.provenance())
+        assert canonical_encode(reconstruct_trainer(trainer.provenance()).provenance()) == canonical_encode(
+            trainer.provenance()
+        )
 
 
 def _train_fixture_model(path, schema, trainer):
@@ -221,6 +284,28 @@ class TestOpenWorldRegistries:
         rebuilt = reconstruct_trainer(config_section(model.provenance)["trainer"])
         assert isinstance(rebuilt, StumpTrainer)
         assert config_section(rebuilt.provenance()) == config_section(trainer.provenance())
+
+    def test_user_config_dataclass_is_declared_once(self):
+        from pvml.core import Trainer
+        from pvml.repro import register_trainer_class
+
+        class StumpTrainer(Trainer):
+            trainer_class = "ext.ConfiguredStump"
+
+            def __init__(self, cfg: _StumpConfig):
+                super().__init__(cfg.seed)
+                self.cfg = cfg
+
+            def train_with_count(self, dataset, count, user_info=None):
+                raise NotImplementedError
+
+        register_trainer_class("ext.ConfiguredStump", lambda props: StumpTrainer(props.read(_StumpConfig)))
+        trainer = StumpTrainer(_StumpConfig(0.5, with_bias=False, seed=-1))
+        assert config_section(trainer.provenance()) == PMap(
+            {"min-gain": PFlt(0.5), "with-bias": PBool(False), "seed": PInt(-1)}
+        )
+        rebuilt = reconstruct_trainer(extract_configuration(trainer.provenance()))
+        assert rebuilt.cfg == _StumpConfig(0.5, with_bias=False, seed=2**64 - 1)
 
 
 class TestDiffProvenance:
