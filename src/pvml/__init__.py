@@ -26,6 +26,7 @@ from .core import (
     build_dataset,
     make_example,
     predict,
+    predict_chunked,
 )
 from .data import (
     ColumnarSchema,
@@ -38,6 +39,7 @@ from .data import (
     featurize_row,
     fit_transformers,
     load_csv,
+    recorded_transformers,
 )
 from .ensemble import (
     EnsembleConfig,

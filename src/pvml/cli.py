@@ -14,17 +14,20 @@ import io
 import json
 import sys
 
-from .core import CATEGORICAL, build_dataset
+from .core import CATEGORICAL, build_dataset, predict_chunked
 from .data import (
     ColumnarSchema,
     SCHEMA_CLASS,
+    TransformerMap,
     apply_transformers,
     fit_transformers,
     load_csv,
+    recorded_transformers,
     schema_from_properties,
     transform_spec_from_provenance,
 )
 from .errors import (
+    MissingProperty,
     OutputTypeMismatch,
     PvmlError,
     ReproductionMismatch,
@@ -36,6 +39,8 @@ from .provenance import (
     config_from_json,
     config_to_json,
     extract_configuration,
+    instance_section,
+    is_object_provenance,
     object_provenance,
     provenance_hash,
     redact,
@@ -82,6 +87,20 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _recorded_pipeline(model) -> list[TransformerMap]:
+    """The transformations recorded in the model's training-data provenance.
+
+    A model whose provenance records no training data raises
+    :class:`MissingProperty`, as :func:`reproduce_model` does: scoring raw
+    features for want of its pipeline would be a silent wrong answer.
+    """
+    prov = model.provenance  # a model file's provenance is not checked on load
+    data = instance_section(prov).get("data") if is_object_provenance(prov) else None
+    if not is_object_provenance(data):
+        raise MissingProperty("data")
+    return recorded_transformers(data)
+
+
 def _cmd_predict(args) -> int:
     schema = _load_schema(args.schema)
     model = load_model(args.model, expected_task=schema.response_type)
@@ -90,8 +109,7 @@ def _cmd_predict(args) -> int:
     buffer = io.StringIO()  # written only once every row has been scored
     writer = csv.writer(buffer)
     writer.writerow(["row", "prediction", *labels])
-    for i, example in enumerate(source):
-        pred = model.predict(example)
+    for i, pred in enumerate(predict_chunked(model, source, _recorded_pipeline(model))):
         if model.task == CATEGORICAL:
             scores = [repr(pred.scores.get(label, 0.0)) for label in labels]
             writer.writerow([i, pred.output.label, *scores])
@@ -106,16 +124,15 @@ def _cmd_evaluate(args) -> int:
     schema = _load_schema(args.schema)
     model = load_model(args.model, expected_task=schema.response_type)
     dataset = build_dataset(load_csv(args.data, schema))
+    transformers = _recorded_pipeline(model)
     if model.task == CATEGORICAL:
-        evaluation = evaluate_classification(model, dataset)
+        evaluation = evaluate_classification(model, dataset, transformers)
         print(f"accuracy {evaluation.accuracy:.6f} on {evaluation.num_examples} examples")
     else:
-        evaluation = evaluate_regression(model, dataset)
+        evaluation = evaluate_regression(model, dataset, transformers)
         print(f"rmse {evaluation.rmse:.6f} on {evaluation.num_examples} examples")
-    buffer = io.StringIO()
-    json.dump(evaluation.to_report(), buffer, sort_keys=True, indent=2)
-    buffer.write("\n")
-    write_atomically(args.report, buffer.getvalue())
+    report = json.dumps(evaluation.to_report(), sort_keys=True, separators=(",", ":"))
+    write_atomically(args.report, report + "\n")
     return 0
 
 

@@ -16,7 +16,8 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -224,6 +225,11 @@ class FeatureDomain:
         info = self._infos.get(name)
         return None if info is None else info.id
 
+    @cached_property
+    def ids(self) -> dict[str, int]:
+        """Feature id by name, built once."""
+        return {name: info.id for name, info in self.items()}
+
     def items(self):
         return ((n, self._infos[n]) for n in self._names)
 
@@ -333,14 +339,19 @@ class Columns:
 
 
 def compile_examples(
-    examples: Sequence[Example], domain: FeatureDomain, labels: Sequence[str] | None = None
+    examples: Sequence[Example],
+    domain: FeatureDomain,
+    labels: Sequence[str] | None = None,
+    targets: bool = True,
 ) -> Columns:
     """Map feature names to ids once, dropping names outside ``domain``.
 
     With ``labels``, the targets are each example's label index into them;
-    without, each example's real-valued target.
+    without, each example's real-valued target.  With ``targets`` false the
+    outputs are not read, so unlabelled examples compile, and ``targets``
+    is empty.
     """
-    index = {name: info.id for name, info in domain.items()}
+    index = domain.ids
     ids = np.array([index.get(f.name, -1) for ex in examples for f in ex.features], dtype=np.int32)
     values = np.array([f.value for ex in examples for f in ex.features], dtype=np.float64)
     lengths = np.array([len(ex.features) for ex in examples], dtype=np.int64)
@@ -351,13 +362,15 @@ def compile_examples(
         lengths = np.bincount(rows[known], minlength=len(examples))
     indptr = np.zeros(len(examples) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    if labels is None:
-        targets = np.array([ex.output.value for ex in examples], dtype=np.float64)
+    if not targets:
+        compiled = np.empty(0)
+    elif labels is None:
+        compiled = np.array([ex.output.value for ex in examples], dtype=np.float64)
     else:
         position = {label: i for i, label in enumerate(labels)}
-        targets = np.array([position[ex.output.label] for ex in examples], dtype=np.intp)
+        compiled = np.array([position[ex.output.label] for ex in examples], dtype=np.intp)
     weights = np.array([ex.weight for ex in examples], dtype=np.float64)
-    return Columns(indptr, ids, values, targets, weights)
+    return Columns(indptr, ids, values, compiled, weights)
 
 
 def data_provenance(
@@ -542,6 +555,72 @@ class Model(ABC):
             warnings=tuple(warnings),
         )
 
+    def predict_batch(self, examples: Sequence[Example], transformers: Sequence = ()) -> list[Prediction]:
+        """Score many examples at once, as ``[self.predict(x) for x in examples]`` would.
+
+        The examples are compiled once against the model's domain; their
+        outputs are not read.  Each of ``transformers`` (fitted
+        :class:`~pvml.data.TransformerMap` objects, in order) then rescales
+        the compiled values as :func:`~pvml.data.apply_transformers` would
+        have rewritten the examples.  A row that shares no feature with the
+        model raises :class:`NoFeatureOverlap` for the whole batch.
+        """
+        examples = tuple(examples)
+        columns = compile_examples(examples, self.feature_domain, targets=False)
+        for transformer in transformers:
+            columns = transformer.rescale(self.feature_domain, columns)
+        used = np.diff(columns.indptr)
+        if not used.all():
+            raise NoFeatureOverlap("an example shares no features with the model's training domain")
+        scored = self._score_compiled(columns)
+        if None in scored:
+            raise NoFeatureOverlap("no part of the model overlaps an example's features")
+        warnings = self._range_warnings(columns)
+        return [
+            Prediction(output, scores, n_used, len(ex.features), warnings.get(i, ()))
+            for i, ((output, scores), n_used, ex) in enumerate(zip(scored, used.tolist(), examples))
+        ]
+
+    @cached_property
+    def _ranges(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """Feature names, minima and maxima, indexed by feature id."""
+        infos = [info for _, info in self.feature_domain.items()]
+        return (
+            self.feature_domain.names(),
+            np.array([info.min for info in infos], dtype=np.float64),
+            np.array([info.max for info in infos], dtype=np.float64),
+        )
+
+    def _range_warnings(self, columns: Columns) -> dict[int, tuple[str, ...]]:
+        """``out-of-range:<name>`` warnings of each compiled row that has any, in name order."""
+        names, lo, hi = self._ranges
+        ids, values = columns.feature_ids, columns.values
+        hits = np.flatnonzero((values < lo.take(ids)) | (values > hi.take(ids)))
+        rows = np.searchsorted(columns.indptr, hits, side="right") - 1
+        warnings: dict[int, list[str]] = {}
+        for row, fid in zip(rows.tolist(), ids.take(hits).tolist()):
+            warnings.setdefault(row, []).append(f"out-of-range:{names[fid]}")
+        return {row: tuple(found) for row, found in warnings.items()}
+
+    def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]] | None]:
+        """Score each row compiled against the model's domain; None rejects a row as no overlap.
+
+        This default goes row by row through :meth:`_predict_intersected`,
+        with an example rebuilt from the row's known features.  Subclasses
+        override it with array kernels.
+        """
+        names = self.feature_domain.names()
+        ids, values, bounds = columns.feature_ids.tolist(), columns.values.tolist(), columns.indptr.tolist()
+        out: list[tuple[Output, dict[str, float]] | None] = []
+        for start, end in zip(bounds, bounds[1:]):
+            sparse = dict(zip(ids[start:end], values[start:end]))
+            try:
+                example = Example(tuple(FeatureValue(names[i], v) for i, v in sparse.items()))
+                out.append(self._predict_intersected(example, sparse))
+            except (EmptyExample, NoFeatureOverlap):
+                out.append(None)
+        return out
+
     @abstractmethod
     def _predict_intersected(
         self, example: Example, sparse: Mapping[int, float]
@@ -551,6 +630,18 @@ class Model(ABC):
 
 def predict(model: Model, example: Example, expected_task: str | None = None) -> Prediction:
     return model.predict(example, expected_task)
+
+
+BATCH_ROWS = 256
+
+
+def predict_chunked(model: Model, examples: Iterable[Example], transformers: Sequence = ()) -> Iterator[Prediction]:
+    """The predictions of ``examples`` in order, scored through
+    :meth:`Model.predict_batch` :data:`BATCH_ROWS` at a time, so that the
+    compiled arrays do not grow with the input."""
+    rest = iter(examples)
+    while chunk := tuple(islice(rest, BATCH_ROWS)):
+        yield from model.predict_batch(chunk, transformers)
 
 
 # ---------------------------------------------------------------------------

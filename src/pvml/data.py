@@ -13,14 +13,18 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     CATEGORICAL,
     REAL,
+    Columns,
     Dataset,
     Example,
+    FeatureDomain,
     FeatureValue,
     RealOutput,
     CategoricalOutput,
@@ -32,6 +36,7 @@ from .errors import (
     CsvParseError,
     HeaderMismatch,
     MissingResponse,
+    NonFiniteFeature,
     ParseError,
     UnparseableNumeric,
 )
@@ -47,6 +52,7 @@ from .provenance import (
     canonical_encode,
     config_section,
     instance_section,
+    is_object_provenance,
     object_provenance,
     sha256_hex,
     timestamp_now,
@@ -331,6 +337,10 @@ class ZScoreFit:
     def apply(self, value: float) -> float:
         return (value - self.mean) / self.std
 
+    def affine(self) -> tuple[float, float]:
+        """``(shift, divisor)`` such that ``apply(v) == (v - shift) / divisor``."""
+        return self.mean, self.std
+
 
 @dataclass(frozen=True)
 class MinMaxFit:
@@ -340,6 +350,9 @@ class MinMaxFit:
     def apply(self, value: float) -> float:
         return (value - self.lo) / (self.hi - self.lo)
 
+    def affine(self) -> tuple[float, float]:
+        return self.lo, self.hi - self.lo
+
 
 @dataclass(frozen=True)
 class IdentityFit:
@@ -347,6 +360,9 @@ class IdentityFit:
 
     def apply(self, value: float) -> float:
         return value
+
+    def affine(self) -> tuple[float, float]:
+        return 0.0, 1.0  # (v - 0.0) / 1.0 is v, signed zeros included
 
 
 FeatureFit = ZScoreFit | MinMaxFit | IdentityFit
@@ -360,6 +376,27 @@ class TransformerMap:
     fits: dict[str, FeatureFit]
     warnings: tuple[str, ...]
     provenance: PObj
+
+    def rescale(self, domain: FeatureDomain, columns: Columns) -> Columns:
+        """``columns``, compiled against ``domain``, with every value rewritten
+        as :func:`apply_transformers` rewrites it: the same IEEE
+        ``(v - shift) / divisor``, elementwise.  Features without a fit pass
+        through, since ``(v - 0.0) / 1.0`` is ``v``.  A non-finite result
+        raises :class:`NonFiniteFeature`.
+        """
+        shift, divisor = np.zeros(len(domain)), np.ones(len(domain))
+        for name, fit in self.fits.items():
+            fid = domain.id_of(name)
+            if fid is not None:
+                shift[fid], divisor[fid] = fit.affine()
+        ids = columns.feature_ids
+        with np.errstate(all="ignore"):
+            values = (columns.values - shift.take(ids)) / divisor.take(ids)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            name, value = domain.names()[ids[bad[0]]], values[bad[0]].item()
+            raise NonFiniteFeature(f"feature {name!r} has non-finite value {value!r}")
+        return replace(columns, values=values)
 
 
 def fit_transformers(dataset: Dataset, spec: TransformSpec) -> TransformerMap:
@@ -424,13 +461,51 @@ def apply_transformers(dataset: Dataset, transformer: TransformerMap) -> Dataset
             for f in ex.features
         )
         new_examples.append(Example(feats, ex.output, ex.weight))
-    prov = _append_transformation(dataset.provenance, transformer.provenance)
+    prov = append_transformation(dataset.provenance, transformer.provenance)
     return dataset_from_examples(new_examples, prov)
 
 
-def _append_transformation(dp: PObj, tprov: PObj) -> PObj:
+def append_transformation(dp: PObj, tprov: PObj) -> PObj:
+    """Data provenance ``dp`` with ``tprov`` last in its transformations."""
     existing = instance_section(dp).get("transformations", PList())
     return with_instance_entry(dp, "transformations", PList(tuple(existing.items) + (tprov,)))
+
+
+def recorded_transformers(data_provenance: PObj) -> list[TransformerMap]:
+    """The transformations a dataset's provenance records, in order, with
+    the exact fitted values it records.
+
+    Replaying them with :func:`apply_transformers` or
+    :meth:`TransformerMap.rescale` rewrites new data as the recorded
+    pipeline rewrote its own.  Raises :class:`ParseError` for a
+    ``transformations`` entry that is not a list of object provenances, and
+    for a fit that is not a pair of floats with a positive ``std`` or a
+    ``max`` above its ``min``; recorded floats are finite by construction.
+    """
+    transformations = instance_section(data_provenance).get("transformations", PList())
+    if not isinstance(transformations, PList) or not all(map(is_object_provenance, transformations)):
+        raise ParseError("data provenance 'transformations' must be a list of object provenances")
+    return [_recorded_map(tprov) for tprov in transformations]
+
+
+def _recorded_map(tprov: PObj) -> TransformerMap:
+    spec = transform_spec_from_provenance(tprov)
+    instance = instance_section(tprov)
+    fitted, warnings = instance.get("fitted"), instance.get("warnings", PList())
+    if not isinstance(fitted, PMap) or not isinstance(warnings, PList):
+        raise ParseError(f"{tprov.class_name} must record a 'fitted' map and a 'warnings' list")
+    keys = ("mean", "std") if spec.kind == ZSCORE else ("min", "max")
+    fits: dict[str, FeatureFit] = {}
+    for name, entry in fitted.entries:
+        if not (isinstance(entry, PMap) and set(entry.keys()) == set(keys) and all(isinstance(entry[k], PFlt) for k in keys)):
+            raise ParseError(f"the fit of {name!r} must hold the floats {' and '.join(keys)}")
+        a, b = entry[keys[0]].value, entry[keys[1]].value
+        if spec.kind == ZSCORE and not b > 0.0:
+            raise ParseError(f"the fit of {name!r} has a non-positive std {b!r}")
+        if spec.kind == MINMAX and not b > a:
+            raise ParseError(f"the fit of {name!r} has max {b!r} not above min {a!r}")
+        fits[name] = ZScoreFit(a, b) if spec.kind == ZSCORE else MinMaxFit(a, b)
+    return TransformerMap(spec, fits, tuple(_text(w) for w in warnings.items), tprov)
 
 
 def transform_spec_from_provenance(tprov: PObj) -> TransformSpec:

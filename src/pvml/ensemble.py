@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     CATEGORICAL,
     REAL,
     CategoricalOutput,
+    Columns,
     Dataset,
     Example,
     Model,
@@ -42,7 +46,7 @@ from .provenance import (
     sha256_hex,
 )
 from .rng import MASK64, Xoshiro256StarStar, splitmix64, to_signed64
-from .trees import CartTrainer
+from .trees import CartTrainer, TreeModel
 
 BAGGING = "bagging"
 RANDOM_FOREST = "random-forest"
@@ -193,6 +197,74 @@ class EnsembleModel(Model):
         merged = combine(preds, used_weights)
         return merged.output, merged.scores
 
+    @cached_property
+    def _member_ids(self) -> list[np.ndarray]:
+        """Per member: the member's id of each feature id of the ensemble, or -1.
+
+        A trained member's domain is a subset of the ensemble's, so these
+        views hold every feature the member knows.
+        """
+        views = []
+        for member in self.members:
+            ids = np.full(len(self.feature_domain), -1, dtype=np.int32)
+            for name, info in member.feature_domain.items():
+                parent = self.feature_domain.id_of(name)
+                if parent is not None:
+                    ids[parent] = info.id
+            views.append(ids)
+        return views
+
+    def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]] | None]:
+        """Each member scores the rows it overlaps through a view of the
+        columns.  When every member regresses, the weighted values add up as
+        arrays in member order, the order :func:`combine` adds them in, so
+        the means are equal bit for bit; otherwise each row's member results
+        merge through :func:`combine`.
+        """
+        n = len(columns.indptr) - 1
+        rows = np.repeat(np.arange(n), np.diff(columns.indptr))
+        regression = all(member.task == REAL for member in self.members)
+        acc, total, used = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+        per_row: list[tuple[list[Prediction], list[float]]] = [([], []) for _ in range(n)]
+        for member, weight, ids in zip(self.members, self.member_weights, self._member_ids):
+            member_ids = ids.take(columns.feature_ids)
+            keep = member_ids >= 0
+            counts = np.bincount(rows[keep], minlength=n)
+            overlap = np.flatnonzero(counts)  # a member that overlaps no feature of a row skips it
+            indptr = np.zeros(len(overlap) + 1, dtype=np.int64)
+            np.cumsum(counts[overlap], out=indptr[1:])
+            view = Columns(indptr, member_ids[keep], columns.values[keep], columns.targets, columns.weights[overlap])
+            if regression:
+                ok, values = _regression_values(member, view)
+                at = overlap[ok]
+                acc[at] += values[ok] * weight
+                total[at] += weight
+                used[at] = True
+                continue
+            for r, result in zip(overlap.tolist(), member._score_compiled(view)):
+                if result is not None:
+                    per_row[r][0].append(Prediction(*result, 0, 0))
+                    per_row[r][1].append(weight)
+        if regression:
+            with np.errstate(all="ignore"):
+                means = (acc / total).tolist()
+            return [(RealOutput(v), {}) if u else None for v, u in zip(means, used.tolist())]
+        merged = [combine(preds, weights) if preds else None for preds, weights in per_row]
+        return [None if m is None else (m.output, m.scores) for m in merged]
+
+
+def _regression_values(member: Model, view: Columns) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of ``view`` a regressing member scores, and its values there.
+
+    A tree looks up the leaf each row reaches; any other member scores
+    through its own :meth:`Model._score_compiled`.
+    """
+    if isinstance(member, TreeModel):
+        return np.ones(len(view.indptr) - 1, dtype=bool), member.leaf_values.take(member.leaves_of(view))
+    results = member._score_compiled(view)
+    ok = np.array([result is not None for result in results], dtype=bool)
+    return ok, np.array([result[0].value if result is not None else 0.0 for result in results], dtype=np.float64)
+
 
 # ---------------------------------------------------------------------------
 # Training
@@ -261,9 +333,8 @@ class EnsembleTrainer(Trainer):
 
         for i in range(cfg.num_members):
             member = cfg.base_trainer.train_with_count(_reweighted(dataset, weights), base_count + i)
-            missed = [
-                member.predict(ex).output.label != ex.output.label for ex in dataset.examples
-            ]
+            predictions = member.predict_batch(dataset.examples)
+            missed = [p.output.label != ex.output.label for p, ex in zip(predictions, dataset.examples)]
             err = sum(w for w, m in zip(weights, missed) if m)
 
             if err >= 1 - 1 / k:

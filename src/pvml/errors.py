@@ -59,6 +59,10 @@ class NonFiniteGradient(PvmlError):
     """A gradient contained NaN or infinite entries."""
 
 
+class NonFiniteScore(PvmlError):
+    """A model's score for an example overflowed to a non-finite value."""
+
+
 # --- trees / ensembles -------------------------------------------------------
 
 class EmptyNode(PvmlError):

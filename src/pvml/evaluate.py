@@ -9,8 +9,10 @@ at evaluation time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import CATEGORICAL, REAL, Dataset, Model
+from .core import CATEGORICAL, REAL, Dataset, Model, predict_chunked
+from .data import TransformerMap, append_transformation
 from .errors import TaskMismatch
 from .provenance import PObj, object_provenance, to_json_value
 
@@ -18,11 +20,18 @@ CLASSIFICATION_EVAL_CLASS = "pvml.ClassificationEvaluation"
 REGRESSION_EVAL_CLASS = "pvml.RegressionEvaluation"
 
 
-def evaluation_provenance(kind: str, model: Model, dataset: Dataset) -> PObj:
+def evaluation_provenance(
+    kind: str, model: Model, dataset: Dataset, transformers: Sequence[TransformerMap] = ()
+) -> PObj:
+    """Model and test-data provenance; the test data lists ``transformers``
+    as :func:`~pvml.data.apply_transformers` would have appended them."""
+    test_data = dataset.provenance
+    for transformer in transformers:
+        test_data = append_transformation(test_data, transformer.provenance)
     return object_provenance(
         kind,
         config={},
-        instance={"model": model.provenance, "test-data": dataset.provenance},
+        instance={"model": model.provenance, "test-data": test_data},
     )
 
 
@@ -95,16 +104,17 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def evaluate_classification(model: Model, dataset: Dataset) -> ClassificationEvaluation:
+def evaluate_classification(
+    model: Model, dataset: Dataset, transformers: Sequence[TransformerMap] = ()
+) -> ClassificationEvaluation:
+    """Score ``dataset`` in batches, each rescaled by ``transformers`` in order."""
     if model.task != CATEGORICAL:
         raise TaskMismatch("model does not perform classification")
     if dataset.task != CATEGORICAL:
         raise TaskMismatch("dataset does not carry classification ground truth")
 
-    truths, preds = [], []
-    for ex in dataset.examples:
-        truths.append(ex.output.label)
-        preds.append(model.predict(ex).output.label)
+    truths = [ex.output.label for ex in dataset.examples]
+    preds = [p.output.label for p in predict_chunked(model, dataset.examples, transformers)]
 
     labels = sorted(set(model.output_domain.labels()) | set(truths))
     confusion: dict[str, dict[str, int]] = {t: {} for t in labels}
@@ -141,22 +151,22 @@ def evaluate_classification(model: Model, dataset: Dataset) -> ClassificationEva
         micro_recall=micro_r,
         micro_f1=_ratio(2 * micro_p * micro_r, micro_p + micro_r),
         num_examples=n,
-        provenance=evaluation_provenance(CLASSIFICATION_EVAL_CLASS, model, dataset),
+        provenance=evaluation_provenance(CLASSIFICATION_EVAL_CLASS, model, dataset, transformers),
     )
 
 
-def evaluate_regression(model: Model, dataset: Dataset) -> RegressionEvaluation:
+def evaluate_regression(
+    model: Model, dataset: Dataset, transformers: Sequence[TransformerMap] = ()
+) -> RegressionEvaluation:
+    """Score ``dataset`` in batches, each rescaled by ``transformers`` in order."""
     if model.task != REAL:
         raise TaskMismatch("model does not perform regression")
     if dataset.task != REAL:
         raise TaskMismatch("dataset does not carry regression ground truth")
 
-    residuals = []
-    targets = []
-    for ex in dataset.examples:
-        pred = model.predict(ex).output.value
-        targets.append(ex.output.value)
-        residuals.append(pred - ex.output.value)
+    targets = [ex.output.value for ex in dataset.examples]
+    preds = predict_chunked(model, dataset.examples, transformers)
+    residuals = [p.output.value - y for p, y in zip(preds, targets)]
 
     n = len(residuals)
     ss_res = sum(r * r for r in residuals)
@@ -171,5 +181,5 @@ def evaluate_regression(model: Model, dataset: Dataset) -> RegressionEvaluation:
         mae=sum(abs(r) for r in residuals) / n,
         r2=r2,
         num_examples=n,
-        provenance=evaluation_provenance(REGRESSION_EVAL_CLASS, model, dataset),
+        provenance=evaluation_provenance(REGRESSION_EVAL_CLASS, model, dataset, transformers),
     )

@@ -8,6 +8,7 @@ new (state, params), which keeps training deterministic and easy to test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,10 +26,11 @@ from .core import (
     Output,
     RealOutput,
     Trainer,
+    argmax_label,
     compile_examples,
     model_provenance,
 )
-from .errors import NonFiniteGradient, ShapeMismatch, TaskMismatch, UnlabelledExample
+from .errors import NonFiniteGradient, NonFiniteScore, ShapeMismatch, TaskMismatch, UnlabelledExample
 from .rng import Xoshiro256StarStar
 
 LOGISTIC = "logistic"
@@ -271,14 +273,33 @@ class LinearSgdModel(Model):
         x[-1] = 1.0
         for fid, value in sparse.items():
             x[fid] = value
-        z = x @ self.weights
-        if self.task == REAL:
-            return RealOutput(float(z[0])), {}
-        probs = _softmax(z[None, :])[0]
-        labels = self.output_domain.labels()
-        scores = {label: float(p) for label, p in zip(labels, probs)}
-        from .core import argmax_label
+        return self._output_of(x @ self.weights)
 
+    def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]]]:
+        """Row by row, through the same product as :meth:`_predict_intersected`.
+
+        A whole-batch matrix product may add in another order than one
+        row's, so the rows share one dense vector instead.
+        """
+        x = np.zeros(len(self.feature_domain) + 1)
+        x[-1] = 1.0
+        bounds = columns.indptr.tolist()
+        out = []
+        for start, end in zip(bounds, bounds[1:]):
+            ids = columns.feature_ids[start:end]
+            x[ids] = columns.values[start:end]
+            out.append(self._output_of(x @ self.weights))
+            x[ids] = 0.0
+        return out
+
+    def _output_of(self, z: np.ndarray) -> tuple[Output, dict[str, float]]:
+        """The prediction for the linear scores ``z`` of one example."""
+        values = z.tolist()
+        if not all(map(math.isfinite, values)):  # in Python: cheaper than numpy for one row
+            raise NonFiniteScore("the linear score of an example overflowed to a non-finite value")
+        if self.task == REAL:
+            return RealOutput(values[0]), {}
+        scores = dict(zip(self.output_domain.labels(), _softmax(z[None, :])[0].tolist()))
         return CategoricalOutput(argmax_label(scores)), scores
 
 

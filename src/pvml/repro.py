@@ -18,8 +18,8 @@ from .data import (
     CsvDataSource,
     apply_transformers,
     fit_transformers,
+    recorded_transformers,
     schema_from_properties,
-    transform_spec_from_provenance,
 )
 from .ensemble import ENSEMBLE_TRAINER_CLASS, EnsembleConfig, EnsembleTrainer
 from .errors import MissingProperty, ParseError, ReproductionMismatch, ResourceChanged, UnknownClass
@@ -229,12 +229,8 @@ def rebuild_dataset(data_prov: PObj) -> Dataset:
     digest = expected.digest if isinstance(expected, PHash) else None
     source = reconstruct_source(extract_configuration(source_prov), expected_data_hash=digest)
     dataset = build_dataset(source)
-    transformations = inst.get("transformations", PList())
-    if not isinstance(transformations, PList) or not all(map(is_object_provenance, transformations)):
-        raise ParseError("data provenance 'transformations' must be a list of object provenances")
-    for tprov in transformations.items:
-        spec = transform_spec_from_provenance(tprov)
-        dataset = apply_transformers(dataset, fit_transformers(dataset, spec))
+    for recorded in recorded_transformers(data_prov):
+        dataset = apply_transformers(dataset, fit_transformers(dataset, recorded.spec))
     return dataset
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -77,6 +78,22 @@ class SplitNode:
 
 
 TreeNode = LeafNode | SplitNode
+
+
+@dataclass(frozen=True, eq=False)
+class FlatTree:
+    """A tree as node arrays, parents before children.
+
+    Node ``i`` splits on ``feature[i]`` at ``threshold[i]`` into nodes
+    ``left[i]`` and ``right[i]``; a leaf has ``left[i] == -1`` and its
+    ``(output, scores)`` in ``leaves[i]``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaves: dict[int, tuple[Output, dict[str, float]]]
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +403,89 @@ class TreeModel(Model):
         while isinstance(node, SplitNode):
             value = sparse.get(node.feature_id, 0.0)
             node = node.left if value <= node.threshold else node.right
-        if node.counts is not None:
-            total = sum(node.counts.values())
+        return self._leaf_output(node)
+
+    def _leaf_output(self, leaf: LeafNode) -> tuple[Output, dict[str, float]]:
+        if leaf.counts is not None:
+            total = sum(leaf.counts.values())
             scores = {
-                label: node.counts.get(label, 0.0) / total
+                label: leaf.counts.get(label, 0.0) / total
                 for label in self.output_domain.labels()
             }
             return CategoricalOutput(argmax_label(scores)), scores
-        return RealOutput(node.mean), {}
+        return RealOutput(leaf.mean), {}
+
+    @cached_property
+    def flat(self) -> FlatTree:
+        """The tree as node arrays, built once with an explicit work list.
+
+        A split on a feature id outside the domain reads 0.0, as
+        ``sparse.get`` does in :meth:`_predict_intersected`; it is stored as
+        the id one past the domain.
+        """
+        width = len(self.feature_domain)
+        nodes: list[TreeNode] = [self.root]
+        feature, threshold, left, right = [], [], [], []
+        for node in nodes:  # grows while it is walked: children go to the back
+            if isinstance(node, SplitNode):
+                fid = node.feature_id
+                feature.append(fid if isinstance(fid, int) and 0 <= fid < width else width)
+                threshold.append(node.threshold)
+                left.append(len(nodes))
+                right.append(len(nodes) + 1)
+                nodes += (node.left, node.right)
+            else:
+                feature.append(width)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+        leaves = {i: self._leaf_output(node) for i, node in enumerate(nodes) if isinstance(node, LeafNode)}
+        return FlatTree(
+            np.array(feature, dtype=np.int64),
+            np.array(threshold, dtype=np.float64),
+            np.array(left, dtype=np.intp),
+            np.array(right, dtype=np.intp),
+            leaves,
+        )
+
+    @cached_property
+    def leaf_values(self) -> np.ndarray:
+        """A regression tree's value at each leaf of :attr:`flat`, indexed by node; 0.0 at splits."""
+        values = np.zeros(len(self.flat.left))
+        for i, (output, _) in self.flat.leaves.items():
+            values[i] = output.value
+        return values
+
+    def leaves_of(self, columns: Columns) -> np.ndarray:
+        """Index into :attr:`flat` of the leaf each compiled row reaches.
+
+        Every row descends one level per step.  A split finds its feature
+        among the row's entries by a sorted search over (row, feature id)
+        keys; an absent feature reads 0.0.
+        """
+        flat = self.flat
+        n = len(columns.indptr) - 1
+        width = len(self.feature_domain)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(columns.indptr))
+        # ascending, since rows come in order and ids ascend within a row; the
+        # sentinel lets every search land on an entry
+        keys = np.append(rows * width + columns.feature_ids, np.iinfo(np.int64).max)
+        values = np.append(columns.values, 0.0)
+        node = np.zeros(n, dtype=np.intp)
+        active = np.arange(n)
+        while len(active):
+            active = active[flat.left.take(node[active]) >= 0]
+            at = node[active]
+            fid = flat.feature.take(at)
+            wanted = active * width + fid
+            pos = np.searchsorted(keys, wanted)
+            value = np.where((fid < width) & (keys.take(pos) == wanted), values.take(pos), 0.0)
+            node[active] = np.where(value <= flat.threshold.take(at), flat.left.take(at), flat.right.take(at))
+        return node
+
+    def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]]]:
+        leaves = self.flat.leaves
+        return [(leaves[i][0], dict(leaves[i][1])) for i in self.leaves_of(columns).tolist()]
 
 
 class CartTrainer(Trainer):

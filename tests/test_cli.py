@@ -224,3 +224,108 @@ class TestExitCodes:
         )
         assert rc == 0
         assert main(["diff", "--left", workspace["model"], "--right", other]) == 1
+
+
+class TestScoringReplaysTheRecordedPipeline:
+    """``pvml predict`` and ``pvml evaluate`` rescale rows with the fits the
+    model recorded, as ``apply_transformers`` rescales a dataset."""
+
+    def _train_zscored(self, ws, tmp_path, schema):
+        from pvml.core import build_dataset
+        from pvml.data import load_csv
+
+        dataset = build_dataset(load_csv(ws["data"], schema))
+        tmap = fit_transformers(dataset, TransformSpec("zscore", ("f1", "f2")))
+        transform_path = tmp_path / "transform.json"
+        transform_path.write_text(config_to_json(extract_configuration(tmap.provenance)))
+        rc = main(
+            ["train", "--data", ws["data"], "--schema", ws["schema"],
+             "--trainer", ws["tree_trainer"], "--output", ws["model"],
+             "--transform", str(transform_path)]
+        )
+        assert rc == 0
+        return dataset
+
+    def _recorded_map(self, model):
+        # read by hand from the provenance, as an outside reader would
+        from pvml.data import TransformerMap, ZScoreFit
+
+        (tprov,) = instance_section(instance_section(model.provenance)["data"])["transformations"]
+        fitted = instance_section(tprov)["fitted"]
+        fits = {name: ZScoreFit(fit["mean"].value, fit["std"].value) for name, fit in fitted.entries}
+        return TransformerMap(TransformSpec("zscore", ("f1", "f2")), fits, (), tprov)
+
+    def test_evaluate_on_the_training_csv(self, workspace, tmp_path, clf_csv):
+        from pvml.data import apply_transformers
+        from pvml.evaluate import evaluate_classification
+        from pvml.persist import load_model
+        from pvml.provenance import strip_volatile
+
+        dataset = self._train_zscored(workspace, tmp_path, clf_csv[1])
+        model = load_model(workspace["model"])
+        expected = evaluate_classification(model, apply_transformers(dataset, self._recorded_map(model))).to_report()
+        report_path = tmp_path / "report.json"
+        rc = main(["evaluate", "--model", workspace["model"], "--data", workspace["data"],
+                   "--schema", workspace["schema"], "--report", str(report_path)])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        assert report["metrics"] == expected["metrics"]
+        assert report["confusion"] == expected["confusion"]
+
+        def test_data(r):
+            return strip_volatile(instance_section(from_json_value(r["provenance"]))["test-data"])
+
+        assert test_data(report) == test_data(expected)
+
+    def test_predict_labels(self, workspace, tmp_path, clf_csv):
+        from pvml.data import apply_transformers
+        from pvml.persist import load_model
+
+        dataset = self._train_zscored(workspace, tmp_path, clf_csv[1])
+        model = load_model(workspace["model"])
+        transformed = apply_transformers(dataset, self._recorded_map(model))
+        expected = [model.predict(ex).output.label for ex in transformed.examples]
+        out = tmp_path / "preds.csv"
+        rc = main(["predict", "--model", workspace["model"], "--data", workspace["data"],
+                   "--schema", workspace["schema"], "--out", str(out)])
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == expected
+
+    @pytest.mark.parametrize("data", ["missing", "not-an-object"])
+    def test_a_model_without_data_provenance_is_2(self, workspace, tmp_path, data):
+        from pvml.provenance import PStr
+
+        assert _train(workspace) == 0
+        container = json.loads(Path(workspace["model"]).read_text())
+        prov = from_json_value(container["provenance"])
+        instance = dict(instance_section(prov).entries)
+        if data == "missing":
+            del instance["data"]
+        else:
+            instance["data"] = PStr("train.csv")
+        edited = object_provenance(prov.class_name, config=dict(config_section(prov).entries), instance=instance)
+        container["provenance"] = to_json_value(edited)
+        Path(workspace["model"]).write_text(json.dumps(container))
+        out, report = tmp_path / "preds.csv", tmp_path / "report.json"
+        assert main(["predict", "--model", workspace["model"], "--data", workspace["data"],
+                     "--schema", workspace["schema"], "--out", str(out)]) == 2
+        assert main(["evaluate", "--model", workspace["model"], "--data", workspace["data"],
+                     "--schema", workspace["schema"], "--report", str(report)]) == 2
+        assert not out.exists() and not report.exists()
+
+
+def test_evaluation_report_is_compact_json(workspace, tmp_path, monkeypatch):
+    import pvml.cli
+
+    assert _train(workspace) == 0
+    seen = []
+    real = pvml.cli.evaluate_classification
+    monkeypatch.setattr(pvml.cli, "evaluate_classification", lambda *a: seen.append(real(*a)) or seen[-1])
+    report_path = tmp_path / "report.json"
+    rc = main(["evaluate", "--model", workspace["model"], "--data", workspace["data"],
+               "--schema", workspace["schema"], "--report", str(report_path)])
+    assert rc == 0
+    text = report_path.read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n") and "\n " not in text and ": " not in text
+    assert json.loads(text) == seen[0].to_report()
