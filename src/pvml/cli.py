@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from .core import CATEGORICAL, build_dataset, predict_chunked
+from .core import CATEGORICAL, build_dataset
 from .data import (
     ColumnarSchema,
     SCHEMA_CLASS,
@@ -105,11 +105,17 @@ def _cmd_predict(args) -> int:
     schema = _load_schema(args.schema)
     model = load_model(args.model, expected_task=schema.response_type)
     source = load_csv(args.data, schema)
+    transformers = _recorded_pipeline(model)
     labels = model.output_domain.labels() if model.task == CATEGORICAL else ()
     buffer = io.StringIO()  # written only once every row has been scored
     writer = csv.writer(buffer)
     writer.writerow(["row", "prediction", *labels])
-    for i, pred in enumerate(predict_chunked(model, source, _recorded_pipeline(model))):
+    predictions = (
+        prediction
+        for columns, totals in source.compiled(model.feature_domain)
+        for prediction in model.predict_compiled(columns, totals, transformers)
+    )
+    for i, pred in enumerate(predictions):
         if model.task == CATEGORICAL:
             scores = [repr(pred.scores.get(label, 0.0)) for label in labels]
             writer.writerow([i, pred.output.label, *scores])

@@ -16,7 +16,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, cached_property
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -26,10 +26,12 @@ from .errors import (
     EmptyExample,
     EmptyScores,
     EmptySource,
+    InvalidFeatureName,
     MissingProperty,
     MixedOutputTypes,
     NoFeatureOverlap,
     NonFiniteFeature,
+    NonFiniteStatistic,
     OutputTypeMismatch,
     ParseError,
     UnknownClass,
@@ -59,11 +61,12 @@ DATASET_CLASS = "pvml.Dataset"
 _CONTROL_CHARACTER = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
-def _check_feature_name(name: str) -> None:
+def check_feature_name(name: str) -> None:
+    """Raise :class:`InvalidFeatureName` for an empty name or one holding a control character."""
     if not name:
-        raise ValueError("feature names must be non-empty")
+        raise InvalidFeatureName("feature names must be non-empty")
     if _CONTROL_CHARACTER.search(name):
-        raise ValueError(f"feature name {name!r} contains control characters")
+        raise InvalidFeatureName(f"feature name {name!r} contains control characters")
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class FeatureValue:
     value: float
 
     def __post_init__(self):
-        _check_feature_name(self.name)
+        check_feature_name(self.name)
         if not math.isfinite(self.value):
             raise NonFiniteFeature(f"feature {self.name!r} has non-finite value {self.value!r}")
 
@@ -169,6 +172,30 @@ def make_example(
         raise EmptyExample("an example needs at least one feature")
     features = tuple(FeatureValue(name, merged[name]) for name in sorted(merged))
     return Example(features, output, weight)
+
+
+def checked_example(names: Sequence[str], values: Sequence[float], output: Output) -> Example:
+    """The example of features already validated: ``names`` non-empty, sorted,
+    distinct and passed by :func:`check_feature_name`, ``values`` finite.
+
+    Used by featurizers that check each distinct name once rather than once
+    per occurrence; the fields are set as the frozen dataclasses' own
+    ``__init__`` sets them, without the validation in ``__post_init__``.
+    (Writing to ``__dict__`` instead is quicker here, but makes every later
+    attribute read of the objects slower.)
+    """
+    new, put = object.__new__, object.__setattr__
+    features = []
+    for name, value in zip(names, values):
+        feature = new(FeatureValue)
+        put(feature, "name", name)
+        put(feature, "value", value)
+        features.append(feature)
+    example = new(Example)
+    put(example, "features", tuple(features))
+    put(example, "output", output)
+    put(example, "weight", 1.0)
+    return example
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +378,12 @@ def compile_examples(
     outputs are not read, so unlabelled examples compile, and ``targets``
     is empty.
     """
-    index = domain.ids
-    ids = np.array([index.get(f.name, -1) for ex in examples for f in ex.features], dtype=np.int32)
-    values = np.array([f.value for ex in examples for f in ex.features], dtype=np.float64)
-    lengths = np.array([len(ex.features) for ex in examples], dtype=np.int64)
-    known = ids >= 0
-    if not known.all():
-        rows = np.repeat(np.arange(len(examples)), lengths)
-        ids, values = ids[known], values[known]
-        lengths = np.bincount(rows[known], minlength=len(examples))
-    indptr = np.zeros(len(examples) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
+    indptr, ids, values = compile_features(
+        [f.name for ex in examples for f in ex.features],
+        np.array([f.value for ex in examples for f in ex.features], dtype=np.float64),
+        [len(ex.features) for ex in examples],
+        domain,
+    )
     if not targets:
         compiled = np.empty(0)
     elif labels is None:
@@ -371,6 +393,28 @@ def compile_examples(
         compiled = np.array([position[ex.output.label] for ex in examples], dtype=np.intp)
     weights = np.array([ex.weight for ex in examples], dtype=np.float64)
     return Columns(indptr, ids, values, compiled, weights)
+
+
+def compile_features(
+    names: Sequence[str], values: np.ndarray, lengths: Sequence[int], domain: FeatureDomain
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, feature_ids, values)`` of rows given flat: row ``i`` holds the
+    next ``lengths[i]`` of ``names`` and ``values``, in name order.
+
+    This is the one place names become ids; names outside ``domain`` are
+    dropped with their values.
+    """
+    index = domain.ids
+    ids = np.fromiter(map(index.get, names, repeat(-1)), dtype=np.int32, count=len(names))
+    lengths = np.array(lengths, dtype=np.int64)
+    known = ids >= 0
+    if not known.all():
+        rows = np.repeat(np.arange(len(lengths)), lengths)
+        ids, values = ids[known], values[known]
+        lengths = np.bincount(rows[known], minlength=len(lengths))
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr, ids, values
 
 
 def data_provenance(
@@ -422,6 +466,12 @@ def dataset_from_examples(examples: Sequence[Example], provenance: PObj) -> Data
         stats = _RunningStats()
         for ex in examples:
             stats.add(ex.output.value)
+        spread = stats.max - stats.min
+        if not (math.isfinite(stats.variance) and math.isfinite(spread * spread)):
+            # the variance of some tree node would overflow in training
+            raise NonFiniteStatistic(
+                f"regression targets from {stats.min!r} to {stats.max!r} are too far apart: their variance overflows"
+            )
         output_domain = RealDomain(stats.min, stats.max, stats.mean, stats.variance, stats.count)
 
     return Dataset(examples, feature_domain, output_domain, provenance)
@@ -567,6 +617,18 @@ class Model(ABC):
         """
         examples = tuple(examples)
         columns = compile_examples(examples, self.feature_domain, targets=False)
+        return self.predict_compiled(columns, [len(ex.features) for ex in examples], transformers)
+
+    def predict_compiled(
+        self, columns: Columns, features_total: Sequence[int], transformers: Sequence = ()
+    ) -> list[Prediction]:
+        """Score rows already compiled against the model's domain, as
+        :meth:`predict_batch` scores the examples they were compiled from.
+
+        ``features_total`` holds each row's feature count before names
+        outside the domain were dropped.  ``transformers`` and
+        :class:`NoFeatureOverlap` are as in :meth:`predict_batch`.
+        """
         for transformer in transformers:
             columns = transformer.rescale(self.feature_domain, columns)
         used = np.diff(columns.indptr)
@@ -577,8 +639,8 @@ class Model(ABC):
             raise NoFeatureOverlap("no part of the model overlaps an example's features")
         warnings = self._range_warnings(columns)
         return [
-            Prediction(output, scores, n_used, len(ex.features), warnings.get(i, ()))
-            for i, ((output, scores), n_used, ex) in enumerate(zip(scored, used.tolist(), examples))
+            Prediction(output, scores, n_used, n_total, warnings.get(i, ()))
+            for i, ((output, scores), n_used, n_total) in enumerate(zip(scored, used.tolist(), features_total))
         ]
 
     @cached_property

@@ -14,11 +14,13 @@ import io
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    BATCH_ROWS,
     CATEGORICAL,
     REAL,
     Columns,
@@ -26,17 +28,22 @@ from .core import (
     Example,
     FeatureDomain,
     FeatureValue,
+    Output,
     RealOutput,
     CategoricalOutput,
     UNKNOWN,
+    check_feature_name,
+    checked_example,
+    compile_features,
     dataset_from_examples,
-    make_example,
 )
 from .errors import (
     CsvParseError,
+    EmptyExample,
     HeaderMismatch,
     MissingResponse,
     NonFiniteFeature,
+    NonFiniteStatistic,
     ParseError,
     UnparseableNumeric,
 )
@@ -80,6 +87,7 @@ class FieldProcessor:
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL_FIELD, TEXT):
             raise ValueError(f"unknown field kind {self.kind!r}")
+        check_feature_name(self.column)  # every feature name of the column starts with it
 
 
 @dataclass(frozen=True)
@@ -102,6 +110,11 @@ class ColumnarSchema:
 
     def columns(self) -> tuple[str, ...]:
         return tuple(p.column for p in self.processors)
+
+    @cached_property
+    def featurizer(self) -> "RowFeaturizer":
+        """The featurizer of this schema; it remembers the names it has checked."""
+        return RowFeaturizer(self)
 
     def provenance(self) -> PObj:
         return object_provenance(
@@ -148,6 +161,69 @@ def _text(v: ProvValue) -> str:
     return v.value
 
 
+class RowFeaturizer:
+    """Turns rows of one schema into name-sorted features.
+
+    Numeric columns parse directly, categorical columns binarize as
+    ``column@value`` and text columns become ``column@token`` counts; a
+    name met more than once in a row sums its values in column order, as
+    :func:`~pvml.core.make_example` merges pairs.  Each distinct name is
+    checked once per featurizer, since every check after the first would
+    give the same answer.
+    """
+
+    def __init__(self, schema: ColumnarSchema):
+        self.schema = schema
+        self._checked: set[str] = set()
+        self._fields = tuple((p.column, p.kind, f"{p.column}@") for p in schema.processors)
+
+    def merge(self, row: Mapping[str, str]) -> tuple[list[str], list[float], Output]:
+        """The row's feature names in order, their values, and its output.
+
+        Raises, in this order: :class:`UnparseableNumeric` for a numeric
+        cell, :class:`MissingResponse` or :class:`UnparseableNumeric` for
+        the response cell, :class:`EmptyExample` for a row without
+        features and :class:`InvalidFeatureName` for its first bad name.
+        """
+        merged: dict[str, float] = {}
+        get = merged.get
+        for column, kind, prefix in self._fields:
+            cell = row.get(column, "")
+            if cell == "":
+                continue
+            if kind == NUMERIC:
+                merged[column] = get(column, 0.0) + _parse_numeric(column, cell)
+            elif kind == CATEGORICAL_FIELD:
+                name = prefix + cell
+                merged[name] = get(name, 0.0) + 1.0
+            else:
+                for token in _TOKEN.findall(cell.lower()):
+                    name = prefix + token
+                    merged[name] = get(name, 0.0) + 1.0
+        output = self._output(row)
+        if not merged:
+            raise EmptyExample("an example needs at least one feature")
+        names = sorted(merged)
+        if not self._checked.issuperset(names):
+            for name in names:
+                if name not in self._checked:
+                    check_feature_name(name)
+                    self._checked.add(name)
+        return names, [merged[name] for name in names], output
+
+    def _output(self, row: Mapping[str, str]) -> Output:
+        """A missing response *key* means unlabelled; an empty response *cell* is an error."""
+        schema = self.schema
+        if schema.response_column not in row:
+            return UNKNOWN
+        cell = row[schema.response_column]
+        if cell == "":
+            raise MissingResponse(f"empty response cell in column {schema.response_column!r}")
+        if schema.response_type == CATEGORICAL:
+            return CategoricalOutput(cell)
+        return RealOutput(_parse_numeric(schema.response_column, cell))
+
+
 def featurize_row(schema: ColumnarSchema, row: Mapping[str, str]) -> Example:
     """Convert one row of strings into an example.
 
@@ -155,31 +231,16 @@ def featurize_row(schema: ColumnarSchema, row: Mapping[str, str]) -> Example:
     unlabelled example (prediction-time data); an empty response *cell* on
     data that carries the column is an error.
     """
-    pairs: list[tuple[str, float]] = []
-    for proc in schema.processors:
-        cell = row.get(proc.column, "")
-        if cell == "":
-            continue
-        if proc.kind == NUMERIC:
-            pairs.append((proc.column, _parse_numeric(proc.column, cell)))
-        elif proc.kind == CATEGORICAL_FIELD:
-            pairs.append((f"{proc.column}@{cell}", 1.0))
-        else:
-            for token in _TOKEN.findall(cell.lower()):
-                pairs.append((f"{proc.column}@{token}", 1.0))
+    names, values, output = schema.featurizer.merge(row)
+    _check_finite(names, values)
+    return checked_example(names, values, output)
 
-    if schema.response_column not in row:
-        output = UNKNOWN
-    else:
-        cell = row[schema.response_column]
-        if cell == "":
-            raise MissingResponse(f"empty response cell in column {schema.response_column!r}")
-        if schema.response_type == CATEGORICAL:
-            output = CategoricalOutput(cell)
-        else:
-            output = RealOutput(_parse_numeric(schema.response_column, cell))
 
-    return make_example(pairs, output)
+def _check_finite(names: Sequence[str], values: Sequence[float]) -> None:
+    """Raise :class:`NonFiniteFeature` for the first non-finite value of ``values``."""
+    if not all(map(math.isfinite, values)):
+        name, value = next((n, v) for n, v in zip(names, values) if not math.isfinite(v))
+        raise NonFiniteFeature(f"feature {name!r} has non-finite value {value!r}")
 
 
 def _parse_numeric(column: str, cell: str) -> float:
@@ -299,6 +360,30 @@ class CsvDataSource:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def compiled(self, domain: FeatureDomain) -> Iterator[tuple[Columns, list[int]]]:
+        """The rows compiled against ``domain``, :data:`~pvml.core.BATCH_ROWS`
+        at a time, for :meth:`~pvml.core.Model.predict_compiled`.
+
+        Each chunk is the :class:`Columns` that ``compile_examples(...,
+        targets=False)`` makes of the rows' examples, with each row's
+        feature count before names outside ``domain`` were dropped.  A row
+        that :func:`featurize_row` rejects raises the same error here; no
+        example is built.
+        """
+        featurizer = self.schema.featurizer
+        for start in range(0, len(self._rows), BATCH_ROWS):
+            names: list[str] = []
+            values: list[float] = []
+            totals: list[int] = []
+            for row in self._rows[start:start + BATCH_ROWS]:
+                row_names, row_values, _ = featurizer.merge(row)
+                names += row_names
+                values += row_values
+                totals.append(len(row_names))
+            _check_finite(names, values)
+            indptr, ids, array = compile_features(names, np.array(values, dtype=np.float64), totals, domain)
+            yield Columns(indptr, ids, array, np.empty(0), np.ones(len(totals))), totals
+
 
 def load_csv(path: str, schema: ColumnarSchema) -> CsvDataSource:
     return CsvDataSource(path, schema)
@@ -405,7 +490,8 @@ def fit_transformers(dataset: Dataset, spec: TransformSpec) -> TransformerMap:
     Statistics come from the feature domain, so implicit zeros of absent
     features are not counted.  Degenerate fits (zero spread) become
     identity transforms and are reported in ``warnings`` rather than
-    failing the pipeline.
+    failing the pipeline.  A z-score over a feature whose mean or variance
+    overflowed raises :class:`NonFiniteStatistic`.
     """
     names = spec.features if spec.features is not None else dataset.feature_domain.names()
     fits: dict[str, FeatureFit] = {}
@@ -418,6 +504,8 @@ def fit_transformers(dataset: Dataset, spec: TransformSpec) -> TransformerMap:
         info = dataset.feature_domain[name]
         if spec.kind == ZSCORE:
             std = math.sqrt(info.variance)
+            if not (math.isfinite(info.mean) and math.isfinite(std)):
+                raise NonFiniteStatistic(f"cannot fit a z-score to feature {name!r}: its mean or variance overflows")
             if std == 0.0:
                 fits[name] = IdentityFit()
                 warnings.append(f"degenerate:{name}")

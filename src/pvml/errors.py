@@ -15,6 +15,14 @@ class NonFiniteFeature(PvmlError):
     """A feature value was NaN or infinite."""
 
 
+class InvalidFeatureName(PvmlError, ValueError):
+    """A feature or schema column name was empty or held a control character."""
+
+
+class NonFiniteStatistic(PvmlError):
+    """A statistic of a dataset (a mean, variance or spread) overflowed."""
+
+
 class EmptyExample(PvmlError):
     """An example ended up with no features."""
 

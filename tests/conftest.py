@@ -1,6 +1,7 @@
 """Shared fixtures: deterministic CSV files and small in-memory datasets."""
 
 import pytest
+from hypothesis import settings
 
 from pvml import (
     CATEGORICAL,
@@ -13,6 +14,10 @@ from pvml import (
     build_dataset,
     make_example,
 )
+
+# ``--hypothesis-profile=ci`` draws the same examples on every run, so a CI
+# failure reproduces locally with the same option.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
 
 CLF_ROWS = [
     # f1, f2, color, label: label is "a" for small f1, "b" for large f1

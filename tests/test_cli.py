@@ -11,6 +11,7 @@ from pvml.data import ColumnarSchema, FieldProcessor, TransformSpec, fit_transfo
 from pvml.optimize import AdaGrad, LinearSgdTrainer
 from pvml.provenance import (
     PInt,
+    PStr,
     config_section,
     config_to_json,
     extract_configuration,
@@ -171,6 +172,47 @@ class TestExitCodes:
              "--schema", str(schema_path), "--report", str(tmp_path / "r.json")]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_control_character_in_a_categorical_cell_is_2(self, workspace, tmp_path, command, capsys):
+        assert _train(workspace) == 0
+        data = tmp_path / "bad.csv"
+        data.write_text("f1,f2,color,label\n0.1,1.0,am\x01ber,a\n2.0,0.5,red,b\n", encoding="utf-8")
+        argv = [command, "--data", str(data), "--schema", workspace["schema"]]
+        if command == "train":
+            argv += ["--trainer", workspace["trainer"], "--output", str(tmp_path / "other.pvml")]
+        else:
+            argv += ["--model", workspace["model"], "--out", str(tmp_path / "predictions.csv")]
+        assert main(argv) == 2
+        assert "control characters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("column", ["", "co\x01lor"])
+    def test_bad_schema_column_name_is_2(self, workspace, tmp_path, command, column, capsys):
+        assert _train(workspace) == 0
+        schema = tmp_path / "bad-schema.json"
+        schema.write_text(Path(workspace["schema"]).read_text().replace('"color"', json.dumps(column)))
+        argv = [command, "--data", workspace["data"], "--schema", str(schema)]
+        if command == "train":
+            argv += ["--trainer", workspace["trainer"], "--output", str(tmp_path / "other.pvml")]
+        else:
+            argv += ["--model", workspace["model"], "--out", str(tmp_path / "predictions.csv")]
+        assert main(argv) == 2
+        assert "invalid schema: feature name" in capsys.readouterr().err
+
+    def test_zscore_over_an_overflowing_variance_is_2(self, workspace, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("f1,f2,color,label\n1e300,1,red,a\n-1e300,2,red,b\n5,3,red,a\n1e300,4,red,b\n")
+        transform = tmp_path / "transform.json"
+        transform.write_text(config_to_json(extract_configuration(
+            object_provenance("pvml.ZScoreTransform", config={"features": PStr("*")})
+        )))
+        rc = main(
+            ["train", "--data", str(data), "--schema", workspace["schema"], "--trainer", workspace["trainer"],
+             "--output", workspace["model"], "--transform", str(transform)]
+        )
+        assert rc == 2
+        assert "cannot fit a z-score to feature 'f1'" in capsys.readouterr().err
 
     def test_failed_predict_leaves_no_file(self, workspace, tmp_path):
         assert _train(workspace) == 0

@@ -1,0 +1,228 @@
+"""CSV rows compiled straight to scoring columns.
+
+``CsvDataSource.compiled`` followed by ``Model.predict_compiled`` must give
+what ``featurize_row``, ``compile_examples`` and ``Model.predict_batch``
+give, bit for bit, and reject a bad row with the same exception class.
+"""
+
+import csv
+import os
+import re
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from pvml import CATEGORICAL, CategoricalOutput, InMemoryDataSource, build_dataset, make_example
+from pvml.core import BATCH_ROWS, compile_examples, predict_chunked
+from pvml.core import UNKNOWN
+from pvml.data import ColumnarSchema, CsvDataSource, FieldProcessor, _parse_numeric, featurize_row
+from pvml.errors import InvalidFeatureName, MissingResponse, PvmlError
+from pvml.optimize import AdaGrad, train_linear_sgd
+from pvml.trees import TreeConfig, train_cart
+
+from test_batch import _bits
+
+# ``a@b`` (numeric) collides with text column ``a``'s token ``b``, and
+# ``c@r`` (numeric) with categorical column ``c``'s value ``r``; a name met
+# twice in a row sums in column order.
+PROCESSORS = [
+    FieldProcessor("n", "numeric"),
+    FieldProcessor("a@b", "numeric"),
+    FieldProcessor("c@r", "numeric"),
+    FieldProcessor("c", "categorical"),
+    FieldProcessor("a", "text"),
+]
+
+_TRAINING = build_dataset(
+    InMemoryDataSource(
+        [
+            make_example(features, CategoricalOutput(label))
+            for features, label in [
+                ([("n", 1.0), ("a@b", 2.0), ("c@r", 1.0)], "p"),
+                ([("n", -2.0), ("a@c", 1.0), ("c@red", 1.0)], "q"),
+                ([("a@b", 1.0), ("a@zz", 3.0)], "p"),
+                ([("n", 0.5), ("c@r", 2.0), ("a@9", 1.0)], "q"),
+                ([("a@c", 2.0), ("c@red", 1.0), ("n", 4.0)], "p"),
+                ([("a@zz", 1.0), ("n", -1.0)], "q"),
+            ]
+        ],
+        "compiled-rows",
+    )
+)
+
+MODELS = {
+    "linear": train_linear_sgd(_TRAINING, "logistic", AdaGrad(0.3), 4, 3, 5),
+    "cart": train_cart(_TRAINING, TreeConfig(max_depth=3)),
+}
+
+NUMERIC_CELLS = st.one_of(
+    # 1e16 + 1.0 rounds back to 1e16, so the order of a merged sum shows in its bits
+    st.sampled_from(["", "", "1.5", "-0.0", "0", "2", "1e16", "1e308", "-3.25", "nan", "inf", "x"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+CATEGORICAL_CELLS = st.one_of(
+    st.sampled_from(["", "r", "red", "b", "x y", "am\x01ber", "\x7f"]),
+    st.text(alphabet="abr@ ,\"", max_size=4),
+)
+TEXT_CELLS = st.lists(st.sampled_from(["b", "B", "c", "zz", "b", "9", ",", "!", "Q@b", ""]), max_size=6).map(" ".join)
+CELLS = {"numeric": NUMERIC_CELLS, "categorical": CATEGORICAL_CELLS, "text": TEXT_CELLS}
+RESPONSES = st.sampled_from(["p", "q", "unseen", ""])
+
+
+@st.composite
+def csv_inputs(draw, max_rows=8):
+    """A schema over a random subset of the processors, in random order, and
+    rows for it, with or without the response column."""
+    processors = draw(st.lists(st.sampled_from(PROCESSORS), min_size=1, unique=True))
+    labelled = draw(st.booleans())
+    header = [p.column for p in processors] + (["y"] if labelled else [])
+    rows = draw(
+        st.lists(
+            st.tuples(*[CELLS[p.kind] for p in processors], *([RESPONSES] if labelled else [])),
+            min_size=1,
+            max_size=max_rows,
+        )
+    )
+    return processors, header, rows
+
+
+def _write_csv(directory, header, rows):
+    path = os.path.join(directory, "rows.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _source(path, processors):
+    """A source over its own schema object, so no name checked by one path is
+    taken as checked by the other."""
+    return CsvDataSource(path, ColumnarSchema("y", CATEGORICAL, tuple(processors)))
+
+
+def _arrays(columns):
+    return tuple(
+        (a.dtype.str, a.shape, a.tobytes())
+        for a in (columns.indptr, columns.feature_ids, columns.values, columns.targets, columns.weights)
+    )
+
+
+def _scored(score):
+    try:
+        with np.errstate(over="ignore"):  # softmax of drawn values near the float limit
+            return [_bits(p) for p in score()]
+    except PvmlError as exc:
+        return type(exc)
+
+
+def _by_examples(path, processors, model):
+    """Featurize every row to an example, then compile and score the batch."""
+    source = _source(path, processors)
+    try:
+        examples = list(source)
+    except PvmlError as exc:
+        return type(exc)
+    columns = compile_examples(examples, model.feature_domain, targets=False)
+    totals = [len(ex.features) for ex in examples]
+    return _arrays(columns), totals, _scored(lambda: model.predict_batch(examples))
+
+
+def _by_columns(path, processors, model):
+    source = _source(path, processors)
+    try:
+        (columns, totals), = source.compiled(model.feature_domain)
+    except PvmlError as exc:
+        return type(exc)
+    return _arrays(columns), totals, _scored(lambda: model.predict_compiled(columns, totals))
+
+
+class TestCompiledEqualsExamples:
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(inputs=csv_inputs())
+    def test_columns_totals_and_predictions_bit_for_bit(self, kind, inputs):
+        processors, header, rows = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_csv(tmp, header, rows)
+            assert _by_columns(path, processors, MODELS[kind]) == _by_examples(path, processors, MODELS[kind])
+
+    def test_chunks_of_batch_rows(self, tmp_path):
+        rows = [(str(i % 7 - 3), "red" if i % 3 else "r", "b " * (i % 4) + "zz") for i in range(2 * BATCH_ROWS + 5)]
+        processors = [PROCESSORS[0], PROCESSORS[3], PROCESSORS[4]]
+        path = _write_csv(tmp_path, ["n", "c", "a"], rows)
+        model = MODELS["linear"]
+        chunks = list(_source(path, processors).compiled(model.feature_domain))
+        assert [len(totals) for _, totals in chunks] == [BATCH_ROWS, BATCH_ROWS, 5]
+        got = [_bits(p) for columns, totals in chunks for p in model.predict_compiled(columns, totals)]
+        want = [_bits(p) for p in predict_chunked(model, list(_source(path, processors)))]
+        assert got == want
+
+
+def _pairs_then_make_example(schema, row):
+    """The featurization before names were checked once: every (name, value)
+    pair in column order, merged and validated by ``make_example``."""
+    pairs = []
+    for proc in schema.processors:
+        cell = row.get(proc.column, "")
+        if cell == "":
+            continue
+        if proc.kind == "numeric":
+            pairs.append((proc.column, _parse_numeric(proc.column, cell)))
+        elif proc.kind == "categorical":
+            pairs.append((f"{proc.column}@{cell}", 1.0))
+        else:
+            pairs.extend((f"{proc.column}@{token}", 1.0) for token in re.findall("[a-z0-9]+", cell.lower()))
+    output = UNKNOWN
+    if "y" in row:
+        if row["y"] == "":
+            raise MissingResponse("empty response cell")
+        output = CategoricalOutput(row["y"])
+    return make_example(pairs, output)
+
+
+def _example_bits(featurize):
+    try:
+        example = featurize()
+    except PvmlError as exc:
+        return type(exc)
+    return [(f.name, float.hex(f.value)) for f in example.features], example.output, example.weight
+
+
+class TestFeaturizeRow:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=csv_inputs(max_rows=1))
+    @example(inputs=([PROCESSORS[4], PROCESSORS[1]], ["a", "a@b"], [("b b", "1e16")]))
+    @example(inputs=([PROCESSORS[1], PROCESSORS[4]], ["a@b", "a"], [("1e16", "b b")]))
+    def test_equals_pairs_merged_by_make_example(self, inputs):
+        processors, header, (cells,) = inputs
+        schema = ColumnarSchema("y", CATEGORICAL, tuple(processors))
+        row = dict(zip(header, cells))
+        assert _example_bits(lambda: featurize_row(schema, row)) == _example_bits(
+            lambda: _pairs_then_make_example(schema, row)
+        )
+
+
+class TestNamesCheckedOnce:
+    def test_each_distinct_name_once_per_featurizer(self, monkeypatch, tmp_path):
+        import pvml.data
+
+        seen = []
+        check = pvml.data.check_feature_name
+        monkeypatch.setattr(pvml.data, "check_feature_name", lambda name: seen.append(name) or check(name))
+        path = _write_csv(tmp_path, ["a", "c"], [("b b zz", "r"), ("zz b", "r"), ("b", "red")])
+        source = _source(path, [PROCESSORS[4], PROCESSORS[3]])
+        list(source)
+        list(source.compiled(MODELS["cart"].feature_domain))
+        assert sorted(seen) == ["a@b", "a@zz", "c@r", "c@red"]
+
+    def test_a_bad_name_is_never_taken_as_checked(self, tmp_path):
+        path = _write_csv(tmp_path, ["c"], [("am\x01ber",), ("red",)])
+        source = _source(path, [PROCESSORS[3]])
+        for _ in range(2):
+            with pytest.raises(InvalidFeatureName):
+                list(source)
+            with pytest.raises(InvalidFeatureName):
+                list(source.compiled(MODELS["cart"].feature_domain))

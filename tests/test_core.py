@@ -28,7 +28,9 @@ from pvml.errors import (
     EmptySource,
     MixedOutputTypes,
     NoFeatureOverlap,
+    InvalidFeatureName,
     NonFiniteFeature,
+    NonFiniteStatistic,
     OutputTypeMismatch,
     UnlabelledExample,
 )
@@ -62,7 +64,7 @@ class TestMakeExample:
 
     def test_control_characters_rejected(self):
         for bad in ("\x00", "\x1f", "\x7f", "\x9f"):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidFeatureName):
                 make_example([(f"a{bad}b", 1.0)])
         for fine in ("\x20", "\x7e", "\xa0"):
             assert make_example([(f"a{fine}b", 1.0)]).features[0].name == f"a{fine}b"
@@ -117,6 +119,13 @@ class TestBuildDataset:
         assert info.mean == pytest.approx(2.0, abs=1e-12)
         assert info.variance == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert (info.min, info.max, info.count) == (1.0, 3.0, 3)
+
+    def test_regression_targets_whose_variance_overflows_are_rejected(self):
+        # legal floats up to 2**1019, whose squares overflow: CART's node
+        # variance raised OverflowError in training before this check
+        examples = [make_example([("x", float(i))], RealOutput(2.0**i)) for i in range(1020)]
+        with pytest.raises(NonFiniteStatistic):
+            build_dataset(InMemoryDataSource(examples))
 
     def test_mixed_outputs_rejected(self):
         examples = [

@@ -18,7 +18,9 @@ from pvml.data import (
 from pvml.errors import (
     CsvParseError,
     HeaderMismatch,
+    InvalidFeatureName,
     MissingResponse,
+    NonFiniteStatistic,
     UnparseableNumeric,
 )
 from pvml.provenance import PHash, instance_section, provenance_hash
@@ -73,6 +75,15 @@ class TestFeaturizeRow:
     def test_empty_response_cell_is_an_error(self, mixed_schema):
         with pytest.raises(MissingResponse):
             featurize_row(mixed_schema, {"age": "1.0", "label": ""})
+
+    def test_control_character_in_a_categorical_cell(self, mixed_schema):
+        with pytest.raises(InvalidFeatureName):
+            featurize_row(mixed_schema, {"color": "am\x01ber", "label": "y"})
+
+    @pytest.mark.parametrize("column", ["", "a\x85b"])
+    def test_bad_column_names_rejected(self, column):
+        with pytest.raises(InvalidFeatureName):
+            FieldProcessor(column, "categorical")
 
     def test_real_response_parsed(self):
         schema = ColumnarSchema("y", REAL, (FieldProcessor("f", "numeric"),))
@@ -158,6 +169,10 @@ class TestFitTransformers:
         t = fit_transformers(self._dataset([5.0, 5.0]), TransformSpec("zscore"))
         assert "degenerate:a" in t.warnings
         assert t.fits["a"].apply(5.0) == 5.0
+
+    def test_zscore_over_an_overflowing_variance_is_rejected(self):
+        with pytest.raises(NonFiniteStatistic, match="'a'"):
+            fit_transformers(self._dataset([1e300, -1e300, 5.0, 1e300]), TransformSpec("zscore"))
 
     def test_minmax_fit(self):
         t = fit_transformers(self._dataset([2.0, 4.0]), TransformSpec("minmax"))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pvml.cli import main
+from pvml.data import ColumnarSchema, CsvDataSource, FieldProcessor
 from pvml.errors import FormatError, MissingProperty, ParseError, PvmlError, UnknownTag
 from pvml.persist import load_model, model_to_container, save_model
 from pvml.provenance import (
@@ -502,3 +503,50 @@ class TestFuzzTrainerDocuments:
                     trainer.train(dataset)
             except PvmlError:
                 pass
+
+
+_CSV_SCHEMA = (
+    "y",
+    "categorical",
+    (FieldProcessor("x", "numeric"), FieldProcessor("c", "categorical"), FieldProcessor("t", "text")),
+)
+_CSV_DOMAIN = _DATASETS[0].feature_domain
+_CSV_TEXT = st.lists(st.sampled_from([*'xcty,"\n\r ab1.5e-\x00\x01\x85\u2028\xe9', "nan", "1e999"]), max_size=40).map("".join)
+_CSV_CELLS = st.lists(st.sampled_from([*'xab1.5e- "\x01\x85\xe9', "nan", "1e999", "-0.0"]), max_size=5).map("".join)
+_CSV_ROWS = st.lists(st.lists(_CSV_CELLS, min_size=4, max_size=4).map(",".join), max_size=5).map("\n".join)
+_CSV_FILES = st.one_of(
+    st.binary(max_size=120),
+    _CSV_TEXT.map(str.encode),
+    _CSV_TEXT.map(lambda body: ("x,c,t,y\n" + body).encode()),
+    _CSV_ROWS.map(lambda body: ("x,c,t,y\n" + body).encode()),
+    _CSV_ROWS.map(lambda body: ("y,t,c,x\r\n" + body).encode()),
+)
+
+
+def _csv_outcomes(path):
+    """What ``__iter__`` and ``compiled`` make of the file, each through its own
+    schema object: the examples and the chunks, or the class of the error."""
+    outcomes = []
+    for featurize in (list, lambda source: list(source.compiled(_CSV_DOMAIN))):
+        try:
+            source = CsvDataSource(path, ColumnarSchema(*_CSV_SCHEMA))
+            outcomes.append(featurize(source))
+        except PvmlError as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
+
+class TestFuzzCsvFiles:
+    @given(_CSV_FILES)
+    @_fuzz(300)
+    def test_featurizes_or_raises(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            examples, chunks = _csv_outcomes(path)
+        if isinstance(examples, type):
+            assert chunks is examples
+            return
+        assert sum(len(totals) for _, totals in chunks) == len(examples)
+        assert [n for _, totals in chunks for n in totals] == [len(ex.features) for ex in examples]
