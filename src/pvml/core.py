@@ -145,9 +145,6 @@ class Example:
         if not (self.weight > 0 and math.isfinite(self.weight)):
             raise ValueError("example weight must be a positive finite float")
 
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.features)
-
     def as_dict(self) -> dict[str, float]:
         return {f.name: f.value for f in self.features}
 
@@ -596,7 +593,7 @@ class Model(ABC):
             raise NoFeatureOverlap(
                 "example shares no features with the model's training domain"
             )
-        output, scores = self._predict_intersected(example, sparse)
+        output, scores = self._predict_intersected(sparse)
         return Prediction(
             output=output,
             scores=scores,
@@ -667,27 +664,24 @@ class Model(ABC):
     def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]] | None]:
         """Score each row compiled against the model's domain; None rejects a row as no overlap.
 
-        This default goes row by row through :meth:`_predict_intersected`,
-        with an example rebuilt from the row's known features.  Subclasses
-        override it with array kernels.
+        This default passes each row's ``{id: value}`` to
+        :meth:`_predict_intersected`.  Subclasses may override it with array
+        kernels.
         """
-        names = self.feature_domain.names()
         ids, values, bounds = columns.feature_ids.tolist(), columns.values.tolist(), columns.indptr.tolist()
         out: list[tuple[Output, dict[str, float]] | None] = []
         for start, end in zip(bounds, bounds[1:]):
-            sparse = dict(zip(ids[start:end], values[start:end]))
             try:
-                example = Example(tuple(FeatureValue(names[i], v) for i, v in sparse.items()))
-                out.append(self._predict_intersected(example, sparse))
-            except (EmptyExample, NoFeatureOverlap):
+                out.append(self._predict_intersected(dict(zip(ids[start:end], values[start:end]))))
+            except NoFeatureOverlap:
                 out.append(None)
         return out
 
     @abstractmethod
-    def _predict_intersected(
-        self, example: Example, sparse: Mapping[int, float]
-    ) -> tuple[Output, dict[str, float]]:
-        """Score the intersected sparse vector; absent ids mean 0.0."""
+    def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
+        """Score one example's intersected sparse vector, ``{feature id: value}``
+        over ids the model's domain knows; absent ids mean 0.0.  Raising
+        :class:`NoFeatureOverlap` rejects the example."""
 
 
 def predict(model: Model, example: Example, expected_task: str | None = None) -> Prediction:

@@ -419,11 +419,8 @@ class ZScoreFit:
     mean: float
     std: float
 
-    def apply(self, value: float) -> float:
-        return (value - self.mean) / self.std
-
     def affine(self) -> tuple[float, float]:
-        """``(shift, divisor)`` such that ``apply(v) == (v - shift) / divisor``."""
+        """``(shift, divisor)``: the fit rewrites a value ``v`` as ``(v - shift) / divisor``."""
         return self.mean, self.std
 
 
@@ -432,9 +429,6 @@ class MinMaxFit:
     lo: float
     hi: float
 
-    def apply(self, value: float) -> float:
-        return (value - self.lo) / (self.hi - self.lo)
-
     def affine(self) -> tuple[float, float]:
         return self.lo, self.hi - self.lo
 
@@ -442,9 +436,6 @@ class MinMaxFit:
 @dataclass(frozen=True)
 class IdentityFit:
     """Stand-in for a degenerate fit (constant feature); values pass through."""
-
-    def apply(self, value: float) -> float:
-        return value
 
     def affine(self) -> tuple[float, float]:
         return 0.0, 1.0  # (v - 0.0) / 1.0 is v, signed zeros included
@@ -462,6 +453,12 @@ class TransformerMap:
     warnings: tuple[str, ...]
     provenance: PObj
 
+    @cached_property
+    def affine(self) -> dict[str, tuple[float, float]]:
+        """Each fitted feature's ``(shift, divisor)``, computed once: :meth:`rescale`
+        and :func:`apply_transformers` rewrite its value ``v`` as ``(v - shift) / divisor``."""
+        return {name: fit.affine() for name, fit in self.fits.items()}
+
     def rescale(self, domain: FeatureDomain, columns: Columns) -> Columns:
         """``columns``, compiled against ``domain``, with every value rewritten
         as :func:`apply_transformers` rewrites it: the same IEEE
@@ -470,10 +467,10 @@ class TransformerMap:
         raises :class:`NonFiniteFeature`.
         """
         shift, divisor = np.zeros(len(domain)), np.ones(len(domain))
-        for name, fit in self.fits.items():
+        for name, pair in self.affine.items():
             fid = domain.id_of(name)
             if fid is not None:
-                shift[fid], divisor[fid] = fit.affine()
+                shift[fid], divisor[fid] = pair
         ids = columns.feature_ids
         with np.errstate(all="ignore"):
             values = (columns.values - shift.take(ids)) / divisor.take(ids)
@@ -534,18 +531,17 @@ def fit_transformers(dataset: Dataset, spec: TransformSpec) -> TransformerMap:
 
 
 def apply_transformers(dataset: Dataset, transformer: TransformerMap) -> Dataset:
-    """Rewrite feature values through the fitted transforms.
+    """Rewrite feature values through the fitted transforms' :attr:`TransformerMap.affine` pairs.
 
     Features without a fit pass through unchanged.  The result is a new
     dataset with recomputed domains and the transformation appended to the
     provenance's ordered transformation list.
     """
+    affine = transformer.affine
     new_examples = []
     for ex in dataset.examples:
         feats = tuple(
-            FeatureValue(f.name, transformer.fits[f.name].apply(f.value))
-            if f.name in transformer.fits
-            else f
+            f if (pair := affine.get(f.name)) is None else FeatureValue(f.name, (f.value - pair[0]) / pair[1])
             for f in ex.features
         )
         new_examples.append(Example(feats, ex.output, ex.weight))

@@ -184,13 +184,19 @@ class EnsembleModel(Model):
         self.members = tuple(members)
         self.member_weights = tuple(member_weights)
 
-    def _predict_intersected(self, example, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
+    def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
+        """Each member scores the vector mapped to its own ids through
+        :attr:`_member_ids`; the results merge through :func:`combine`."""
+        ids = np.fromiter(sparse, dtype=np.intp, count=len(sparse))
         preds, used_weights = [], []
-        for member, weight in zip(self.members, self.member_weights):
-            try:
-                preds.append(member.predict(example))
-            except NoFeatureOverlap:
+        for member, weight, member_ids in zip(self.members, self.member_weights, self._member_ids):
+            local = {m: v for m, v in zip(member_ids.take(ids).tolist(), sparse.values()) if m >= 0}
+            if not local:
                 continue  # a member whose bootstrap never saw these features
+            try:
+                preds.append(Prediction(*member._predict_intersected(local), 0, 0))
+            except NoFeatureOverlap:
+                continue  # a nested ensemble none of whose members overlaps them
             used_weights.append(weight)
         if not preds:
             raise NoFeatureOverlap("no ensemble member overlaps the example's features")

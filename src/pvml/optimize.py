@@ -268,7 +268,7 @@ class LinearSgdModel(Model):
             return len(self.output_domain.labels())
         return 1
 
-    def _predict_intersected(self, example, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
+    def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
         x = np.zeros(len(self.feature_domain) + 1)
         x[-1] = 1.0
         for fid, value in sparse.items():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import uuid
 from typing import Callable
@@ -29,7 +30,7 @@ from .core import (
     RealDomain,
 )
 from .ensemble import ENSEMBLE_MODEL_CLASS, EnsembleModel
-from .errors import FormatError, TaskMismatch, UnknownModelClass
+from .errors import FormatError, NonFiniteStatistic, TaskMismatch, UnknownModelClass
 from .optimize import LINEAR_MODEL_CLASS, LinearSgdModel
 from .provenance import from_json_value, to_json_value
 from .trees import TREE_MODEL_CLASS, LeafNode, SplitNode, TreeModel, TreeNode
@@ -53,7 +54,17 @@ def _s2f(text) -> float:
 # Domains
 # ---------------------------------------------------------------------------
 
+def _check_finite(domain: FeatureDomain, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first feature, in name order, with a statistic that is not finite."""
+    for name, info in domain.items():
+        if not all(map(math.isfinite, (info.min, info.max, info.mean, info.variance))):
+            raise error(f"feature {name!r} has a non-finite statistic")
+
+
 def feature_domain_to_json(domain: FeatureDomain) -> dict:
+    """The domain as JSON; a statistic that is not finite, such as a mean
+    whose running sum overflowed, raises :class:`NonFiniteStatistic`."""
+    _check_finite(domain, NonFiniteStatistic)
     return {
         "features": {
             name: {
@@ -82,9 +93,11 @@ def feature_domain_from_json(node: dict) -> FeatureDomain:
             )
             for name, entry in node["features"].items()
         }
-        return FeatureDomain(infos)
+        domain = FeatureDomain(infos)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed feature domain: {exc}") from exc
+    _check_finite(domain, FormatError)
+    return domain
 
 
 def output_domain_to_json(domain: OutputDomain) -> dict:
@@ -145,13 +158,17 @@ def _tree_node_to_json(node: TreeNode) -> dict:
     return leaf
 
 
-def _tree_node_from_json(node: dict) -> TreeNode:
+def _tree_node_from_json(node: dict, width: int) -> TreeNode:
+    """The tree under ``node``; a split must name a feature id below ``width``."""
     if node["kind"] == "split":
+        feature = node["feature"]
+        if type(feature) is not int or not 0 <= feature < width:
+            raise FormatError(f"split feature {feature!r} is not an id of the {width}-feature domain")
         return SplitNode(
-            node["feature"],
+            feature,
             _s2f(node["threshold"]),
-            _tree_node_from_json(node["left"]),
-            _tree_node_from_json(node["right"]),
+            _tree_node_from_json(node["left"], width),
+            _tree_node_from_json(node["right"], width),
         )
     if node["kind"] == "leaf":
         if "counts" in node:
@@ -165,7 +182,7 @@ def _tree_params(model: TreeModel) -> dict:
 
 
 def _tree_restore(container: dict, name, prov, fd, od) -> TreeModel:
-    return TreeModel(name, prov, fd, od, _tree_node_from_json(container["parameters"]["root"]))
+    return TreeModel(name, prov, fd, od, _tree_node_from_json(container["parameters"]["root"], len(fd)))
 
 
 def _ensemble_params(model: EnsembleModel) -> dict:

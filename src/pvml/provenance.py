@@ -208,25 +208,6 @@ class PObj:
 ProvValue = Union[PStr, PInt, PFlt, PBool, PTimestamp, PHash, PList, PMap, PObj]
 
 
-def to_prov(value) -> ProvValue:
-    """Lift a plain Python value into the provenance algebra."""
-    if isinstance(value, (PStr, PInt, PFlt, PBool, PTimestamp, PHash, PList, PMap, PObj)):
-        return value
-    if isinstance(value, bool):
-        return PBool(value)
-    if isinstance(value, int):
-        return PInt(value)
-    if isinstance(value, float):
-        return PFlt(value)
-    if isinstance(value, str):
-        return PStr(value)
-    if isinstance(value, Mapping):
-        return PMap({k: to_prov(v) for k, v in value.items()})
-    if isinstance(value, (list, tuple)):
-        return PList(tuple(to_prov(v) for v in value))
-    raise TypeError(f"cannot represent {type(value).__name__} as a provenance value")
-
-
 def timestamp_now() -> PTimestamp:
     ns = time.time_ns()
     return PTimestamp(ns // 1_000_000_000, ns % 1_000_000_000)

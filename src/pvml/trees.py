@@ -86,7 +86,8 @@ class FlatTree:
 
     Node ``i`` splits on ``feature[i]`` at ``threshold[i]`` into nodes
     ``left[i]`` and ``right[i]``; a leaf has ``left[i] == -1`` and its
-    ``(output, scores)`` in ``leaves[i]``.
+    ``(output, scores)`` in ``leaves[i]``.  ``nodes[i]`` holds the same
+    four entries as Python numbers, for walking one row.
     """
 
     feature: np.ndarray
@@ -94,6 +95,7 @@ class FlatTree:
     left: np.ndarray
     right: np.ndarray
     leaves: dict[int, tuple[Output, dict[str, float]]]
+    nodes: list[tuple[int, float, int, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +400,16 @@ class TreeModel(Model):
         super().__init__(name, provenance, feature_domain, output_domain)
         self.root = root
 
-    def _predict_intersected(self, example, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
-        node = self.root
-        while isinstance(node, SplitNode):
-            value = sparse.get(node.feature_id, 0.0)
-            node = node.left if value <= node.threshold else node.right
-        return self._leaf_output(node)
+    def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
+        """Walk :attr:`flat` from the root, as :meth:`leaves_of` walks many rows."""
+        nodes = self.flat.nodes
+        i = 0
+        feature, threshold, left, right = nodes[0]
+        while left >= 0:
+            i = left if sparse.get(feature, 0.0) <= threshold else right
+            feature, threshold, left, right = nodes[i]
+        output, scores = self.flat.leaves[i]
+        return output, dict(scores)
 
     def _leaf_output(self, leaf: LeafNode) -> tuple[Output, dict[str, float]]:
         if leaf.counts is not None:
@@ -419,33 +425,29 @@ class TreeModel(Model):
     def flat(self) -> FlatTree:
         """The tree as node arrays, built once with an explicit work list.
 
-        A split on a feature id outside the domain reads 0.0, as
-        ``sparse.get`` does in :meth:`_predict_intersected`; it is stored as
-        the id one past the domain.
+        A split on a feature id outside the domain reads 0.0, as an absent
+        feature does; it is stored as the id one past the domain.
         """
         width = len(self.feature_domain)
         nodes: list[TreeNode] = [self.root]
-        feature, threshold, left, right = [], [], [], []
+        table: list[tuple[int, float, int, int]] = []
         for node in nodes:  # grows while it is walked: children go to the back
             if isinstance(node, SplitNode):
                 fid = node.feature_id
-                feature.append(fid if isinstance(fid, int) and 0 <= fid < width else width)
-                threshold.append(node.threshold)
-                left.append(len(nodes))
-                right.append(len(nodes) + 1)
+                fid = fid if isinstance(fid, int) and 0 <= fid < width else width
+                table.append((fid, node.threshold, len(nodes), len(nodes) + 1))
                 nodes += (node.left, node.right)
             else:
-                feature.append(width)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
+                table.append((width, 0.0, -1, -1))
         leaves = {i: self._leaf_output(node) for i, node in enumerate(nodes) if isinstance(node, LeafNode)}
+        feature, threshold, left, right = zip(*table)
         return FlatTree(
             np.array(feature, dtype=np.int64),
             np.array(threshold, dtype=np.float64),
             np.array(left, dtype=np.intp),
             np.array(right, dtype=np.intp),
             leaves,
+            table,
         )
 
     @cached_property

@@ -214,6 +214,31 @@ class TestExitCodes:
         assert rc == 2
         assert "cannot fit a z-score to feature 'f1'" in capsys.readouterr().err
 
+    def test_overflowing_feature_statistics_are_2(self, workspace, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("f1,f2,color,label\n1.7e308,1,red,a\n-1.7e308,2,red,b\n5,3,red,a\n1,4,red,b\n")
+        rc = main(
+            ["train", "--data", str(data), "--schema", workspace["schema"], "--trainer", workspace["tree_trainer"],
+             "--output", workspace["model"]]
+        )
+        assert rc == 2
+        assert "feature 'f1' has a non-finite statistic" in capsys.readouterr().err
+        assert list(workspace["dir"].glob("model.pvml*")) == []
+
+    @pytest.mark.parametrize("command", ["predict", "reproduce"])
+    def test_non_finite_statistic_in_a_model_file_is_2(self, workspace, tmp_path, command, capsys):
+        assert _train(workspace, trainer_key="tree_trainer") == 0
+        container = json.loads(Path(workspace["model"]).read_text())
+        container["featureDomain"]["features"]["f1"]["variance"] = "nan"
+        Path(workspace["model"]).write_text(json.dumps(container))
+        argv = [command, "--model", workspace["model"]]
+        if command == "predict":
+            argv += ["--data", workspace["data"], "--schema", workspace["schema"], "--out", str(tmp_path / "p.csv")]
+        else:
+            argv += ["--output", str(tmp_path / "again.pvml")]
+        assert main(argv) == 2
+        assert "feature 'f1' has a non-finite statistic" in capsys.readouterr().err
+
     def test_failed_predict_leaves_no_file(self, workspace, tmp_path):
         assert _train(workspace) == 0
         score = tmp_path / "score.csv"

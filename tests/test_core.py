@@ -188,7 +188,7 @@ class _StubModel(Model):
         super().__init__("stub", prov, feature_domain, output_domain)
         self.seen_ids: list[set[int]] = []
 
-    def _predict_intersected(self, example, sparse):
+    def _predict_intersected(self, sparse):
         self.seen_ids.append(set(sparse))
         labels = self.output_domain.labels()
         scores = {label: (1.0 if i == 0 else 0.0) for i, label in enumerate(labels)}

@@ -168,7 +168,8 @@ class TestFitTransformers:
     def test_constant_feature_degenerates_to_identity(self):
         t = fit_transformers(self._dataset([5.0, 5.0]), TransformSpec("zscore"))
         assert "degenerate:a" in t.warnings
-        assert t.fits["a"].apply(5.0) == 5.0
+        assert t.affine["a"] == (0.0, 1.0)
+        assert [ex.features[0].value for ex in apply_transformers(self._dataset([5.0, 5.0]), t).examples] == [5.0, 5.0]
 
     def test_zscore_over_an_overflowing_variance_is_rejected(self):
         with pytest.raises(NonFiniteStatistic, match="'a'"):
@@ -178,7 +179,8 @@ class TestFitTransformers:
         t = fit_transformers(self._dataset([2.0, 4.0]), TransformSpec("minmax"))
         fit = t.fits["a"]
         assert (fit.lo, fit.hi) == (2.0, 4.0)
-        assert fit.apply(3.0) == 0.5
+        assert fit.affine() == (2.0, 2.0)
+        assert [ex.features[0].value for ex in apply_transformers(self._dataset([2.0, 4.0, 3.0]), t).examples] == [0.0, 1.0, 0.5]
 
     def test_selected_features_only(self, regression_dataset):
         t = fit_transformers(regression_dataset, TransformSpec("zscore", ("f1",)))

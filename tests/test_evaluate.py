@@ -35,7 +35,7 @@ class _FixedClassifier(Model):
         )
         self._preds = preds
 
-    def _predict_intersected(self, example, sparse):
+    def _predict_intersected(self, sparse):
         label = self._preds[int(sparse[0])]
         scores = {l: (1.0 if l == label else 0.0) for l in self.output_domain.labels()}
         return CategoricalOutput(label), scores
@@ -55,7 +55,7 @@ class _FixedRegressor(Model):
         )
         self._preds = preds
 
-    def _predict_intersected(self, example, sparse):
+    def _predict_intersected(self, sparse):
         return RealOutput(self._preds[int(sparse[0])]), {}
 
 

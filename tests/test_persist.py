@@ -130,6 +130,18 @@ class TestLoadModel:
         for ex in xor_dataset.examples:
             assert loaded.predict(ex) == model.predict(ex)
 
+    @pytest.mark.parametrize("feature", [1.0, True, False, -1, 2, "0", None])
+    def test_split_on_a_feature_outside_the_domain(self, tmp_path, xor_dataset, feature):
+        path = tmp_path / "t.pvml"
+        save_model(train_cart(xor_dataset, TreeConfig(max_depth=2)), str(path))
+        container = json.loads(path.read_text())
+        root = container["parameters"]["root"]
+        assert root["kind"] == "split" and len(container["featureDomain"]["features"]) == 2
+        root["feature"] = feature
+        path.write_text(json.dumps(container))
+        with pytest.raises(FormatError, match="split feature"):
+            load_model(str(path))
+
     def test_ensemble_round_trip(self, tmp_path, interleaved_dataset):
         cfg = EnsembleConfig(
             CartTrainer(TreeConfig(max_depth=2, seed=1)), num_members=3, seed=2, variant=BAGGING
