@@ -112,7 +112,7 @@ def _cmd_predict(args) -> int:
     writer.writerow(["row", "prediction", *labels])
     predictions = (
         prediction
-        for columns, totals in source.compiled(model.feature_domain)
+        for columns, totals, _ in source.compiled(model.feature_domain)
         for prediction in model.predict_compiled(columns, totals, transformers)
     )
     for i, pred in enumerate(predictions):
@@ -129,13 +129,13 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     schema = _load_schema(args.schema)
     model = load_model(args.model, expected_task=schema.response_type)
-    dataset = build_dataset(load_csv(args.data, schema))
+    source = load_csv(args.data, schema)
     transformers = _recorded_pipeline(model)
     if model.task == CATEGORICAL:
-        evaluation = evaluate_classification(model, dataset, transformers)
+        evaluation = evaluate_classification(model, source, transformers)
         print(f"accuracy {evaluation.accuracy:.6f} on {evaluation.num_examples} examples")
     else:
-        evaluation = evaluate_regression(model, dataset, transformers)
+        evaluation = evaluate_regression(model, source, transformers)
         print(f"rmse {evaluation.rmse:.6f} on {evaluation.num_examples} examples")
     report = json.dumps(evaluation.to_report(), sort_keys=True, separators=(",", ":"))
     write_atomically(args.report, report + "\n")

@@ -460,18 +460,27 @@ def dataset_from_examples(examples: Sequence[Example], provenance: PObj) -> Data
             counts[ex.output.label] = counts.get(ex.output.label, 0) + 1
         output_domain: OutputDomain = CategoricalDomain(counts)
     else:
-        stats = _RunningStats()
-        for ex in examples:
-            stats.add(ex.output.value)
-        spread = stats.max - stats.min
-        if not (math.isfinite(stats.variance) and math.isfinite(spread * spread)):
-            # the variance of some tree node would overflow in training
-            raise NonFiniteStatistic(
-                f"regression targets from {stats.min!r} to {stats.max!r} are too far apart: their variance overflows"
-            )
-        output_domain = RealDomain(stats.min, stats.max, stats.mean, stats.variance, stats.count)
+        output_domain = real_domain(ex.output.value for ex in examples)
 
     return Dataset(examples, feature_domain, output_domain, provenance)
+
+
+def real_domain(targets: Iterable[float]) -> RealDomain:
+    """The statistics of regression targets.
+
+    Raises :class:`NonFiniteStatistic` when their variance, or their spread
+    squared, overflows: the variance of some tree node would then overflow
+    in training.
+    """
+    stats = _RunningStats()
+    for value in targets:
+        stats.add(value)
+    spread = stats.max - stats.min
+    if not (math.isfinite(stats.variance) and math.isfinite(spread * spread)):
+        raise NonFiniteStatistic(
+            f"regression targets from {stats.min!r} to {stats.max!r} are too far apart: their variance overflows"
+        )
+    return RealDomain(stats.min, stats.max, stats.mean, stats.variance, stats.count)
 
 
 def build_dataset(source) -> Dataset:

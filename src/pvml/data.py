@@ -360,29 +360,37 @@ class CsvDataSource:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def compiled(self, domain: FeatureDomain) -> Iterator[tuple[Columns, list[int]]]:
+    def compiled(
+        self, domain: FeatureDomain, seen: set[str] | None = None
+    ) -> Iterator[tuple[Columns, list[int], list[Output]]]:
         """The rows compiled against ``domain``, :data:`~pvml.core.BATCH_ROWS`
         at a time, for :meth:`~pvml.core.Model.predict_compiled`.
 
         Each chunk is the :class:`Columns` that ``compile_examples(...,
         targets=False)`` makes of the rows' examples, with each row's
-        feature count before names outside ``domain`` were dropped.  A row
-        that :func:`featurize_row` rejects raises the same error here; no
-        example is built.
+        feature count before names outside ``domain`` were dropped, and each
+        row's output.  Every feature name met is added to ``seen`` when it is
+        given, so that after the last chunk it holds the names a dataset of
+        the file would have in its domain.  A row that :func:`featurize_row`
+        rejects raises the same error here; no example is built.
         """
         featurizer = self.schema.featurizer
         for start in range(0, len(self._rows), BATCH_ROWS):
             names: list[str] = []
             values: list[float] = []
             totals: list[int] = []
+            outputs: list[Output] = []
             for row in self._rows[start:start + BATCH_ROWS]:
-                row_names, row_values, _ = featurizer.merge(row)
+                row_names, row_values, output = featurizer.merge(row)
                 names += row_names
                 values += row_values
                 totals.append(len(row_names))
+                outputs.append(output)
             _check_finite(names, values)
+            if seen is not None:
+                seen.update(names)
             indptr, ids, array = compile_features(names, np.array(values, dtype=np.float64), totals, domain)
-            yield Columns(indptr, ids, array, np.empty(0), np.ones(len(totals))), totals
+            yield Columns(indptr, ids, array, np.empty(0), np.ones(len(totals))), totals, outputs
 
 
 def load_csv(path: str, schema: ColumnarSchema) -> CsvDataSource:

@@ -11,21 +11,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CATEGORICAL, REAL, Dataset, Model, predict_chunked
-from .data import TransformerMap, append_transformation
-from .errors import TaskMismatch
+from .core import (
+    CATEGORICAL,
+    REAL,
+    UNKNOWN,
+    Dataset,
+    Model,
+    Output,
+    Prediction,
+    data_provenance,
+    predict_chunked,
+    real_domain,
+)
+from .data import CsvDataSource, TransformerMap, append_transformation
+from .errors import EmptySource, TaskMismatch, UnlabelledExample
 from .provenance import PObj, object_provenance, to_json_value
 
 CLASSIFICATION_EVAL_CLASS = "pvml.ClassificationEvaluation"
 REGRESSION_EVAL_CLASS = "pvml.RegressionEvaluation"
 
+_TASK_NAMES = {CATEGORICAL: "classification", REAL: "regression"}
+
 
 def evaluation_provenance(
-    kind: str, model: Model, dataset: Dataset, transformers: Sequence[TransformerMap] = ()
+    kind: str, model: Model, test_data: PObj, transformers: Sequence[TransformerMap] = ()
 ) -> PObj:
     """Model and test-data provenance; the test data lists ``transformers``
     as :func:`~pvml.data.apply_transformers` would have appended them."""
-    test_data = dataset.provenance
     for transformer in transformers:
         test_data = append_transformation(test_data, transformer.provenance)
     return object_provenance(
@@ -104,17 +116,47 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def evaluate_classification(
-    model: Model, dataset: Dataset, transformers: Sequence[TransformerMap] = ()
-) -> ClassificationEvaluation:
-    """Score ``dataset`` in batches, each rescaled by ``transformers`` in order."""
-    if model.task != CATEGORICAL:
-        raise TaskMismatch("model does not perform classification")
-    if dataset.task != CATEGORICAL:
-        raise TaskMismatch("dataset does not carry classification ground truth")
+def _scored(
+    model: Model, data: Dataset | CsvDataSource, transformers: Sequence[TransformerMap], task: str
+) -> tuple[list[Output], list[Prediction], PObj]:
+    """The truths, the predictions and the test-data provenance of ``data``.
 
-    truths = [ex.output.label for ex in dataset.examples]
-    preds = [p.output.label for p in predict_chunked(model, dataset.examples, transformers)]
+    A CSV source is compiled straight to columns; its test-data provenance
+    is the one :func:`~pvml.core.build_dataset` would record, and it raises
+    what that would raise for a file without rows, without the response
+    column or with regression targets whose variance overflows, before any
+    row is scored.
+    """
+    name = _TASK_NAMES[task]
+    if model.task != task:
+        raise TaskMismatch(f"model does not perform {name}")
+    if (data.task if isinstance(data, Dataset) else data.schema.response_type) != task:
+        raise TaskMismatch(f"dataset does not carry {name} ground truth")
+    if isinstance(data, Dataset):
+        truths = [ex.output for ex in data.examples]
+        return truths, list(predict_chunked(model, data.examples, transformers)), data.provenance
+
+    names: set[str] = set()
+    chunks = list(data.compiled(model.feature_domain, names))
+    truths = [output for _, _, outputs in chunks for output in outputs]
+    if not truths:
+        raise EmptySource("data source yielded no examples")
+    if any(output is UNKNOWN for output in truths):
+        raise UnlabelledExample("datasets require ground truth on every example")
+    if task == REAL:
+        real_domain(output.value for output in truths)
+    preds = [p for columns, totals, _ in chunks for p in model.predict_compiled(columns, totals, transformers)]
+    return truths, preds, data_provenance(len(truths), len(names), (), data.provenance)
+
+
+def evaluate_classification(
+    model: Model, data: Dataset | CsvDataSource, transformers: Sequence[TransformerMap] = ()
+) -> ClassificationEvaluation:
+    """Score ``data``, a dataset or a labelled CSV source, in batches, each
+    rescaled by ``transformers`` in order."""
+    outputs, predictions, test_data = _scored(model, data, transformers, CATEGORICAL)
+    truths = [output.label for output in outputs]
+    preds = [p.output.label for p in predictions]
 
     labels = sorted(set(model.output_domain.labels()) | set(truths))
     confusion: dict[str, dict[str, int]] = {t: {} for t in labels}
@@ -151,22 +193,18 @@ def evaluate_classification(
         micro_recall=micro_r,
         micro_f1=_ratio(2 * micro_p * micro_r, micro_p + micro_r),
         num_examples=n,
-        provenance=evaluation_provenance(CLASSIFICATION_EVAL_CLASS, model, dataset, transformers),
+        provenance=evaluation_provenance(CLASSIFICATION_EVAL_CLASS, model, test_data, transformers),
     )
 
 
 def evaluate_regression(
-    model: Model, dataset: Dataset, transformers: Sequence[TransformerMap] = ()
+    model: Model, data: Dataset | CsvDataSource, transformers: Sequence[TransformerMap] = ()
 ) -> RegressionEvaluation:
-    """Score ``dataset`` in batches, each rescaled by ``transformers`` in order."""
-    if model.task != REAL:
-        raise TaskMismatch("model does not perform regression")
-    if dataset.task != REAL:
-        raise TaskMismatch("dataset does not carry regression ground truth")
-
-    targets = [ex.output.value for ex in dataset.examples]
-    preds = predict_chunked(model, dataset.examples, transformers)
-    residuals = [p.output.value - y for p, y in zip(preds, targets)]
+    """Score ``data``, a dataset or a labelled CSV source, in batches, each
+    rescaled by ``transformers`` in order."""
+    outputs, predictions, test_data = _scored(model, data, transformers, REAL)
+    targets = [output.value for output in outputs]
+    residuals = [p.output.value - y for p, y in zip(predictions, targets)]
 
     n = len(residuals)
     ss_res = sum(r * r for r in residuals)
@@ -181,5 +219,5 @@ def evaluate_regression(
         mae=sum(abs(r) for r in residuals) / n,
         r2=r2,
         num_examples=n,
-        provenance=evaluation_provenance(REGRESSION_EVAL_CLASS, model, dataset, transformers),
+        provenance=evaluation_provenance(REGRESSION_EVAL_CLASS, model, test_data, transformers),
     )

@@ -26,7 +26,6 @@ from .core import (
     Output,
     RealOutput,
     Trainer,
-    argmax_label,
     compile_examples,
     model_provenance,
 )
@@ -273,10 +272,11 @@ class LinearSgdModel(Model):
         x[-1] = 1.0
         for fid, value in sparse.items():
             x[fid] = value
-        return self._output_of(x @ self.weights)
+        return self._outputs_of((x @ self.weights)[None, :])[0]
 
     def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]]]:
-        """Row by row, through the same product as :meth:`_predict_intersected`.
+        """Row by row, through the same product as :meth:`_predict_intersected`,
+        then one :meth:`_outputs_of` over the stacked scores.
 
         A whole-batch matrix product may add in another order than one
         row's, so the rows share one dense vector instead.
@@ -284,23 +284,32 @@ class LinearSgdModel(Model):
         x = np.zeros(len(self.feature_domain) + 1)
         x[-1] = 1.0
         bounds = columns.indptr.tolist()
-        out = []
-        for start, end in zip(bounds, bounds[1:]):
+        z = np.empty((len(bounds) - 1, self.weights.shape[1]))
+        for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
             ids = columns.feature_ids[start:end]
             x[ids] = columns.values[start:end]
-            out.append(self._output_of(x @ self.weights))
+            z[row] = x @ self.weights
             x[ids] = 0.0
-        return out
+        return self._outputs_of(z)
 
-    def _output_of(self, z: np.ndarray) -> tuple[Output, dict[str, float]]:
-        """The prediction for the linear scores ``z`` of one example."""
-        values = z.tolist()
+    def _outputs_of(self, z: np.ndarray) -> list[tuple[Output, dict[str, float]]]:
+        """The predictions for the linear scores ``z``, one row per example.
+
+        The softmax works row by row, so a row's scores are the same bits
+        alone or stacked; the first maximum goes to the smallest label, as
+        :func:`~pvml.core.argmax_label` breaks ties.
+        """
+        values = z.ravel().tolist()
         if not all(map(math.isfinite, values)):  # in Python: cheaper than numpy for one row
             raise NonFiniteScore("the linear score of an example overflowed to a non-finite value")
-        if self.task == REAL:
-            return RealOutput(values[0]), {}
-        scores = dict(zip(self.output_domain.labels(), _softmax(z[None, :])[0].tolist()))
-        return CategoricalOutput(argmax_label(scores)), scores
+        if self.task == REAL:  # one column, so the values are the rows' outputs
+            return [(RealOutput(value), {}) for value in values]
+        labels = self.output_domain.labels()
+        probs = _softmax(z)
+        return [
+            (CategoricalOutput(labels[best]), dict(zip(labels, row)))
+            for best, row in zip(probs.argmax(axis=1).tolist(), probs.tolist())
+        ]
 
 
 class LinearSgdTrainer(Trainer):

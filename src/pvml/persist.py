@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    CATEGORICAL,
     CategoricalDomain,
     FeatureDomain,
     FeatureInfo,
@@ -80,23 +81,31 @@ def feature_domain_to_json(domain: FeatureDomain) -> dict:
     }
 
 
+def _floats(rows: list) -> np.ndarray:
+    """Float literals, parsed in one call; one that is not a float raises
+    :class:`FormatError`.  A JSON ``null`` reads as NaN, so callers must
+    check that the values are finite."""
+    try:
+        return np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad float literal: {exc}") from exc
+
+
 def feature_domain_from_json(node: dict) -> FeatureDomain:
     try:
+        entries = node["features"].items()
+        stats = _floats([[entry["min"], entry["max"], entry["mean"], entry["variance"]] for _, entry in entries])
+        if entries and stats.ndim != 2:
+            raise FormatError("feature statistics must be float literals")
         infos = {
-            name: FeatureInfo(
-                id=entry["id"],
-                count=entry["count"],
-                min=_s2f(entry["min"]),
-                max=_s2f(entry["max"]),
-                mean=_s2f(entry["mean"]),
-                variance=_s2f(entry["variance"]),
-            )
-            for name, entry in node["features"].items()
+            name: FeatureInfo(entry["id"], entry["count"], *row)
+            for (name, entry), row in zip(entries, stats.tolist())
         }
         domain = FeatureDomain(infos)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed feature domain: {exc}") from exc
-    _check_finite(domain, FormatError)
+    if not np.isfinite(stats).all():
+        _check_finite(domain, FormatError)
     return domain
 
 
@@ -136,9 +145,7 @@ def _linear_params(model: LinearSgdModel) -> dict:
 
 
 def _linear_restore(container: dict, name, prov, fd, od) -> LinearSgdModel:
-    rows = container["parameters"]["weights"]
-    weights = np.array([[_s2f(v) for v in row] for row in rows])
-    return LinearSgdModel(name, prov, fd, od, weights)
+    return LinearSgdModel(name, prov, fd, od, _floats(container["parameters"]["weights"]))
 
 
 def _tree_node_to_json(node: TreeNode) -> dict:
@@ -158,8 +165,13 @@ def _tree_node_to_json(node: TreeNode) -> dict:
     return leaf
 
 
-def _tree_node_from_json(node: dict, width: int) -> TreeNode:
-    """The tree under ``node``; a split must name a feature id below ``width``."""
+def _tree_node_from_json(node: dict, width: int, labels: frozenset[str] | None) -> TreeNode:
+    """The tree under ``node``; a split must name a feature id below ``width``.
+
+    A classification tree (``labels`` given) needs leaf ``counts`` over
+    those labels whose weights are finite, non-negative and not all zero; a
+    regression tree (``labels`` None) needs a finite leaf ``mean``.
+    """
     if node["kind"] == "split":
         feature = node["feature"]
         if type(feature) is not int or not 0 <= feature < width:
@@ -167,13 +179,24 @@ def _tree_node_from_json(node: dict, width: int) -> TreeNode:
         return SplitNode(
             feature,
             _s2f(node["threshold"]),
-            _tree_node_from_json(node["left"], width),
-            _tree_node_from_json(node["right"], width),
+            _tree_node_from_json(node["left"], width, labels),
+            _tree_node_from_json(node["right"], width, labels),
         )
     if node["kind"] == "leaf":
-        if "counts" in node:
-            return LeafNode(node["n"], counts={l: _s2f(w) for l, w in node["counts"].items()})
-        return LeafNode(node["n"], mean=_s2f(node["mean"]))
+        if labels is None:
+            mean = _s2f(node["mean"]) if "mean" in node else math.nan
+            if not math.isfinite(mean):
+                raise FormatError("a regression leaf needs a finite mean")
+            return LeafNode(node["n"], mean=mean)
+        counts = node.get("counts")
+        if not isinstance(counts, dict):
+            raise FormatError("a classification leaf needs a map of label counts")
+        if not labels.issuperset(counts):
+            raise FormatError(f"leaf labels {sorted(set(counts) - labels)!r} are outside the output domain")
+        weights = {label: _s2f(w) for label, w in counts.items()}
+        if not (all(0.0 <= w < math.inf for w in weights.values()) and sum(weights.values()) > 0.0):
+            raise FormatError("leaf counts must be finite, non-negative and not all zero")
+        return LeafNode(node["n"], counts=weights)
     raise FormatError(f"unknown tree node kind {node.get('kind')!r}")
 
 
@@ -182,7 +205,8 @@ def _tree_params(model: TreeModel) -> dict:
 
 
 def _tree_restore(container: dict, name, prov, fd, od) -> TreeModel:
-    return TreeModel(name, prov, fd, od, _tree_node_from_json(container["parameters"]["root"], len(fd)))
+    labels = frozenset(od.labels()) if od.task == CATEGORICAL else None
+    return TreeModel(name, prov, fd, od, _tree_node_from_json(container["parameters"]["root"], len(fd), labels))
 
 
 def _ensemble_params(model: EnsembleModel) -> dict:

@@ -2,7 +2,8 @@
 
 ``CsvDataSource.compiled`` followed by ``Model.predict_compiled`` must give
 what ``featurize_row``, ``compile_examples`` and ``Model.predict_batch``
-give, bit for bit, and reject a bad row with the same exception class.
+give, bit for bit, with the same row outputs, and reject a bad row with the
+same exception class.
 """
 
 import csv
@@ -127,16 +128,17 @@ def _by_examples(path, processors, model):
         return type(exc)
     columns = compile_examples(examples, model.feature_domain, targets=False)
     totals = [len(ex.features) for ex in examples]
-    return _arrays(columns), totals, _scored(lambda: model.predict_batch(examples))
+    outputs = [ex.output for ex in examples]
+    return _arrays(columns), totals, outputs, _scored(lambda: model.predict_batch(examples))
 
 
 def _by_columns(path, processors, model):
     source = _source(path, processors)
     try:
-        (columns, totals), = source.compiled(model.feature_domain)
+        (columns, totals, outputs), = source.compiled(model.feature_domain)
     except PvmlError as exc:
         return type(exc)
-    return _arrays(columns), totals, _scored(lambda: model.predict_compiled(columns, totals))
+    return _arrays(columns), totals, outputs, _scored(lambda: model.predict_compiled(columns, totals))
 
 
 class TestCompiledEqualsExamples:
@@ -155,8 +157,8 @@ class TestCompiledEqualsExamples:
         path = _write_csv(tmp_path, ["n", "c", "a"], rows)
         model = MODELS["linear"]
         chunks = list(_source(path, processors).compiled(model.feature_domain))
-        assert [len(totals) for _, totals in chunks] == [BATCH_ROWS, BATCH_ROWS, 5]
-        got = [_bits(p) for columns, totals in chunks for p in model.predict_compiled(columns, totals)]
+        assert [len(totals) for _, totals, _ in chunks] == [BATCH_ROWS, BATCH_ROWS, 5]
+        got = [_bits(p) for columns, totals, _ in chunks for p in model.predict_compiled(columns, totals)]
         want = [_bits(p) for p in predict_chunked(model, list(_source(path, processors)))]
         assert got == want
 

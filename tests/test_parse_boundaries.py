@@ -548,5 +548,6 @@ class TestFuzzCsvFiles:
         if isinstance(examples, type):
             assert chunks is examples
             return
-        assert sum(len(totals) for _, totals in chunks) == len(examples)
-        assert [n for _, totals in chunks for n in totals] == [len(ex.features) for ex in examples]
+        assert sum(len(totals) for _, totals, _ in chunks) == len(examples)
+        assert [n for _, totals, _ in chunks for n in totals] == [len(ex.features) for ex in examples]
+        assert [o for _, _, outputs in chunks for o in outputs] == [ex.output for ex in examples]

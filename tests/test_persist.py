@@ -153,3 +153,103 @@ class TestLoadModel:
         assert loaded.member_weights == ensemble.member_weights
         for ex in interleaved_dataset.examples:
             assert loaded.predict(ex) == ensemble.predict(ex)
+
+
+def _edit_and_load(path, edit):
+    container = json.loads(path.read_text())
+    edit(container)
+    path.write_text(json.dumps(container))
+    with pytest.raises(FormatError):
+        load_model(str(path))
+
+
+def _schema_file(tmp_path, schema):
+    from pvml.provenance import config_to_json, extract_configuration
+
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(config_to_json(extract_configuration(schema.provenance())))
+    return str(schema_path)
+
+
+class TestTreeLeavesOnLoad:
+    """A depth-1 CART whose leaf is edited fails to load, and ``pvml predict`` exits 2."""
+
+    CLASSIFICATION_LEAVES = {
+        "no-counts": lambda leaf: leaf.pop("counts"),
+        "mean-instead-of-counts": lambda leaf: leaf.update(mean="1.0") or leaf.pop("counts"),
+        "all-zero": lambda leaf: leaf.update(counts={label: "0.0" for label in leaf["counts"]}),
+        "unknown-label": lambda leaf: leaf["counts"].update(zzz="1.0"),
+        "nan-weight": lambda leaf: leaf["counts"].update(a="nan"),
+        "infinite-weight": lambda leaf: leaf["counts"].update(a="inf"),
+        "negative-weight": lambda leaf: leaf["counts"].update(a="-1.0"),
+        "counts-not-a-map": lambda leaf: leaf.update(counts=["1.0"]),
+    }
+    REGRESSION_LEAVES = {
+        "no-mean": lambda leaf: leaf.pop("mean"),
+        "counts-instead-of-mean": lambda leaf: leaf.update(counts={"a": leaf.pop("mean")}),
+        "nan-mean": lambda leaf: leaf.update(mean="nan"),
+        "null-mean": lambda leaf: leaf.update(mean=None),
+    }
+
+    def _check(self, tmp_path, csv, edit):
+        path, schema = csv
+        model_path = tmp_path / "t.pvml"
+        save_model(train_cart(build_dataset(load_csv(str(path), schema)), TreeConfig(max_depth=1)), str(model_path))
+        assert json.loads(model_path.read_text())["parameters"]["root"]["kind"] == "split"
+        _edit_and_load(model_path, lambda c: edit(c["parameters"]["root"]["left"]))
+
+        from pvml.cli import main
+
+        out = tmp_path / "preds.csv"
+        rc = main(["predict", "--model", str(model_path), "--data", str(path),
+                   "--schema", _schema_file(tmp_path, schema), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(CLASSIFICATION_LEAVES))
+    def test_classification_leaf(self, tmp_path, clf_csv, case):
+        self._check(tmp_path, clf_csv, self.CLASSIFICATION_LEAVES[case])
+
+    @pytest.mark.parametrize("case", sorted(REGRESSION_LEAVES))
+    def test_regression_leaf(self, tmp_path, reg_csv, case):
+        self._check(tmp_path, reg_csv, self.REGRESSION_LEAVES[case])
+
+
+class TestFloatLiteralsOnLoad:
+    """Weights and domain statistics parse in one call each; every malformed
+    literal still fails to load."""
+
+    BAD = {"null": None, "nested": ["1.0"], "suffix": "1.5x"}
+
+    @pytest.mark.parametrize("literal", sorted(BAD))
+    def test_weight(self, tmp_path, trained, literal):
+        path = tmp_path / "m.pvml"
+        save_model(trained[1], str(path))
+        _edit_and_load(path, lambda c: c["parameters"]["weights"][1].__setitem__(0, self.BAD[literal]))
+
+    @pytest.mark.parametrize("literal", sorted(BAD))
+    @pytest.mark.parametrize("statistic", ["min", "max", "mean", "variance"])
+    def test_domain_statistic(self, tmp_path, trained, literal, statistic):
+        path = tmp_path / "m.pvml"
+        save_model(trained[1], str(path))
+        _edit_and_load(path, lambda c: c["featureDomain"]["features"]["f1"].__setitem__(statistic, self.BAD[literal]))
+
+    def test_every_literal_nested(self, tmp_path, trained):
+        path = tmp_path / "m.pvml"
+        save_model(trained[1], str(path))
+
+        def nest_domain(c):
+            for entry in c["featureDomain"]["features"].values():
+                for key in ("min", "max", "mean", "variance"):
+                    entry[key] = [entry[key]]
+
+        _edit_and_load(path, nest_domain)
+        save_model(trained[1], str(path))
+        _edit_and_load(path, lambda c: c["parameters"].update(weights=[[[v] for v in row] for row in c["parameters"]["weights"]]))
+
+    def test_parsed_bit_for_bit(self, tmp_path, trained):
+        path = tmp_path / "m.pvml"
+        model = trained[1]
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.feature_domain == model.feature_domain
