@@ -14,7 +14,7 @@ import platform
 import re
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
@@ -171,9 +171,12 @@ def make_example(
     return Example(features, output, weight)
 
 
-def checked_example(names: Sequence[str], values: Sequence[float], output: Output) -> Example:
+def checked_example(
+    names: Sequence[str], values: Sequence[float], output: Output, weight: float = 1.0
+) -> Example:
     """The example of features already validated: ``names`` non-empty, sorted,
-    distinct and passed by :func:`check_feature_name`, ``values`` finite.
+    distinct and passed by :func:`check_feature_name`, ``values`` finite,
+    ``weight`` positive and finite.
 
     Used by featurizers that check each distinct name once rather than once
     per occurrence; the fields are set as the frozen dataclasses' own
@@ -191,7 +194,7 @@ def checked_example(names: Sequence[str], values: Sequence[float], output: Outpu
     example = new(Example)
     put(example, "features", tuple(features))
     put(example, "output", output)
-    put(example, "weight", 1.0)
+    put(example, "weight", weight)
     return example
 
 
@@ -223,11 +226,16 @@ class FeatureDomain:
         self._names = tuple(names)
 
     @classmethod
-    def from_observations(cls, observations: Mapping[str, "_RunningStats"]) -> "FeatureDomain":
+    def observed(cls, names: Sequence[str], ids: np.ndarray, values: np.ndarray) -> "FeatureDomain":
+        """The domain of the features ``names``, each of which ``values`` holds,
+        with feature ids ``ids``: one :class:`_RunningStats` per feature over its
+        values in order, grouped by a stable sort on id."""
+        grouped = values.take(np.argsort(ids, kind="stable")).tolist()
+        ends = np.cumsum(np.bincount(ids, minlength=len(names))).tolist()
         infos = {}
-        for idx, name in enumerate(sorted(observations)):
-            stats = observations[name]
-            infos[name] = FeatureInfo(idx, stats.count, stats.min, stats.max, stats.mean, stats.variance)
+        for fid, (name, start, end) in enumerate(zip(names, [0, *ends], ends)):
+            stats = _RunningStats(grouped[start:end])
+            infos[name] = FeatureInfo(fid, stats.count, stats.min, stats.max, stats.mean, stats.variance)
         return cls(infos)
 
     def __len__(self) -> int:
@@ -259,28 +267,24 @@ class FeatureDomain:
 
 
 class _RunningStats:
-    """Welford accumulator for count/min/max/mean/population-variance."""
+    """Welford count/min/max/mean/population-variance of ``values`` in order; of
+    equal values min and max keep the first, as Python's ``min`` and ``max`` do."""
 
-    __slots__ = ("count", "mean", "_m2", "min", "max")
+    __slots__ = ("count", "min", "max", "mean", "variance")
 
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.count if self.count else 0.0
+    def __init__(self, values: Iterable[float]):
+        count, mean, m2, lo, hi = 0, 0.0, 0.0, math.inf, -math.inf
+        for value in values:
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+        self.count, self.min, self.max, self.mean = count, lo, hi, mean
+        self.variance = m2 / count if count else 0.0
 
 
 @dataclass(frozen=True)
@@ -319,11 +323,12 @@ OutputDomain = CategoricalDomain | RealDomain
 # Datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable example collection plus domains plus data provenance."""
+    """Rows stored once, as :class:`Columns`, plus domains plus data provenance;
+    :attr:`examples` builds the rows as examples on request."""
 
-    examples: tuple[Example, ...]
+    columns: Columns
     feature_domain: FeatureDomain
     output_domain: OutputDomain
     provenance: PObj
@@ -333,21 +338,25 @@ class Dataset:
         return self.output_domain.task
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.columns.weights)
 
     @cached_property
-    def columns(self) -> Columns:
-        """The examples compiled to arrays, once, on first use.
-
-        Built lazily so that datasets which are only scored never pay for it.
-        """
+    def examples(self) -> tuple[Example, ...]:
+        """The rows as examples, built from the columns on first use."""
+        names, columns = self.feature_domain.names(), self.columns
         labels = self.output_domain.labels() if self.task == CATEGORICAL else None
-        return compile_examples(self.examples, self.feature_domain, labels)
+        targets = columns.targets.tolist()
+        outputs = [RealOutput(t) if labels is None else CategoricalOutput(labels[t]) for t in targets]
+        ids, values, bounds = columns.feature_ids.tolist(), columns.values.tolist(), columns.indptr.tolist()
+        return tuple(
+            checked_example([names[i] for i in ids[a:b]], values[a:b], output, weight)
+            for a, b, output, weight in zip(bounds, bounds[1:], outputs, columns.weights.tolist())
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class Columns:
-    """Examples compiled to arrays against a feature domain.
+    """Rows compiled to arrays against a feature domain.
 
     Row ``i`` holds the features ``feature_ids[indptr[i]:indptr[i + 1]]``
     with ``values`` alongside, in name order; absent features read as 0.0.
@@ -360,6 +369,35 @@ class Columns:
     values: np.ndarray  # float64
     targets: np.ndarray  # intp label indices, or float64 targets
     weights: np.ndarray  # float64
+
+    def take(self, rows: np.ndarray) -> Columns:
+        """The rows ``rows`` of these columns, in that order, repeats included."""
+        starts = self.indptr.take(rows)
+        lengths = self.indptr.take(rows + 1) - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        flat = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        targets, weights = self.targets.take(rows), self.weights.take(rows)
+        return Columns(indptr, self.feature_ids.take(flat), self.values.take(flat), targets, weights)
+
+
+def _flatten(examples: Sequence[Example]) -> tuple[list[str], np.ndarray, list[int], list[Output], np.ndarray]:
+    """The examples' feature names and values, flat, and each one's feature count, output and weight."""
+    return (
+        [f.name for ex in examples for f in ex.features],
+        np.array([f.value for ex in examples for f in ex.features], dtype=np.float64),
+        [len(ex.features) for ex in examples],
+        [ex.output for ex in examples],
+        np.array([ex.weight for ex in examples], dtype=np.float64),
+    )
+
+
+def _targets(outputs: Sequence[Output], labels: Sequence[str] | None) -> np.ndarray:
+    """Each output's label index into ``labels`` or, without ``labels``, its real value."""
+    if labels is None:
+        return np.array([output.value for output in outputs], dtype=np.float64)
+    position = dict(zip(labels, range(len(labels))))
+    return np.array([position[output.label] for output in outputs], dtype=np.intp)
 
 
 def compile_examples(
@@ -375,33 +413,20 @@ def compile_examples(
     outputs are not read, so unlabelled examples compile, and ``targets``
     is empty.
     """
-    indptr, ids, values = compile_features(
-        [f.name for ex in examples for f in ex.features],
-        np.array([f.value for ex in examples for f in ex.features], dtype=np.float64),
-        [len(ex.features) for ex in examples],
-        domain,
-    )
-    if not targets:
-        compiled = np.empty(0)
-    elif labels is None:
-        compiled = np.array([ex.output.value for ex in examples], dtype=np.float64)
-    else:
-        position = {label: i for i, label in enumerate(labels)}
-        compiled = np.array([position[ex.output.label] for ex in examples], dtype=np.intp)
-    weights = np.array([ex.weight for ex in examples], dtype=np.float64)
-    return Columns(indptr, ids, values, compiled, weights)
+    names, values, lengths, outputs, weights = _flatten(examples)
+    indptr, ids, values = compile_features(names, values, lengths, domain.ids)
+    return Columns(indptr, ids, values, _targets(outputs, labels) if targets else np.empty(0), weights)
 
 
 def compile_features(
-    names: Sequence[str], values: np.ndarray, lengths: Sequence[int], domain: FeatureDomain
+    names: Sequence[str], values: np.ndarray, lengths: Sequence[int], index: Mapping[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(indptr, feature_ids, values)`` of rows given flat: row ``i`` holds the
     next ``lengths[i]`` of ``names`` and ``values``, in name order.
 
-    This is the one place names become ids; names outside ``domain`` are
-    dropped with their values.
+    This is the one place names become ids, through ``index``, such as
+    :attr:`FeatureDomain.ids`; names outside it are dropped with their values.
     """
-    index = domain.ids
     ids = np.fromiter(map(index.get, names, repeat(-1)), dtype=np.int32, count=len(names))
     lengths = np.array(lengths, dtype=np.int64)
     known = ids >= 0
@@ -432,37 +457,24 @@ def data_provenance(
     )
 
 
-def dataset_from_examples(examples: Sequence[Example], provenance: PObj) -> Dataset:
-    """Assemble a dataset, computing feature and output domains."""
-    examples = tuple(examples)
-    if not examples:
-        raise EmptySource("no examples to build a dataset from")
+def dataset_from_columns(
+    names: Sequence[str], columns: Columns, labels: Sequence[str] | None, source: PObj
+) -> Dataset:
+    """A dataset of ``columns`` with fresh provenance recording ``source``.
 
-    observations: dict[str, _RunningStats] = {}
-    for ex in examples:
-        for f in ex.features:
-            stats = observations.get(f.name)
-            if stats is None:
-                stats = observations.setdefault(f.name, _RunningStats())
-            stats.add(f.value)
-    feature_domain = FeatureDomain.from_observations(observations)
-
-    tasks = {output_task(ex.output) for ex in examples}
-    if None in tasks:
-        raise UnlabelledExample("datasets require ground truth on every example")
-    if len(tasks) != 1:
-        raise MixedOutputTypes("source mixes categorical and real outputs")
-    task = tasks.pop()
-
-    if task == CATEGORICAL:
-        counts: dict[str, int] = {}
-        for ex in examples:
-            counts[ex.output.label] = counts.get(ex.output.label, 0) + 1
-        output_domain: OutputDomain = CategoricalDomain(counts)
+    Feature ids index ``names``, each of them used.  Targets index
+    ``labels``, re-indexed to the labels hit, or are regression targets.
+    """
+    feature_domain = FeatureDomain.observed(names, columns.feature_ids, columns.values)
+    targets = columns.targets
+    if labels is None:
+        output_domain: OutputDomain = real_domain(targets.tolist())
     else:
-        output_domain = real_domain(ex.output.value for ex in examples)
-
-    return Dataset(examples, feature_domain, output_domain, provenance)
+        hit, targets = np.unique(targets, return_inverse=True)
+        counts = np.bincount(targets).tolist()
+        output_domain = CategoricalDomain({labels[i]: n for i, n in zip(hit.tolist(), counts)})
+    prov = data_provenance(len(targets), len(names), (), source)
+    return Dataset(replace(columns, targets=targets), feature_domain, output_domain, prov)
 
 
 def real_domain(targets: Iterable[float]) -> RealDomain:
@@ -472,9 +484,7 @@ def real_domain(targets: Iterable[float]) -> RealDomain:
     squared, overflows: the variance of some tree node would then overflow
     in training.
     """
-    stats = _RunningStats()
-    for value in targets:
-        stats.add(value)
+    stats = _RunningStats(targets)
     spread = stats.max - stats.min
     if not (math.isfinite(stats.variance) and math.isfinite(spread * spread)):
         raise NonFiniteStatistic(
@@ -486,23 +496,31 @@ def real_domain(targets: Iterable[float]) -> RealDomain:
 def build_dataset(source) -> Dataset:
     """Materialize a data source into a dataset with fresh provenance.
 
-    The source must be an iterable of examples exposing a ``provenance``
-    attribute; statistics use population variance (divisor = count).
+    The source has a ``provenance`` attribute.  One with a ``merged`` method,
+    a :class:`~pvml.data.CsvDataSource`, hands over flat rows and builds no
+    example; any other is an iterable of examples.  Statistics use
+    population variance (divisor = count).
     """
-    examples = tuple(source)
-    if not examples:
+    merged = getattr(source, "merged", None)
+    if merged is None:
+        names, values, lengths, outputs, weights = _flatten(tuple(source))
+    else:
+        # every row in one chunk; an empty file gives no chunk
+        names, values, lengths, outputs = next(merged(len(source) or 1), ([], [], [], []))
+        values, weights = np.array(values, dtype=np.float64), np.ones(len(lengths))
+    if not lengths:
         raise EmptySource("data source yielded no examples")
-    dataset = dataset_from_examples(examples, provenance=_PLACEHOLDER)
-    prov = data_provenance(
-        num_examples=len(examples),
-        num_features=len(dataset.feature_domain),
-        transformations=(),
-        source=source.provenance,
-    )
-    return Dataset(dataset.examples, dataset.feature_domain, dataset.output_domain, prov)
-
-
-_PLACEHOLDER = object_provenance("pvml.PendingProvenance")
+    tasks = set(map(output_task, outputs))
+    if None in tasks:
+        raise UnlabelledExample("datasets require ground truth on every example")
+    if len(tasks) != 1:
+        raise MixedOutputTypes("source mixes categorical and real outputs")
+    labels = sorted({output.label for output in outputs}) if tasks.pop() == CATEGORICAL else None
+    vocabulary = sorted(set(names))
+    index = dict(zip(vocabulary, range(len(vocabulary))))
+    indptr, ids, values = compile_features(names, values, lengths, index)
+    columns = Columns(indptr, ids, values, _targets(outputs, labels), weights)
+    return dataset_from_columns(vocabulary, columns, labels, source.provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .core import (
     Dataset,
     Example,
     FeatureDomain,
-    FeatureValue,
     Output,
     RealOutput,
     CategoricalOutput,
@@ -35,7 +34,6 @@ from .core import (
     check_feature_name,
     checked_example,
     compile_features,
-    dataset_from_examples,
 )
 from .errors import (
     CsvParseError,
@@ -360,6 +358,28 @@ class CsvDataSource:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def merged(
+        self, rows_per_chunk: int = BATCH_ROWS
+    ) -> Iterator[tuple[list[str], list[float], list[int], list[Output]]]:
+        """The rows through :meth:`RowFeaturizer.merge`, ``rows_per_chunk`` at a
+        time: each chunk's feature names and values, flat and in row order,
+        and each row's feature count and output.  A row that
+        :func:`featurize_row` rejects raises the same error here."""
+        featurizer = self.schema.featurizer
+        for start in range(0, len(self._rows), rows_per_chunk):
+            names: list[str] = []
+            values: list[float] = []
+            totals: list[int] = []
+            outputs: list[Output] = []
+            for row in self._rows[start:start + rows_per_chunk]:
+                row_names, row_values, output = featurizer.merge(row)
+                names += row_names
+                values += row_values
+                totals.append(len(row_names))
+                outputs.append(output)
+            _check_finite(names, values)
+            yield names, values, totals, outputs
+
     def compiled(
         self, domain: FeatureDomain, seen: set[str] | None = None
     ) -> Iterator[tuple[Columns, list[int], list[Output]]]:
@@ -371,25 +391,12 @@ class CsvDataSource:
         feature count before names outside ``domain`` were dropped, and each
         row's output.  Every feature name met is added to ``seen`` when it is
         given, so that after the last chunk it holds the names a dataset of
-        the file would have in its domain.  A row that :func:`featurize_row`
-        rejects raises the same error here; no example is built.
+        the file would have in its domain.
         """
-        featurizer = self.schema.featurizer
-        for start in range(0, len(self._rows), BATCH_ROWS):
-            names: list[str] = []
-            values: list[float] = []
-            totals: list[int] = []
-            outputs: list[Output] = []
-            for row in self._rows[start:start + BATCH_ROWS]:
-                row_names, row_values, output = featurizer.merge(row)
-                names += row_names
-                values += row_values
-                totals.append(len(row_names))
-                outputs.append(output)
-            _check_finite(names, values)
+        for names, values, totals, outputs in self.merged():
             if seen is not None:
                 seen.update(names)
-            indptr, ids, array = compile_features(names, np.array(values, dtype=np.float64), totals, domain)
+            indptr, ids, array = compile_features(names, np.array(values, dtype=np.float64), totals, domain.ids)
             yield Columns(indptr, ids, array, np.empty(0), np.ones(len(totals))), totals, outputs
 
 
@@ -464,15 +471,15 @@ class TransformerMap:
     @cached_property
     def affine(self) -> dict[str, tuple[float, float]]:
         """Each fitted feature's ``(shift, divisor)``, computed once: :meth:`rescale`
-        and :func:`apply_transformers` rewrite its value ``v`` as ``(v - shift) / divisor``."""
+        rewrites its value ``v`` as ``(v - shift) / divisor``."""
         return {name: fit.affine() for name, fit in self.fits.items()}
 
     def rescale(self, domain: FeatureDomain, columns: Columns) -> Columns:
         """``columns``, compiled against ``domain``, with every value rewritten
-        as :func:`apply_transformers` rewrites it: the same IEEE
-        ``(v - shift) / divisor``, elementwise.  Features without a fit pass
-        through, since ``(v - 0.0) / 1.0`` is ``v``.  A non-finite result
-        raises :class:`NonFiniteFeature`.
+        as the IEEE ``(v - shift) / divisor``, elementwise: the one transform
+        kernel, for :func:`apply_transformers` in training and for scoring
+        alike.  Features without a fit pass through, since ``(v - 0.0) / 1.0``
+        is ``v``.  A non-finite result raises :class:`NonFiniteFeature`.
         """
         shift, divisor = np.zeros(len(domain)), np.ones(len(domain))
         for name, pair in self.affine.items():
@@ -539,22 +546,16 @@ def fit_transformers(dataset: Dataset, spec: TransformSpec) -> TransformerMap:
 
 
 def apply_transformers(dataset: Dataset, transformer: TransformerMap) -> Dataset:
-    """Rewrite feature values through the fitted transforms' :attr:`TransformerMap.affine` pairs.
+    """Rewrite feature values through :meth:`TransformerMap.rescale`, the kernel scoring replays.
 
     Features without a fit pass through unchanged.  The result is a new
-    dataset with recomputed domains and the transformation appended to the
-    provenance's ordered transformation list.
+    dataset with its feature domain recomputed and the transformation
+    appended to the provenance's ordered transformation list.
     """
-    affine = transformer.affine
-    new_examples = []
-    for ex in dataset.examples:
-        feats = tuple(
-            f if (pair := affine.get(f.name)) is None else FeatureValue(f.name, (f.value - pair[0]) / pair[1])
-            for f in ex.features
-        )
-        new_examples.append(Example(feats, ex.output, ex.weight))
+    columns = transformer.rescale(dataset.feature_domain, dataset.columns)
+    domain = FeatureDomain.observed(dataset.feature_domain.names(), columns.feature_ids, columns.values)
     prov = append_transformation(dataset.provenance, transformer.provenance)
-    return dataset_from_examples(new_examples, prov)
+    return Dataset(columns, domain, dataset.output_domain, prov)
 
 
 def append_transformation(dp: PObj, tprov: PObj) -> PObj:

@@ -10,7 +10,7 @@ full model provenance per member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -22,15 +22,13 @@ from .core import (
     CategoricalOutput,
     Columns,
     Dataset,
-    Example,
     Model,
     Output,
     Prediction,
     RealOutput,
     Trainer,
     argmax_label,
-    data_provenance,
-    dataset_from_examples,
+    dataset_from_columns,
     model_provenance,
     output_task,
 )
@@ -89,11 +87,11 @@ def bootstrap_sample(
 
     Draws round(fraction * N) indices from the stream seeded by
     ``member_seed``; a full draw without replacement is the identity (every
-    example once, original order).  The sample's provenance wraps the
-    original data provenance and records the member seed plus a hash of the
-    drawn indices.
+    example once, original order), taken from the parent's columns.  The
+    sample's provenance wraps the original data provenance and records the
+    member seed plus a hash of the drawn indices.
     """
-    n_total = len(dataset.examples)
+    n_total = len(dataset)
     n_draw = int(math.floor(fraction * n_total + 0.5))
     if n_draw < 1:
         raise EmptySource(f"a {fraction} sample of {n_total} examples would be empty")
@@ -105,7 +103,6 @@ def bootstrap_sample(
     else:
         indices = rng.sample_prefix(n_total, n_draw)
 
-    examples = [dataset.examples[i] for i in indices]
     indices_hash = sha256_hex(canonical_encode(PList(tuple(PInt(i) for i in indices))))
     source = object_provenance(
         BOOTSTRAP_SOURCE_CLASS,
@@ -119,16 +116,11 @@ def bootstrap_sample(
             "base": dataset.provenance,
         },
     )
-    sampled = dataset_from_examples(examples, provenance=dataset.provenance)
-    prov = data_provenance(len(examples), len(sampled.feature_domain), (), source)
-    return Dataset(sampled.examples, sampled.feature_domain, sampled.output_domain, prov)
-
-
-def _reweighted(dataset: Dataset, weights: Sequence[float]) -> Dataset:
-    examples = tuple(
-        Example(ex.features, ex.output, w) for ex, w in zip(dataset.examples, weights)
-    )
-    return Dataset(examples, dataset.feature_domain, dataset.output_domain, dataset.provenance)
+    sample = dataset.columns.take(np.array(indices, dtype=np.intp))
+    present, local = np.unique(sample.feature_ids, return_inverse=True)
+    names = [dataset.feature_domain.names()[i] for i in present.tolist()]
+    labels = dataset.output_domain.labels() if dataset.task == CATEGORICAL else None
+    return dataset_from_columns(names, replace(sample, feature_ids=local.astype(np.int32)), labels, source)
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +315,30 @@ class EnsembleTrainer(Trainer):
         return members
 
     def _boost(self, dataset: Dataset, base_count: int) -> tuple[list[Model], list[float]]:
-        """SAMME: reweight examples, weight members by their alpha.
+        """SAMME: reweight the rows through their weight column, weight
+        members by their alpha; each member scores the same columns.
 
         Stops early on a degenerate round: err >= 1 - 1/K discards the
         member and ends boosting; err == 0 keeps the member with a capped
         alpha and ends boosting (further rounds would not change weights).
         """
         cfg = self.cfg
-        n = len(dataset.examples)
-        k = len(dataset.output_domain.labels())
+        columns = dataset.columns
+        n = len(dataset)
+        labels = dataset.output_domain.labels()
+        k = len(labels)
         log_k1 = math.log(k - 1) if k > 1 else 0.0
+        truths = [labels[t] for t in columns.targets.tolist()]
+        totals = np.diff(columns.indptr).tolist()
         weights = [1.0 / n] * n
         members: list[Model] = []
         alphas: list[float] = []
 
         for i in range(cfg.num_members):
-            member = cfg.base_trainer.train_with_count(_reweighted(dataset, weights), base_count + i)
-            predictions = member.predict_batch(dataset.examples)
-            missed = [p.output.label != ex.output.label for p, ex in zip(predictions, dataset.examples)]
+            weighted = replace(dataset, columns=replace(columns, weights=np.array(weights)))
+            member = cfg.base_trainer.train_with_count(weighted, base_count + i)
+            predictions = member.predict_compiled(columns, totals)
+            missed = [p.output.label != truth for p, truth in zip(predictions, truths)]
             err = sum(w for w, m in zip(weights, missed) if m)
 
             if err >= 1 - 1 / k:

@@ -344,7 +344,7 @@ class LinearSgdTrainer(Trainer):
         columns = dataset.columns
         loss = _logistic_loss if cfg.objective == LOGISTIC else _squared_loss
         rng = Xoshiro256StarStar(self.stream_seed(count))
-        order = list(range(len(dataset.examples)))
+        order = list(range(len(dataset)))
         for _ in range(cfg.epochs):
             rng.shuffle(order)
             shuffled = np.array(order)

@@ -208,6 +208,7 @@ def test_cli_evaluate_builds_no_example_and_no_domain(tmp_path, monkeypatch, tas
         raise AssertionError("pvml evaluate built an example or a dataset domain")
 
     monkeypatch.setattr(pvml.data, "checked_example", refuse)
-    monkeypatch.setattr(pvml.core, "dataset_from_examples", refuse)
-    monkeypatch.setattr(pvml.core.FeatureDomain, "from_observations", refuse)
+    monkeypatch.setattr(pvml.core, "checked_example", refuse)
+    monkeypatch.setattr(pvml.core, "dataset_from_columns", refuse)
+    monkeypatch.setattr(pvml.core.FeatureDomain, "observed", refuse)
     assert _by_cli(model_path, test_csv, schema_path, tmp_path) == (0, expected)
