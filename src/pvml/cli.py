@@ -18,16 +18,13 @@ from .core import CATEGORICAL, build_dataset
 from .data import (
     ColumnarSchema,
     SCHEMA_CLASS,
-    TransformerMap,
     apply_transformers,
     fit_transformers,
     load_csv,
-    recorded_transformers,
     schema_from_properties,
     transform_spec_from_provenance,
 )
 from .errors import (
-    MissingProperty,
     OutputTypeMismatch,
     PvmlError,
     ReproductionMismatch,
@@ -39,8 +36,6 @@ from .provenance import (
     config_from_json,
     config_to_json,
     extract_configuration,
-    instance_section,
-    is_object_provenance,
     object_provenance,
     provenance_hash,
     redact,
@@ -87,33 +82,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _recorded_pipeline(model) -> list[TransformerMap]:
-    """The transformations recorded in the model's training-data provenance.
-
-    A model whose provenance records no training data raises
-    :class:`MissingProperty`, as :func:`reproduce_model` does: scoring raw
-    features for want of its pipeline would be a silent wrong answer.
-    """
-    prov = model.provenance  # a model file's provenance is not checked on load
-    data = instance_section(prov).get("data") if is_object_provenance(prov) else None
-    if not is_object_provenance(data):
-        raise MissingProperty("data")
-    return recorded_transformers(data)
-
-
 def _cmd_predict(args) -> int:
     schema = _load_schema(args.schema)
     model = load_model(args.model, expected_task=schema.response_type)
     source = load_csv(args.data, schema)
-    transformers = _recorded_pipeline(model)
     labels = model.output_domain.labels() if model.task == CATEGORICAL else ()
     buffer = io.StringIO()  # written only once every row has been scored
     writer = csv.writer(buffer)
     writer.writerow(["row", "prediction", *labels])
     predictions = (
         prediction
-        for columns, totals, _ in source.compiled(model.feature_domain)
-        for prediction in model.predict_compiled(columns, totals, transformers)
+        for columns, totals, _ in source.compiled(model)
+        for prediction in model.predict_compiled(columns, totals)
     )
     for i, pred in enumerate(predictions):
         if model.task == CATEGORICAL:
@@ -130,12 +110,11 @@ def _cmd_evaluate(args) -> int:
     schema = _load_schema(args.schema)
     model = load_model(args.model, expected_task=schema.response_type)
     source = load_csv(args.data, schema)
-    transformers = _recorded_pipeline(model)
     if model.task == CATEGORICAL:
-        evaluation = evaluate_classification(model, source, transformers)
+        evaluation = evaluate_classification(model, source)
         print(f"accuracy {evaluation.accuracy:.6f} on {evaluation.num_examples} examples")
     else:
-        evaluation = evaluate_regression(model, source, transformers)
+        evaluation = evaluate_regression(model, source)
         print(f"rmse {evaluation.rmse:.6f} on {evaluation.num_examples} examples")
     report = json.dumps(evaluation.to_report(), sort_keys=True, separators=(",", ":"))
     write_atomically(args.report, report + "\n")

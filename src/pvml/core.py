@@ -579,7 +579,9 @@ class Model(ABC):
     Subclasses implement :meth:`_predict_intersected` over the id-indexed
     sparse vector; this base class owns the runtime checks shared by every
     model: unknown features are dropped, an empty intersection raises, and
-    values outside the training range produce named warnings.
+    values outside the training range produce named warnings.  Every
+    scoring method takes model-space values, as the trainer saw them; raw
+    data enters model space in :mod:`pvml.data`, through the recorded pipeline.
     """
 
     model_class: str = "pvml.Model"
@@ -629,32 +631,25 @@ class Model(ABC):
             warnings=tuple(warnings),
         )
 
-    def predict_batch(self, examples: Sequence[Example], transformers: Sequence = ()) -> list[Prediction]:
+    def predict_batch(self, examples: Sequence[Example]) -> list[Prediction]:
         """Score many examples at once, as ``[self.predict(x) for x in examples]`` would.
 
         The examples are compiled once against the model's domain; their
-        outputs are not read.  Each of ``transformers`` (fitted
-        :class:`~pvml.data.TransformerMap` objects, in order) then rescales
-        the compiled values as :func:`~pvml.data.apply_transformers` would
-        have rewritten the examples.  A row that shares no feature with the
-        model raises :class:`NoFeatureOverlap` for the whole batch.
+        outputs are not read.  A row that shares no feature with the model
+        raises :class:`NoFeatureOverlap` for the whole batch.
         """
         examples = tuple(examples)
         columns = compile_examples(examples, self.feature_domain, targets=False)
-        return self.predict_compiled(columns, [len(ex.features) for ex in examples], transformers)
+        return self.predict_compiled(columns, [len(ex.features) for ex in examples])
 
-    def predict_compiled(
-        self, columns: Columns, features_total: Sequence[int], transformers: Sequence = ()
-    ) -> list[Prediction]:
+    def predict_compiled(self, columns: Columns, features_total: Sequence[int]) -> list[Prediction]:
         """Score rows already compiled against the model's domain, as
         :meth:`predict_batch` scores the examples they were compiled from.
 
         ``features_total`` holds each row's feature count before names
-        outside the domain were dropped.  ``transformers`` and
-        :class:`NoFeatureOverlap` are as in :meth:`predict_batch`.
+        outside the domain were dropped.  :class:`NoFeatureOverlap` is as in
+        :meth:`predict_batch`.
         """
-        for transformer in transformers:
-            columns = transformer.rescale(self.feature_domain, columns)
         used = np.diff(columns.indptr)
         if not used.all():
             raise NoFeatureOverlap("an example shares no features with the model's training domain")
@@ -711,20 +706,16 @@ class Model(ABC):
         :class:`NoFeatureOverlap` rejects the example."""
 
 
-def predict(model: Model, example: Example, expected_task: str | None = None) -> Prediction:
-    return model.predict(example, expected_task)
-
-
 BATCH_ROWS = 256
 
 
-def predict_chunked(model: Model, examples: Iterable[Example], transformers: Sequence = ()) -> Iterator[Prediction]:
+def predict_chunked(model: Model, examples: Iterable[Example]) -> Iterator[Prediction]:
     """The predictions of ``examples`` in order, scored through
     :meth:`Model.predict_batch` :data:`BATCH_ROWS` at a time, so that the
     compiled arrays do not grow with the input."""
     rest = iter(examples)
     while chunk := tuple(islice(rest, BATCH_ROWS)):
-        yield from model.predict_batch(chunk, transformers)
+        yield from model.predict_batch(chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .core import (
     Dataset,
     Example,
     FeatureDomain,
+    Model,
     Output,
     RealOutput,
     CategoricalOutput,
@@ -39,10 +40,13 @@ from .errors import (
     CsvParseError,
     EmptyExample,
     HeaderMismatch,
+    MissingProperty,
     MissingResponse,
     NonFiniteFeature,
     NonFiniteStatistic,
     ParseError,
+    PipelineMismatch,
+    UnknownClass,
     UnparseableNumeric,
 )
 from .provenance import (
@@ -133,8 +137,6 @@ class ColumnarSchema:
 
 def schema_from_properties(properties: Mapping[str, ProvValue] | PMap) -> ColumnarSchema:
     """Rebuild a schema from the configuration properties of its record."""
-    from .errors import MissingProperty
-
     for key in ("response-column", "response-type", "columns"):
         if key not in properties:
             raise MissingProperty(key)
@@ -381,23 +383,28 @@ class CsvDataSource:
             yield names, values, totals, outputs
 
     def compiled(
-        self, domain: FeatureDomain, seen: set[str] | None = None
+        self, model: Model, seen: set[str] | None = None
     ) -> Iterator[tuple[Columns, list[int], list[Output]]]:
-        """The rows compiled against ``domain``, :data:`~pvml.core.BATCH_ROWS`
-        at a time, for :meth:`~pvml.core.Model.predict_compiled`.
+        """The rows in ``model``'s space, :data:`~pvml.core.BATCH_ROWS` at a
+        time, for :meth:`~pvml.core.Model.predict_compiled`.
 
         Each chunk is the :class:`Columns` that ``compile_examples(...,
-        targets=False)`` makes of the rows' examples, with each row's
-        feature count before names outside ``domain`` were dropped, and each
-        row's output.  Every feature name met is added to ``seen`` when it is
-        given, so that after the last chunk it holds the names a dataset of
-        the file would have in its domain.
+        targets=False)`` makes of the rows' examples against the model's
+        domain, rescaled through its :func:`recorded_pipeline`, with each
+        row's feature count before names outside the domain were dropped, and
+        each row's output.  Every feature name met is added to ``seen`` when
+        it is given, so that after the last chunk it holds the names a
+        dataset of the file would have in its domain.
         """
+        domain, pipeline = model.feature_domain, recorded_pipeline(model)
         for names, values, totals, outputs in self.merged():
             if seen is not None:
                 seen.update(names)
             indptr, ids, array = compile_features(names, np.array(values, dtype=np.float64), totals, domain.ids)
-            yield Columns(indptr, ids, array, np.empty(0), np.ones(len(totals))), totals, outputs
+            columns = Columns(indptr, ids, array, np.empty(0), np.ones(len(totals)))
+            for transformer in pipeline:
+                columns = transformer.rescale(domain, columns)
+            yield columns, totals, outputs
 
 
 def load_csv(path: str, schema: ColumnarSchema) -> CsvDataSource:
@@ -554,14 +561,9 @@ def apply_transformers(dataset: Dataset, transformer: TransformerMap) -> Dataset
     """
     columns = transformer.rescale(dataset.feature_domain, dataset.columns)
     domain = FeatureDomain.observed(dataset.feature_domain.names(), columns.feature_ids, columns.values)
-    prov = append_transformation(dataset.provenance, transformer.provenance)
+    done = instance_section(dataset.provenance).get("transformations", PList())
+    prov = with_instance_entry(dataset.provenance, "transformations", PList((*done.items, transformer.provenance)))
     return Dataset(columns, domain, dataset.output_domain, prov)
-
-
-def append_transformation(dp: PObj, tprov: PObj) -> PObj:
-    """Data provenance ``dp`` with ``tprov`` last in its transformations."""
-    existing = instance_section(dp).get("transformations", PList())
-    return with_instance_entry(dp, "transformations", PList(tuple(existing.items) + (tprov,)))
 
 
 def recorded_transformers(data_provenance: PObj) -> list[TransformerMap]:
@@ -579,6 +581,34 @@ def recorded_transformers(data_provenance: PObj) -> list[TransformerMap]:
     if not isinstance(transformations, PList) or not all(map(is_object_provenance, transformations)):
         raise ParseError("data provenance 'transformations' must be a list of object provenances")
     return [_recorded_map(tprov) for tprov in transformations]
+
+
+def recorded_pipeline(model: Model) -> list[TransformerMap]:
+    """The transformations in ``model``'s training-data provenance, which take
+    raw values to the values its trainer saw: the one reader of a model's
+    pipeline.  A model that records no training data raises
+    :class:`MissingProperty`, as scoring raw values without its pipeline
+    would be a silent wrong answer."""
+    prov = model.provenance  # a model file's provenance is not checked on load
+    data = instance_section(prov).get("data") if is_object_provenance(prov) else None
+    if not is_object_provenance(data):
+        raise MissingProperty("data")
+    return recorded_transformers(data)
+
+
+def in_model_space(model: Model, dataset: Dataset) -> Dataset:
+    """``dataset`` as ``model``'s trainer saw its own data.  One that records
+    the model's :func:`recorded_pipeline` is returned as it is, one that
+    records no transformation goes through the pipeline, and any other
+    raises :class:`PipelineMismatch` rather than be rescaled twice."""
+    pipeline = recorded_pipeline(model)
+    done = instance_section(dataset.provenance).get("transformations", PList())
+    if done != PList(tuple(t.provenance for t in pipeline)):
+        if done != PList():
+            raise PipelineMismatch("the dataset records transformations other than the model's pipeline")
+        for transformer in pipeline:
+            dataset = apply_transformers(dataset, transformer)
+    return dataset
 
 
 def _recorded_map(tprov: PObj) -> TransformerMap:
@@ -605,8 +635,6 @@ def transform_spec_from_provenance(tprov: PObj) -> TransformSpec:
     """Recover the fit spec (not the fitted numbers) from a recorded transform."""
     kind = _TRANSFORM_KINDS.get(tprov.class_name)
     if kind is None:
-        from .errors import UnknownClass
-
         raise UnknownClass(f"unknown transformation class {tprov.class_name!r}")
     features = config_section(tprov).get("features")
     if features is None or (isinstance(features, PStr) and features.value == "*"):

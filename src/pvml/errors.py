@@ -57,6 +57,10 @@ class TaskMismatch(PvmlError):
     """Dataset, trainer or model task types disagree."""
 
 
+class PipelineMismatch(PvmlError):
+    """A dataset records transformations other than the model's own pipeline."""
+
+
 # --- optimization -----------------------------------------------------------
 
 class ShapeMismatch(PvmlError):
@@ -137,7 +141,7 @@ class UnknownTag(PvmlError):
 # --- model persistence ----------------------------------------------------------
 
 class FormatError(PvmlError):
-    """A model file is not a well-formed container."""
+    """A model file is not a well-formed container, or a model cannot be written as one."""
 
 
 class UnknownModelClass(PvmlError):

@@ -9,7 +9,6 @@ at evaluation time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import (
     CATEGORICAL,
@@ -19,12 +18,13 @@ from .core import (
     Model,
     Output,
     Prediction,
+    build_dataset,
     data_provenance,
     predict_chunked,
     real_domain,
 )
-from .data import CsvDataSource, TransformerMap, append_transformation
-from .errors import EmptySource, TaskMismatch, UnlabelledExample
+from .data import CsvDataSource, in_model_space, recorded_pipeline
+from .errors import EmptySource, NonFiniteFeature, TaskMismatch, UnlabelledExample
 from .provenance import PObj, object_provenance, to_json_value
 
 CLASSIFICATION_EVAL_CLASS = "pvml.ClassificationEvaluation"
@@ -33,18 +33,9 @@ REGRESSION_EVAL_CLASS = "pvml.RegressionEvaluation"
 _TASK_NAMES = {CATEGORICAL: "classification", REAL: "regression"}
 
 
-def evaluation_provenance(
-    kind: str, model: Model, test_data: PObj, transformers: Sequence[TransformerMap] = ()
-) -> PObj:
-    """Model and test-data provenance; the test data lists ``transformers``
-    as :func:`~pvml.data.apply_transformers` would have appended them."""
-    for transformer in transformers:
-        test_data = append_transformation(test_data, transformer.provenance)
-    return object_provenance(
-        kind,
-        config={},
-        instance={"model": model.provenance, "test-data": test_data},
-    )
+def evaluation_provenance(kind: str, model: Model, test_data: PObj) -> PObj:
+    """Model and test-data provenance."""
+    return object_provenance(kind, config={}, instance={"model": model.provenance, "test-data": test_data})
 
 
 @dataclass(frozen=True)
@@ -116,28 +107,28 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def _scored(
-    model: Model, data: Dataset | CsvDataSource, transformers: Sequence[TransformerMap], task: str
-) -> tuple[list[Output], list[Prediction], PObj]:
-    """The truths, the predictions and the test-data provenance of ``data``.
-
-    A CSV source is compiled straight to columns; its test-data provenance
-    is the one :func:`~pvml.core.build_dataset` would record, and it raises
-    what that would raise for a file without rows, without the response
-    column or with regression targets whose variance overflows, before any
-    row is scored.
-    """
+def _scored(model: Model, data: Dataset | CsvDataSource, task: str) -> tuple[list[Output], list[Prediction], PObj]:
+    """The truths, the predictions and the test-data provenance of ``data``
+    in the model's space: a dataset through :func:`~pvml.data.in_model_space`,
+    a CSV source as rescaled columns, with the provenance and the first error
+    of that route for ``build_dataset(data)``.  A file without rows, without
+    the response column or with regression targets whose variance overflows
+    raises before any row is scored."""
     name = _TASK_NAMES[task]
     if model.task != task:
         raise TaskMismatch(f"model does not perform {name}")
     if (data.task if isinstance(data, Dataset) else data.schema.response_type) != task:
         raise TaskMismatch(f"dataset does not carry {name} ground truth")
     if isinstance(data, Dataset):
-        truths = [ex.output for ex in data.examples]
-        return truths, list(predict_chunked(model, data.examples, transformers)), data.provenance
+        data = in_model_space(model, data)
+        return [ex.output for ex in data.examples], list(predict_chunked(model, data.examples)), data.provenance
 
     names: set[str] = set()
-    chunks = list(data.compiled(model.feature_domain, names))
+    try:
+        chunks = list(data.compiled(model, names))
+    except NonFiniteFeature:
+        build_dataset(data)  # a rescaled value overflowed: the file's own faults come first, as for a dataset
+        raise
     truths = [output for _, _, outputs in chunks for output in outputs]
     if not truths:
         raise EmptySource("data source yielded no examples")
@@ -145,33 +136,30 @@ def _scored(
         raise UnlabelledExample("datasets require ground truth on every example")
     if task == REAL:
         real_domain(output.value for output in truths)
-    preds = [p for columns, totals, _ in chunks for p in model.predict_compiled(columns, totals, transformers)]
-    return truths, preds, data_provenance(len(truths), len(names), (), data.provenance)
+    preds = [p for columns, totals, _ in chunks for p in model.predict_compiled(columns, totals)]
+    pipeline = [t.provenance for t in recorded_pipeline(model)]
+    return truths, preds, data_provenance(len(truths), len(names), pipeline, data.provenance)
 
 
-def evaluate_classification(
-    model: Model, data: Dataset | CsvDataSource, transformers: Sequence[TransformerMap] = ()
-) -> ClassificationEvaluation:
-    """Score ``data``, a dataset or a labelled CSV source, in batches, each
-    rescaled by ``transformers`` in order."""
-    outputs, predictions, test_data = _scored(model, data, transformers, CATEGORICAL)
+def evaluate_classification(model: Model, data: Dataset | CsvDataSource) -> ClassificationEvaluation:
+    """Score ``data``, a dataset or a labelled CSV source, in batches, in the
+    model's space: raw data goes through the model's recorded pipeline."""
+    outputs, predictions, test_data = _scored(model, data, CATEGORICAL)
     truths = [output.label for output in outputs]
     preds = [p.output.label for p in predictions]
 
     labels = sorted(set(model.output_domain.labels()) | set(truths))
     confusion: dict[str, dict[str, int]] = {t: {} for t in labels}
     for t, p in zip(truths, preds):
-        confusion.setdefault(t, {})
         confusion[t][p] = confusion[t].get(p, 0) + 1
 
     n = len(truths)
-    correct = sum(confusion.get(label, {}).get(label, 0) for label in labels)
     per_label: dict[str, LabelMetrics] = {}
     tp_total = fp_total = fn_total = 0
     for label in labels:
-        tp = confusion.get(label, {}).get(label, 0)
-        fp = sum(confusion.get(t, {}).get(label, 0) for t in labels if t != label)
-        fn = sum(c for p, c in confusion.get(label, {}).items() if p != label)
+        tp = confusion[label].get(label, 0)
+        fp = sum(confusion[t].get(label, 0) for t in labels if t != label)
+        fn = sum(c for p, c in confusion[label].items() if p != label)
         precision = _ratio(tp, tp + fp)
         recall = _ratio(tp, tp + fn)
         f1 = _ratio(2 * precision * recall, precision + recall)
@@ -184,7 +172,7 @@ def evaluate_classification(
     micro_r = _ratio(tp_total, tp_total + fn_total)
     return ClassificationEvaluation(
         confusion=confusion,
-        accuracy=correct / n,
+        accuracy=tp_total / n,
         per_label=per_label,
         macro_precision=sum(m.precision for m in per_label.values()) / len(labels),
         macro_recall=sum(m.recall for m in per_label.values()) / len(labels),
@@ -193,16 +181,14 @@ def evaluate_classification(
         micro_recall=micro_r,
         micro_f1=_ratio(2 * micro_p * micro_r, micro_p + micro_r),
         num_examples=n,
-        provenance=evaluation_provenance(CLASSIFICATION_EVAL_CLASS, model, test_data, transformers),
+        provenance=evaluation_provenance(CLASSIFICATION_EVAL_CLASS, model, test_data),
     )
 
 
-def evaluate_regression(
-    model: Model, data: Dataset | CsvDataSource, transformers: Sequence[TransformerMap] = ()
-) -> RegressionEvaluation:
-    """Score ``data``, a dataset or a labelled CSV source, in batches, each
-    rescaled by ``transformers`` in order."""
-    outputs, predictions, test_data = _scored(model, data, transformers, REAL)
+def evaluate_regression(model: Model, data: Dataset | CsvDataSource) -> RegressionEvaluation:
+    """Score ``data``, a dataset or a labelled CSV source, in batches, in the
+    model's space: raw data goes through the model's recorded pipeline."""
+    outputs, predictions, test_data = _scored(model, data, REAL)
     targets = [output.value for output in outputs]
     residuals = [p.output.value - y for p, y in zip(predictions, targets)]
 
@@ -219,5 +205,5 @@ def evaluate_regression(
         mae=sum(abs(r) for r in residuals) / n,
         r2=r2,
         num_examples=n,
-        provenance=evaluation_provenance(REGRESSION_EVAL_CLASS, model, test_data, transformers),
+        provenance=evaluation_provenance(REGRESSION_EVAL_CLASS, model, test_data),
     )

@@ -308,8 +308,11 @@ def write_atomically(path: str, text: str) -> None:
 
 
 def save_model(model: Model, path: str) -> None:
-    """Write the model container; byte-deterministic for a fixed model."""
-    text = json.dumps(model_to_container(model), sort_keys=True, separators=(",", ":"))
+    """Write the model container, byte-deterministic; one nested too deeply to encode raises :class:`FormatError`."""
+    try:
+        text = json.dumps(model_to_container(model), sort_keys=True, separators=(",", ":"))
+    except RecursionError as exc:
+        raise FormatError(f"the model is nested too deeply to write: {exc}") from exc
     write_atomically(path, text + "\n")
 
 

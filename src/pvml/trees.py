@@ -522,23 +522,32 @@ class CartTrainer(Trainer):
             mean = sum(t * w for t, w in zip(targets, weights)) / sum(weights)
             return LeafNode(len(node), mean=mean)
 
-        def grow(start: int, end: int, depth: int) -> TreeNode:
-            node = _Node(sample, start, end)
-            if depth >= cfg.max_depth or len(node) < 2 * cfg.min_examples_per_leaf:
-                return make_leaf(node)
-            if k < num_features:
-                candidates = sorted(rng.sample_prefix(num_features, k))
-            else:
-                candidates = list(range(num_features))  # no draw when taking everything
-            split = best_split(node, candidates, cfg, task, rng)
+        # A work list, not recursion, so a tree may outgrow the recursion limit.
+        # Left subtrees grow first, as the RNG draws require; a split is built
+        # once both of its subtrees are, which then lie on top of ``built``.
+        work: list = [(0, len(dataset), 0)]
+        built: list[TreeNode] = []
+        while work:
+            item = work.pop()
+            if isinstance(item, Split):
+                right, left = built.pop(), built.pop()
+                built.append(SplitNode(item.feature_id, item.threshold, left, right))
+                continue
+            start, end, depth = item
+            node, split = _Node(sample, start, end), None
+            if depth < cfg.max_depth and len(node) >= 2 * cfg.min_examples_per_leaf:
+                if k < num_features:
+                    candidates = sorted(rng.sample_prefix(num_features, k))
+                else:
+                    candidates = list(range(num_features))  # no draw when taking everything
+                split = best_split(node, candidates, cfg, task, rng)
             if split is None:
-                return make_leaf(node)
-            middle = sample.partition(start, end, split.feature_id, split.threshold)
-            left = grow(start, middle, depth + 1)
-            right = grow(middle, end, depth + 1)
-            return SplitNode(split.feature_id, split.threshold, left, right)
+                built.append(make_leaf(node))
+            else:
+                middle = sample.partition(start, end, split.feature_id, split.threshold)
+                work += [split, (middle, end, depth + 1), (start, middle, depth + 1)]
+        (root,) = built
 
-        root = grow(0, len(dataset), 0)
         prov = model_provenance(
             TREE_MODEL_CLASS,
             trainer_provenance=self.provenance_with_count(count),

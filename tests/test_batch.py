@@ -1,6 +1,10 @@
 """Batch scoring: ``Model.predict_batch`` against ``Model.predict``, the
-recorded transformations it replays, and linear scores that overflow."""
+recorded transformations that take raw rows to the model's space, and
+linear scores that overflow."""
 
+import copy
+import os
+import tempfile
 from functools import cache
 
 import numpy as np
@@ -18,9 +22,18 @@ from pvml import (
     make_example,
 )
 from pvml.core import BATCH_ROWS, Example, FeatureValue, predict_chunked
-from pvml.data import IdentityFit, MinMaxFit, ZScoreFit, recorded_transformers
+from pvml.data import (
+    ColumnarSchema,
+    CsvDataSource,
+    FieldProcessor,
+    IdentityFit,
+    MinMaxFit,
+    in_model_space,
+    recorded_transformers,
+)
 from pvml.ensemble import ADABOOST, BAGGING, RANDOM_FOREST, EnsembleConfig, EnsembleTrainer, train_ensemble
-from pvml.errors import NoFeatureOverlap, NonFiniteFeature, NonFiniteScore, ParseError, PvmlError
+from pvml.errors import NoFeatureOverlap, NonFiniteFeature, NonFiniteScore, ParseError, PipelineMismatch, PvmlError
+from pvml.evaluate import evaluate_classification
 from pvml.optimize import AdaGrad, LinearSgdModel, LinearSgdTrainer, Sgd, train_linear_sgd
 from pvml.provenance import PFlt, PInt, PList, PMap, PStr, instance_section, with_instance_entry
 from pvml.trees import CartTrainer, TreeConfig, train_cart
@@ -106,11 +119,28 @@ def _one_by_one(model, examples):
         return type(exc)
 
 
-def _batched(model, examples, transformers=()):
+def _batched(model, examples):
     try:
-        return [_bits(p) for p in model.predict_batch(examples, transformers)]
+        return [_bits(p) for p in model.predict_batch(examples)]
     except PvmlError as exc:
         return type(exc)
+
+
+def _compiled_csv(model, examples):
+    """The predictions of ``examples`` written as CSV rows, one numeric column
+    per name of :data:`NAMES`, through ``CsvDataSource.compiled``."""
+    schema = ColumnarSchema("label", "categorical", tuple(FieldProcessor(n, "numeric") for n in NAMES))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(NAMES) + "\n")
+            for values in (x.as_dict() for x in examples):
+                fh.write(",".join(repr(values[n]) if n in values else "" for n in NAMES) + "\n")
+        source = CsvDataSource(path, schema)
+        try:
+            return [_bits(p) for columns, totals, _ in source.compiled(model) for p in model.predict_compiled(columns, totals)]
+        except PvmlError as exc:
+            return type(exc)
 
 
 class TestBatchEqualsOneByOne:
@@ -199,22 +229,41 @@ class TestReplayedTransformations:
     @pytest.mark.parametrize("kinds", [("zscore",), ("minmax",), ("zscore", "minmax")])
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(examples=st.lists(EXAMPLES, min_size=1, max_size=6))
-    def test_rescaled_batch_equals_transformed_examples(self, kinds, examples):
+    def test_raw_rows_reach_model_space_as_the_transformed_examples(self, kinds, examples):
+        """Raw rows enter the model's space through ``CsvDataSource.compiled``
+        (rescaled columns) and ``in_model_space`` (a rescaled dataset); both
+        score as the examples that the recorded fits rewrote."""
         transformed, _, model = _pipeline(kinds)
-        recorded = recorded_transformers(transformed.provenance)
         queries = build_dataset(InMemoryDataSource([Example(x.features, CategoricalOutput("a")) for x in examples]))
-        for tmap in recorded:
-            queries = apply_transformers(queries, tmap)
-        assert _batched(model, examples, recorded) == _one_by_one(model, queries.examples)
+        rewritten = queries
+        for tmap in recorded_transformers(transformed.provenance):
+            rewritten = apply_transformers(rewritten, tmap)
+        expected = _one_by_one(model, rewritten.examples)
+        assert _batched(model, in_model_space(model, queries).examples) == expected
+        assert _compiled_csv(model, examples) == expected
 
     def test_overflowing_rescale_is_a_non_finite_feature(self):
-        tmap = fit_transformers(CLF, TransformSpec("zscore", ("x",)))
-        tiny = type(tmap)(tmap.spec, {"x": ZScoreFit(0.0, 1e-300)}, (), tmap.provenance)
-        rows = [make_example([("x", 1e10)])]
+        transformed, (tmap,), model = _pipeline(("zscore",))
+        tiny = with_instance_entry(tmap.provenance, "fitted", PMap({"x": PMap({"mean": PFlt(0.0), "std": PFlt(1e-300)})}))
+        data = with_instance_entry(transformed.provenance, "transformations", PList((tiny,)))
+        model = copy.copy(model)
+        model.provenance = with_instance_entry(model.provenance, "data", data)
+        row = make_example([("x", 1e10)], RealOutput(0.0))
         with pytest.raises(NonFiniteFeature):
-            MODELS["cart-clf"].predict_batch(rows, [tiny])
-        with pytest.raises(NonFiniteFeature):
-            apply_transformers(build_dataset(InMemoryDataSource([Example(rows[0].features, RealOutput(0.0))])), tiny)
+            in_model_space(model, build_dataset(InMemoryDataSource([row])))
+        assert _compiled_csv(model, [row]) is NonFiniteFeature
+
+    def test_a_dataset_transformed_by_another_fit_is_a_pipeline_mismatch(self):
+        transformed, _, model = _pipeline(("zscore",))
+        half = build_dataset(InMemoryDataSource(CLF.examples[:6]))
+        refitted = apply_transformers(CLF, fit_transformers(half, TransformSpec("zscore")))
+        for dataset in (refitted, _pipeline(("zscore", "minmax"))[0]):
+            with pytest.raises(PipelineMismatch):
+                in_model_space(model, dataset)
+            with pytest.raises(PipelineMismatch):
+                evaluate_classification(model, dataset)
+        # the raw rows and the rows the model's own pipeline rewrote are one evaluation
+        assert evaluate_classification(model, CLF).to_report() == evaluate_classification(model, transformed).to_report()
 
     def _with_transformations(self, entries):
         return with_instance_entry(CLF.provenance, "transformations", entries)

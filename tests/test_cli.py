@@ -162,6 +162,22 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_a_tree_deeper_than_the_recursion_limit_exits_0_or_2(self, tmp_path, capsys):
+        # alternating labels over x = i: every split peels off one row
+        data = tmp_path / "deep.csv"
+        data.write_text("x,y\n" + "".join(f"{i},{'ab'[i % 2]}\n" for i in range(1000)))
+        schema = ColumnarSchema("y", "categorical", (FieldProcessor("x", "numeric"),))
+        (tmp_path / "schema.json").write_text(config_to_json(extract_configuration(schema.provenance())))
+        trainer = CartTrainer(TreeConfig(max_depth=5000, min_examples_per_leaf=1))
+        (tmp_path / "trainer.json").write_text(config_to_json(extract_configuration(trainer.provenance())))
+        model = tmp_path / "model.pvml"
+        rc = main(["train", "--data", str(data), "--schema", str(tmp_path / "schema.json"),
+                   "--trainer", str(tmp_path / "trainer.json"), "--output", str(model)])
+        assert rc in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        if rc == 2:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.csv", "schema.json", "trainer.json"]
+
     def test_task_mismatch_is_3(self, workspace, tmp_path):
         assert _train(workspace) == 0
         reg_schema = ColumnarSchema("f2", REAL, (FieldProcessor("f1", "numeric"),))

@@ -135,7 +135,7 @@ def _by_examples(path, processors, model):
 def _by_columns(path, processors, model):
     source = _source(path, processors)
     try:
-        (columns, totals, outputs), = source.compiled(model.feature_domain)
+        (columns, totals, outputs), = source.compiled(model)
     except PvmlError as exc:
         return type(exc)
     return _arrays(columns), totals, outputs, _scored(lambda: model.predict_compiled(columns, totals))
@@ -156,7 +156,7 @@ class TestCompiledEqualsExamples:
         processors = [PROCESSORS[0], PROCESSORS[3], PROCESSORS[4]]
         path = _write_csv(tmp_path, ["n", "c", "a"], rows)
         model = MODELS["linear"]
-        chunks = list(_source(path, processors).compiled(model.feature_domain))
+        chunks = list(_source(path, processors).compiled(model))
         assert [len(totals) for _, totals, _ in chunks] == [BATCH_ROWS, BATCH_ROWS, 5]
         got = [_bits(p) for columns, totals, _ in chunks for p in model.predict_compiled(columns, totals)]
         want = [_bits(p) for p in predict_chunked(model, list(_source(path, processors)))]
@@ -217,7 +217,7 @@ class TestNamesCheckedOnce:
         path = _write_csv(tmp_path, ["a", "c"], [("b b zz", "r"), ("zz b", "r"), ("b", "red")])
         source = _source(path, [PROCESSORS[4], PROCESSORS[3]])
         list(source)
-        list(source.compiled(MODELS["cart"].feature_domain))
+        list(source.compiled(MODELS["cart"]))
         assert sorted(seen) == ["a@b", "a@zz", "c@r", "c@red"]
 
     def test_a_bad_name_is_never_taken_as_checked(self, tmp_path):
@@ -227,4 +227,4 @@ class TestNamesCheckedOnce:
             with pytest.raises(InvalidFeatureName):
                 list(source)
             with pytest.raises(InvalidFeatureName):
-                list(source.compiled(MODELS["cart"].feature_domain))
+                list(source.compiled(MODELS["cart"]))

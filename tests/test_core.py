@@ -19,7 +19,6 @@ from pvml.core import (
     argmax_label,
     build_dataset,
     make_example,
-    predict,
 )
 from pvml.data import InMemoryDataSource
 from pvml.errors import (
@@ -243,9 +242,9 @@ class TestPredictContract:
         with pytest.raises(OutputTypeMismatch):
             model.predict(make_example([("f1", 0.5)]), expected_task="real")
 
-    def test_module_level_predict(self):
+    def test_matching_expected_task_predicts(self):
         model = _stub_over([("f1", 0.0, 1.0)])
-        pred = predict(model, make_example([("f1", 0.5)]), expected_task=CATEGORICAL)
+        pred = model.predict(make_example([("f1", 0.5)]), expected_task=CATEGORICAL)
         assert pred.output == CategoricalOutput("x")
 
 

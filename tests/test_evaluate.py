@@ -11,12 +11,19 @@ from pvml.core import (
     RealDomain,
     RealOutput,
     build_dataset,
+    data_provenance,
     make_example,
 )
 from pvml.data import InMemoryDataSource
-from pvml.errors import TaskMismatch
+from pvml.errors import MissingProperty, TaskMismatch
 from pvml.evaluate import evaluate_classification, evaluate_regression
 from pvml.provenance import instance_section, object_provenance, provenance_hash
+
+
+def _provenance(model_class):
+    """A model provenance whose training data records no transformation, so
+    datasets are scored as they are."""
+    return object_provenance(model_class, instance={"data": data_provenance(0, 1, (), object_provenance("test.Source"))})
 
 
 class _FixedClassifier(Model):
@@ -29,7 +36,7 @@ class _FixedClassifier(Model):
         domain = FeatureDomain({"i": FeatureInfo(0, n, 0.0, float(n), n / 2.0, 1.0)})
         super().__init__(
             "fixed",
-            object_provenance("test.FixedClassifier"),
+            _provenance("test.FixedClassifier"),
             domain,
             CategoricalDomain({label: 1 for label in labels}),
         )
@@ -49,7 +56,7 @@ class _FixedRegressor(Model):
         domain = FeatureDomain({"i": FeatureInfo(0, n, 0.0, float(n), n / 2.0, 1.0)})
         super().__init__(
             "fixed",
-            object_provenance("test.FixedRegressor"),
+            _provenance("test.FixedRegressor"),
             domain,
             RealDomain(min(preds), max(preds), sum(preds) / n, 0.0, n),
         )
@@ -135,6 +142,12 @@ class TestClassificationEvaluation:
         inst = instance_section(ev.provenance)
         assert provenance_hash(inst["model"]) == provenance_hash(model.provenance)
         assert provenance_hash(inst["test-data"]) == provenance_hash(ds.provenance)
+
+    def test_a_model_without_training_data_provenance_raises(self):
+        model = _FixedClassifier(["a"], ["a"])
+        model.provenance = object_provenance("test.FixedClassifier")
+        with pytest.raises(MissingProperty):
+            evaluate_classification(model, _clf_dataset(["a"]))
 
     def test_task_mismatch(self):
         with pytest.raises(TaskMismatch):

@@ -1,9 +1,10 @@
 """``pvml evaluate`` scores compiled CSV columns.
 
-The command must write the report that ``evaluate_*`` writes for the
-dataset ``build_dataset(load_csv(...))`` scored through the model's
-recorded pipeline, byte for byte apart from timestamps, and a malformed
-test file must raise the same error class on both paths.
+The command must write the report that ``evaluate_*`` writes for the raw
+dataset ``build_dataset(load_csv(...))`` and for the CSV source itself,
+each of which the library takes through the model's recorded pipeline,
+byte for byte apart from timestamps; a malformed test file must raise the
+same error class on every path.
 """
 
 import json
@@ -26,7 +27,6 @@ from pvml.data import (
     apply_transformers,
     fit_transformers,
     load_csv,
-    recorded_transformers,
 )
 from pvml.errors import (
     EmptySource,
@@ -39,7 +39,7 @@ from pvml.errors import (
 from pvml.evaluate import evaluate_classification, evaluate_regression
 from pvml.optimize import AdaGrad, train_linear_sgd
 from pvml.persist import load_model, save_model
-from pvml.provenance import config_to_json, extract_configuration, instance_section
+from pvml.provenance import config_to_json, extract_configuration
 from pvml.trees import TreeConfig, train_cart
 
 POOL = {
@@ -77,16 +77,16 @@ def _write_csv(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _train(directory, task, columns, learner, zscored):
-    """Train on the fixed rows and save the model; returns the schema file
-    and the model file."""
+def _train(directory, task, columns, learner, transform):
+    """Train on the fixed rows, rescaled by a fit of ``transform`` unless it
+    is None, and save the model; returns the schema file and the model file."""
     schema = _schema(task, columns)
     train_csv = Path(directory, "train.csv")
     response = 4 if task == CATEGORICAL else 5
     _write_csv(train_csv, [*POOL, "y"], [(*row[:4], row[response]) for row in TRAIN_ROWS])
     dataset = build_dataset(load_csv(str(train_csv), schema))
-    if zscored:
-        dataset = apply_transformers(dataset, fit_transformers(dataset, TransformSpec("zscore")))
+    if transform is not None:
+        dataset = apply_transformers(dataset, fit_transformers(dataset, TransformSpec(transform)))
     if learner == "cart":
         model = train_cart(dataset, TreeConfig(max_depth=3, min_examples_per_leaf=1, seed=3))
     else:
@@ -112,8 +112,7 @@ def _by_library(model_path, test_csv, schema, as_dataset=True):
     evaluate = evaluate_classification if model.task == CATEGORICAL else evaluate_regression
     try:
         source = load_csv(test_csv, schema)
-        pipeline = recorded_transformers(instance_section(model.provenance)["data"])
-        report = evaluate(model, build_dataset(source) if as_dataset else source, pipeline).to_report()
+        report = evaluate(model, build_dataset(source) if as_dataset else source).to_report()
     except PvmlError as exc:
         return type(exc)
     return _untimed(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
@@ -132,7 +131,7 @@ def cases(draw):
     task = draw(st.sampled_from([CATEGORICAL, REAL]))
     columns = draw(st.lists(st.sampled_from(sorted(POOL)), min_size=1, max_size=4, unique=True))
     learner = draw(st.sampled_from(["cart", "linear"]))
-    zscored = draw(st.booleans())
+    transform = draw(st.sampled_from([None, "zscore", "minmax"]))
     rows = draw(
         st.lists(
             st.tuples(*[CELLS[POOL[c]] for c in columns], RESPONSES[task]),
@@ -140,16 +139,16 @@ def cases(draw):
             max_size=6,
         )
     )
-    return task, columns, learner, zscored, rows
+    return task, columns, learner, transform, rows
 
 
 class TestReportParity:
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=cases())
     def test_cli_report_equals_the_dataset_report(self, case):
-        task, columns, learner, zscored, rows = case
+        task, columns, learner, transform, rows = case
         with tempfile.TemporaryDirectory() as tmp:
-            schema_path, model_path = _train(tmp, task, columns, learner, zscored)
+            schema_path, model_path = _train(tmp, task, columns, learner, transform)
             test_csv = str(Path(tmp, "test.csv"))
             _write_csv(test_csv, [*columns, "y"], rows)
             schema = _schema(task, columns)
@@ -164,7 +163,7 @@ class TestReportParity:
 
     def test_many_chunks(self, tmp_path):
         columns = ["c", "n1", "t"]
-        schema_path, model_path = _train(tmp_path, CATEGORICAL, columns, "linear", True)
+        schema_path, model_path = _train(tmp_path, CATEGORICAL, columns, "linear", "zscore")
         cells = [("red", "violet", ""), ("1", "-2.5", "40"), ("big cat", "fish dog", "")]
         rows = [(*(c[i % len(c)] for c in cells), "ab"[i % 2]) for i in range(2 * pvml.core.BATCH_ROWS + 7)]
         test_csv = str(tmp_path / "test.csv")
@@ -180,13 +179,18 @@ MALFORMED = {
     "non-finite-cell": (CATEGORICAL, ["n1", "y"], [("1.0", "a"), ("inf", "b")], UnparseableNumeric),
     "overflow-after-zscore": (CATEGORICAL, ["n1", "y"], [("1.0", "a"), ("1.7e308", "b")], NonFiniteFeature),
     "overflowing-targets": (REAL, ["n1", "y"], [("1.0", "1e308"), ("2.0", "-1e308")], NonFiniteStatistic),
+    # a fault of the file itself comes before a value its rescale overflows
+    "overflow-without-response-column": (CATEGORICAL, ["n1"], [("1.0",), ("1.7e308",)], UnlabelledExample),
+    "overflow-with-overflowing-targets": (
+        REAL, ["n1", "y"], [("1.0", "1e308"), ("1.7e308", "-1e308")], NonFiniteStatistic
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_test_file_raises_the_same_error(tmp_path, case):
     task, header, rows, error = MALFORMED[case]
-    schema_path, model_path = _train(tmp_path, task, ["n1"], "cart", True)
+    schema_path, model_path = _train(tmp_path, task, ["n1"], "cart", "zscore")
     test_csv = str(tmp_path / "test.csv")
     _write_csv(test_csv, header, rows)
     schema = _schema(task, ["n1"])
@@ -198,7 +202,7 @@ def test_malformed_test_file_raises_the_same_error(tmp_path, case):
 
 @pytest.mark.parametrize("task", [CATEGORICAL, REAL])
 def test_cli_evaluate_builds_no_example_and_no_domain(tmp_path, monkeypatch, task):
-    schema_path, model_path = _train(tmp_path, task, sorted(POOL), "cart", True)
+    schema_path, model_path = _train(tmp_path, task, sorted(POOL), "cart", "zscore")
     test_csv = str(tmp_path / "test.csv")
     response = 4 if task == CATEGORICAL else 5
     _write_csv(test_csv, [*POOL, "y"], [(*row[:4], row[response]) for row in TRAIN_ROWS])
@@ -212,3 +216,23 @@ def test_cli_evaluate_builds_no_example_and_no_domain(tmp_path, monkeypatch, tas
     monkeypatch.setattr(pvml.core, "dataset_from_columns", refuse)
     monkeypatch.setattr(pvml.core.FeatureDomain, "observed", refuse)
     assert _by_cli(model_path, test_csv, schema_path, tmp_path) == (0, expected)
+
+
+@pytest.mark.parametrize("transform", [None, "zscore", "minmax"])
+def test_compiled_predictions_are_the_cli_predictions(tmp_path, transform):
+    """``CsvDataSource.compiled(model)`` and ``predict_compiled`` give the
+    bytes ``pvml predict`` writes."""
+    columns = list(POOL)
+    schema_path, model_path = _train(tmp_path, CATEGORICAL, columns, "linear", transform)
+    score_csv = str(tmp_path / "score.csv")
+    _write_csv(score_csv, columns, [row[:4] for row in TRAIN_ROWS] + [("7", "-1", "violet", "fish"), ("", "3", "", "")])
+    model = load_model(model_path)
+    labels = model.output_domain.labels()
+    lines = [",".join(["row", "prediction", *labels])]
+    chunks = load_csv(score_csv, _schema(CATEGORICAL, columns)).compiled(model)
+    predictions = [p for compiled, totals, _ in chunks for p in model.predict_compiled(compiled, totals)]
+    for i, p in enumerate(predictions):
+        lines.append(",".join([str(i), p.output.label, *(repr(p.scores[label]) for label in labels)]))
+    out = tmp_path / "predictions.csv"
+    assert main(["predict", "--model", model_path, "--data", score_csv, "--schema", schema_path, "--out", str(out)]) == 0
+    assert out.read_bytes() == "".join(line + "\r\n" for line in lines).encode()

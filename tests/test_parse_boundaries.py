@@ -510,7 +510,7 @@ _CSV_SCHEMA = (
     "categorical",
     (FieldProcessor("x", "numeric"), FieldProcessor("c", "categorical"), FieldProcessor("t", "text")),
 )
-_CSV_DOMAIN = _DATASETS[0].feature_domain
+_CSV_MODEL = train_cart(_DATASETS[0], TreeConfig(max_depth=2))
 _CSV_TEXT = st.lists(st.sampled_from([*'xcty,"\n\r ab1.5e-\x00\x01\x85\u2028\xe9', "nan", "1e999"]), max_size=40).map("".join)
 _CSV_CELLS = st.lists(st.sampled_from([*'xab1.5e- "\x01\x85\xe9', "nan", "1e999", "-0.0"]), max_size=5).map("".join)
 _CSV_ROWS = st.lists(st.lists(_CSV_CELLS, min_size=4, max_size=4).map(",".join), max_size=5).map("\n".join)
@@ -527,7 +527,7 @@ def _csv_outcomes(path):
     """What ``__iter__`` and ``compiled`` make of the file, each through its own
     schema object: the examples and the chunks, or the class of the error."""
     outcomes = []
-    for featurize in (list, lambda source: list(source.compiled(_CSV_DOMAIN))):
+    for featurize in (list, lambda source: list(source.compiled(_CSV_MODEL))):
         try:
             source = CsvDataSource(path, ColumnarSchema(*_CSV_SCHEMA))
             outcomes.append(featurize(source))
