@@ -202,28 +202,25 @@ def checked_example(
 # Domains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureInfo:
-    """Summary of one feature over a dataset; ids are dense and name-ordered."""
-
-    id: int
-    count: int
-    min: float
-    max: float
-    mean: float
-    variance: float
-
-
 class FeatureDomain:
-    """The named feature space a dataset or model was built over."""
+    """The named feature space a dataset or model was built over, by column.
 
-    def __init__(self, infos: Mapping[str, FeatureInfo]):
-        self._infos = dict(infos)
-        names = sorted(self._infos)
-        ids = [self._infos[n].id for n in names]
-        if ids != list(range(len(names))):
-            raise ValueError("feature ids must be 0..N-1 in lexicographic name order")
-        self._names = tuple(names)
+    ``names`` are sorted and distinct, so a feature's id is its position.
+    ``count`` (int64) and ``min``, ``max``, ``mean`` and ``variance``
+    (float64, population variance) are read-only arrays indexed by id.
+    """
+
+    STATISTICS = ("min", "max", "mean", "variance")
+
+    def __init__(self, names: Sequence[str], count, min, max, mean, variance):
+        names = tuple(names)
+        if names != tuple(sorted(set(names))):
+            raise ValueError("feature names must be sorted and distinct")
+        self._names = names
+        self.count = _column(count, np.int64, len(names))
+        self.min, self.max, self.mean, self.variance = (
+            _column(stat, np.float64, len(names)) for stat in (min, max, mean, variance)
+        )
 
     @classmethod
     def observed(cls, names: Sequence[str], ids: np.ndarray, values: np.ndarray) -> "FeatureDomain":
@@ -232,38 +229,38 @@ class FeatureDomain:
         values in order, grouped by a stable sort on id."""
         grouped = values.take(np.argsort(ids, kind="stable")).tolist()
         ends = np.cumsum(np.bincount(ids, minlength=len(names))).tolist()
-        infos = {}
-        for fid, (name, start, end) in enumerate(zip(names, [0, *ends], ends)):
-            stats = _RunningStats(grouped[start:end])
-            infos[name] = FeatureInfo(fid, stats.count, stats.min, stats.max, stats.mean, stats.variance)
-        return cls(infos)
+        stats = [_RunningStats(grouped[start:end]) for start, end in zip([0, *ends], ends)]
+        return cls(names, *([getattr(s, key) for s in stats] for key in ("count", *cls.STATISTICS)))
 
     def __len__(self) -> int:
-        return len(self._infos)
+        return len(self._names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._infos
-
-    def __getitem__(self, name: str) -> FeatureInfo:
-        return self._infos[name]
+        return name in self.ids
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FeatureDomain) and self._infos == other._infos
+        return (
+            isinstance(other, FeatureDomain)
+            and self._names == other._names
+            and all(np.array_equal(getattr(self, key), getattr(other, key)) for key in ("count", *self.STATISTICS))
+        )
 
     def names(self) -> tuple[str, ...]:
         return self._names
 
-    def id_of(self, name: str) -> int | None:
-        info = self._infos.get(name)
-        return None if info is None else info.id
-
     @cached_property
     def ids(self) -> dict[str, int]:
         """Feature id by name, built once."""
-        return {name: info.id for name, info in self.items()}
+        return dict(zip(self._names, range(len(self._names))))
 
-    def items(self):
-        return ((n, self._infos[n]) for n in self._names)
+
+def _column(values, dtype, length: int) -> np.ndarray:
+    """``values`` as a new read-only 1-d array of ``dtype``, which must hold ``length`` entries."""
+    column = np.array(values, dtype=dtype)
+    if column.shape != (length,):
+        raise ValueError(f"a feature statistic of shape {column.shape} does not match {length} names")
+    column.flags.writeable = False
+    return column
 
 
 class _RunningStats:
@@ -609,14 +606,16 @@ class Model(ABC):
             raise OutputTypeMismatch(
                 f"model performs {self.task} prediction, caller asked for {expected_task}"
             )
+        # ndarray.item gives a float, which compares faster than a numpy scalar
+        index, lo, hi = self.feature_domain.ids, self.feature_domain.min, self.feature_domain.max
         sparse: dict[int, float] = {}
         warnings: list[str] = []
         for f in example.features:
-            info = self.feature_domain[f.name] if f.name in self.feature_domain else None
-            if info is None:
+            fid = index.get(f.name)
+            if fid is None:
                 continue  # unseen features are dropped, not errors
-            sparse[info.id] = f.value
-            if f.value < info.min or f.value > info.max:
+            sparse[fid] = f.value
+            if f.value < lo.item(fid) or f.value > hi.item(fid):
                 warnings.append(f"out-of-range:{f.name}")
         if not sparse:
             raise NoFeatureOverlap(
@@ -662,25 +661,14 @@ class Model(ABC):
             for i, ((output, scores), n_used, n_total) in enumerate(zip(scored, used.tolist(), features_total))
         ]
 
-    @cached_property
-    def _ranges(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """Feature names, minima and maxima, indexed by feature id."""
-        infos = [info for _, info in self.feature_domain.items()]
-        return (
-            self.feature_domain.names(),
-            np.array([info.min for info in infos], dtype=np.float64),
-            np.array([info.max for info in infos], dtype=np.float64),
-        )
-
     def _range_warnings(self, columns: Columns) -> dict[int, tuple[str, ...]]:
         """``out-of-range:<name>`` warnings of each compiled row that has any, in name order."""
-        names, lo, hi = self._ranges
-        ids, values = columns.feature_ids, columns.values
-        hits = np.flatnonzero((values < lo.take(ids)) | (values > hi.take(ids)))
+        domain, ids, values = self.feature_domain, columns.feature_ids, columns.values
+        hits = np.flatnonzero((values < domain.min.take(ids)) | (values > domain.max.take(ids)))
         rows = np.searchsorted(columns.indptr, hits, side="right") - 1
         warnings: dict[int, list[str]] = {}
         for row, fid in zip(rows.tolist(), ids.take(hits).tolist()):
-            warnings.setdefault(row, []).append(f"out-of-range:{names[fid]}")
+            warnings.setdefault(row, []).append(f"out-of-range:{domain.names()[fid]}")
         return {row: tuple(found) for row, found in warnings.items()}
 
     def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]] | None]:

@@ -490,7 +490,7 @@ class TransformerMap:
         """
         shift, divisor = np.zeros(len(domain)), np.ones(len(domain))
         for name, pair in self.affine.items():
-            fid = domain.id_of(name)
+            fid = domain.ids.get(name)
             if fid is not None:
                 shift[fid], divisor[fid] = pair
         ids = columns.feature_ids
@@ -512,32 +512,34 @@ def fit_transformers(dataset: Dataset, spec: TransformSpec) -> TransformerMap:
     failing the pipeline.  A z-score over a feature whose mean or variance
     overflowed raises :class:`NonFiniteStatistic`.
     """
-    names = spec.features if spec.features is not None else dataset.feature_domain.names()
+    domain = dataset.feature_domain
+    names = spec.features if spec.features is not None else domain.names()
+    # Python floats: a numpy scalar passes PFlt's float check, but its repr differs
+    lows, highs, means, variances = (getattr(domain, key).tolist() for key in FeatureDomain.STATISTICS)
     fits: dict[str, FeatureFit] = {}
     warnings: list[str] = []
     fitted_prov: dict[str, PMap] = {}
     for name in names:
-        if name not in dataset.feature_domain:
+        fid = domain.ids.get(name)
+        if fid is None:
             warnings.append(f"unknown-feature:{name}")
             continue
-        info = dataset.feature_domain[name]
         if spec.kind == ZSCORE:
-            std = math.sqrt(info.variance)
-            if not (math.isfinite(info.mean) and math.isfinite(std)):
+            mean, std = means[fid], math.sqrt(variances[fid])
+            if not (math.isfinite(mean) and math.isfinite(std)):
                 raise NonFiniteStatistic(f"cannot fit a z-score to feature {name!r}: its mean or variance overflows")
             if std == 0.0:
                 fits[name] = IdentityFit()
                 warnings.append(f"degenerate:{name}")
             else:
-                fits[name] = ZScoreFit(info.mean, std)
-                fitted_prov[name] = PMap({"mean": PFlt(info.mean), "std": PFlt(std)})
+                fits[name] = ZScoreFit(mean, std)
+                fitted_prov[name] = PMap({"mean": PFlt(mean), "std": PFlt(std)})
+        elif lows[fid] == highs[fid]:
+            fits[name] = IdentityFit()
+            warnings.append(f"degenerate:{name}")
         else:
-            if info.min == info.max:
-                fits[name] = IdentityFit()
-                warnings.append(f"degenerate:{name}")
-            else:
-                fits[name] = MinMaxFit(info.min, info.max)
-                fitted_prov[name] = PMap({"min": PFlt(info.min), "max": PFlt(info.max)})
+            fits[name] = MinMaxFit(lows[fid], highs[fid])
+            fitted_prov[name] = PMap({"min": PFlt(lows[fid]), "max": PFlt(highs[fid])})
 
     prov = object_provenance(
         _TRANSFORM_CLASSES[spec.kind],
@@ -577,23 +579,33 @@ def recorded_transformers(data_provenance: PObj) -> list[TransformerMap]:
     for a fit that is not a pair of floats with a positive ``std`` or a
     ``max`` above its ``min``; recorded floats are finite by construction.
     """
+    return [_recorded_map(tprov) for tprov in _transformations(data_provenance)]
+
+
+def _transformations(data_provenance: PObj) -> tuple[PObj, ...]:
     transformations = instance_section(data_provenance).get("transformations", PList())
     if not isinstance(transformations, PList) or not all(map(is_object_provenance, transformations)):
         raise ParseError("data provenance 'transformations' must be a list of object provenances")
-    return [_recorded_map(tprov) for tprov in transformations]
+    return transformations.items
 
 
 def recorded_pipeline(model: Model) -> list[TransformerMap]:
     """The transformations in ``model``'s training-data provenance, which take
-    raw values to the values its trainer saw: the one reader of a model's
-    pipeline.  A model that records no training data raises
-    :class:`MissingProperty`, as scoring raw values without its pipeline
-    would be a silent wrong answer."""
+    raw values to the values its trainer saw, with the fits of
+    :func:`pipeline_provenance` built."""
+    return [_recorded_map(tprov) for tprov in pipeline_provenance(model)]
+
+
+def pipeline_provenance(model: Model) -> tuple[PObj, ...]:
+    """The provenance of each transformation in ``model``'s training-data
+    provenance, in order: the one reader of a model's pipeline.  A model
+    that records no training data raises :class:`MissingProperty`, as
+    scoring raw values without its pipeline would be a silent wrong answer."""
     prov = model.provenance  # a model file's provenance is not checked on load
     data = instance_section(prov).get("data") if is_object_provenance(prov) else None
     if not is_object_provenance(data):
         raise MissingProperty("data")
-    return recorded_transformers(data)
+    return _transformations(data)
 
 
 def in_model_space(model: Model, dataset: Dataset) -> Dataset:

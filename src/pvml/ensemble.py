@@ -199,16 +199,13 @@ class EnsembleModel(Model):
     def _member_ids(self) -> list[np.ndarray]:
         """Per member: the member's id of each feature id of the ensemble, or -1.
 
-        A trained member's domain is a subset of the ensemble's, so these
-        views hold every feature the member knows.
+        A member's domain is a subset of the ensemble's (loading a file
+        checks it), so these views hold every feature the member knows.
         """
-        views = []
+        index, views = self.feature_domain.ids, []
         for member in self.members:
             ids = np.full(len(self.feature_domain), -1, dtype=np.int32)
-            for name, info in member.feature_domain.items():
-                parent = self.feature_domain.id_of(name)
-                if parent is not None:
-                    ids[parent] = info.id
+            ids[[index[name] for name in member.feature_domain.names()]] = np.arange(len(member.feature_domain))
             views.append(ids)
         return views
 

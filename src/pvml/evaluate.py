@@ -23,7 +23,7 @@ from .core import (
     predict_chunked,
     real_domain,
 )
-from .data import CsvDataSource, in_model_space, recorded_pipeline
+from .data import CsvDataSource, in_model_space, pipeline_provenance
 from .errors import EmptySource, NonFiniteFeature, TaskMismatch, UnlabelledExample
 from .provenance import PObj, object_provenance, to_json_value
 
@@ -137,8 +137,7 @@ def _scored(model: Model, data: Dataset | CsvDataSource, task: str) -> tuple[lis
     if task == REAL:
         real_domain(output.value for output in truths)
     preds = [p for columns, totals, _ in chunks for p in model.predict_compiled(columns, totals)]
-    pipeline = [t.provenance for t in recorded_pipeline(model)]
-    return truths, preds, data_provenance(len(truths), len(names), pipeline, data.provenance)
+    return truths, preds, data_provenance(len(truths), len(names), pipeline_provenance(model), data.provenance)
 
 
 def evaluate_classification(model: Model, data: Dataset | CsvDataSource) -> ClassificationEvaluation:

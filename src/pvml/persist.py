@@ -25,7 +25,6 @@ from .core import (
     CATEGORICAL,
     CategoricalDomain,
     FeatureDomain,
-    FeatureInfo,
     Model,
     OutputDomain,
     RealDomain,
@@ -57,26 +56,21 @@ def _s2f(text) -> float:
 
 def _check_finite(domain: FeatureDomain, error: type[Exception]) -> None:
     """Raise ``error`` naming the first feature, in name order, with a statistic that is not finite."""
-    for name, info in domain.items():
-        if not all(map(math.isfinite, (info.min, info.max, info.mean, info.variance))):
-            raise error(f"feature {name!r} has a non-finite statistic")
+    stats = np.stack([getattr(domain, key) for key in FeatureDomain.STATISTICS])
+    bad = np.flatnonzero(~np.isfinite(stats).all(axis=0))
+    if len(bad):
+        raise error(f"feature {domain.names()[bad[0]]!r} has a non-finite statistic")
 
 
 def feature_domain_to_json(domain: FeatureDomain) -> dict:
     """The domain as JSON; a statistic that is not finite, such as a mean
     whose running sum overflowed, raises :class:`NonFiniteStatistic`."""
     _check_finite(domain, NonFiniteStatistic)
+    stats = ([_f2s(v) for v in getattr(domain, key).tolist()] for key in FeatureDomain.STATISTICS)
     return {
         "features": {
-            name: {
-                "id": info.id,
-                "count": info.count,
-                "min": _f2s(info.min),
-                "max": _f2s(info.max),
-                "mean": _f2s(info.mean),
-                "variance": _f2s(info.variance),
-            }
-            for name, info in domain.items()
+            name: {"id": fid, "count": count, "min": lo, "max": hi, "mean": mean, "variance": variance}
+            for fid, (name, count, lo, hi, mean, variance) in enumerate(zip(domain.names(), domain.count.tolist(), *stats))
         }
     }
 
@@ -92,20 +86,25 @@ def _floats(rows: list) -> np.ndarray:
 
 
 def feature_domain_from_json(node: dict) -> FeatureDomain:
+    """The domain :func:`feature_domain_to_json` wrote; ids other than 0..N-1 in name order,
+    counts other than non-negative integers and statistics other than finite float literals
+    raise :class:`FormatError`."""
     try:
-        entries = node["features"].items()
-        stats = _floats([[entry["min"], entry["max"], entry["mean"], entry["variance"]] for _, entry in entries])
-        if entries and stats.ndim != 2:
+        features = node["features"]
+        names = sorted(features)
+        entries = [features[name] for name in names]
+        ids, counts = [e["id"] for e in entries], [e["count"] for e in entries]
+        stats = _floats([[e[key] for e in entries] for key in FeatureDomain.STATISTICS])
+        if stats.ndim != 2:
             raise FormatError("feature statistics must be float literals")
-        infos = {
-            name: FeatureInfo(entry["id"], entry["count"], *row)
-            for (name, entry), row in zip(entries, stats.tolist())
-        }
-        domain = FeatureDomain(infos)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        if not (set(map(type, ids)) <= {int} and ids == list(range(len(ids)))):
+            raise FormatError("feature ids must be 0..N-1 in name order")
+        if not (set(map(type, counts)) <= {int} and min(counts, default=0) >= 0):
+            raise FormatError("feature counts must be non-negative integers")
+        domain = FeatureDomain(names, counts, *stats)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed feature domain: {exc}") from exc
-    if not np.isfinite(stats).all():
-        _check_finite(domain, FormatError)
+    _check_finite(domain, FormatError)
     return domain
 
 
@@ -219,6 +218,9 @@ def _ensemble_params(model: EnsembleModel) -> dict:
 def _ensemble_restore(container: dict, name, prov, fd, od) -> EnsembleModel:
     params = container["parameters"]
     members = [_model_from_container(m) for m in params["members"]]
+    for member in members:
+        if not fd.ids.keys() >= set(member.feature_domain.names()):
+            raise FormatError("an ensemble member's feature domain names a feature outside the ensemble's")
     weights = [_s2f(w) for w in params["memberWeights"]]
     return EnsembleModel(name, prov, fd, od, members, weights)
 

@@ -393,7 +393,7 @@ def test_criterion_6_contract_checks(tmp_path, clf_csv):
         with pytest.raises(TaskMismatch):
             load_model(str(out), "real")
 
-        f1_max = dataset.feature_domain["f1"].max
+        f1_max = dataset.feature_domain.max[dataset.feature_domain.ids["f1"]]
         warned = model.predict(make_example([("f1", f1_max + 100.0)]))
         assert "out-of-range:f1" in warned.warnings
 
@@ -414,9 +414,9 @@ def test_criterion_7_transformations(tmp_path):
         for name in transformed.feature_domain.names():
             if name in degenerate:
                 continue
-            info = transformed.feature_domain[name]
-            assert abs(info.mean) < 1e-9
-            assert abs(info.variance - 1.0) < 1e-9
+            fid = transformed.feature_domain.ids[name]
+            assert abs(transformed.feature_domain.mean[fid]) < 1e-9
+            assert abs(transformed.feature_domain.variance[fid] - 1.0) < 1e-9
 
         def transformations(ds):
             return instance_section(ds.provenance)["transformations"]

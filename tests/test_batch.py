@@ -194,7 +194,7 @@ class TestBatchEqualsOneByOne:
         from pvml.trees import LeafNode, SplitNode, TreeModel
 
         tree = MODELS["cart-reg"]
-        x = tree.feature_domain.id_of("x")
+        x = tree.feature_domain.ids["x"]
         node = LeafNode(1, mean=-1.0)
         for d in reversed(range(sys.getrecursionlimit() + 50)):
             node = SplitNode(x, float(d), LeafNode(1, mean=float(d)), node)
@@ -300,8 +300,8 @@ class TestReplayedTransformations:
     def test_recorded_minmax_fit(self):
         transformed, maps, _ = _pipeline(("minmax",))
         (recorded,) = recorded_transformers(transformed.provenance)
-        info = CLF.feature_domain["x"]
-        assert recorded.fits["x"] == MinMaxFit(info.min, info.max)
+        domain, x = CLF.feature_domain, CLF.feature_domain.ids["x"]
+        assert recorded.fits["x"] == MinMaxFit(domain.min[x], domain.max[x])
         assert instance_section(recorded.provenance) == instance_section(maps[0].provenance)
 
 

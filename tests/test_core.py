@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,6 @@ from pvml.core import (
     Dataset,
     Example,
     FeatureDomain,
-    FeatureInfo,
     Model,
     RealOutput,
     argmax_label,
@@ -100,6 +100,23 @@ class TestArgmax:
             argmax_label({})
 
 
+class TestFeatureDomain:
+    @pytest.mark.parametrize(
+        "names, count",
+        [(["b", "a"], [1, 1]), (["a", "a"], [1, 1]), (["a", "b"], [1]), (["a"], [1, 1])],
+        ids=["unsorted", "duplicate", "short-statistic", "long-statistic"],
+    )
+    def test_names_sorted_distinct_and_one_statistic_each(self, names, count):
+        with pytest.raises(ValueError):
+            FeatureDomain(names, count, *([0.0] * len(names) for _ in range(4)))
+
+    def test_ids_are_positions(self):
+        domain = FeatureDomain(["a", "b"], [2, 1], [0.0, 1.0], [1.0, 1.0], [0.5, 1.0], [0.25, 0.0])
+        assert domain.ids == {"a": 0, "b": 1} and domain.names() == ("a", "b")
+        assert domain.count.dtype == np.int64 and domain.max.dtype == np.float64
+        assert not domain.min.flags.writeable
+
+
 class TestBuildDataset:
     def test_ids_assigned_lexicographically(self):
         examples = [
@@ -108,16 +125,16 @@ class TestBuildDataset:
             make_example([("b", 3.0)], CategoricalOutput("y")),
         ]
         ds = build_dataset(InMemoryDataSource(examples))
-        assert ds.feature_domain.id_of("a") == 0
-        assert ds.feature_domain.id_of("b") == 1
+        assert ds.feature_domain.ids["a"] == 0
+        assert ds.feature_domain.ids["b"] == 1
 
     def test_population_statistics(self):
         examples = [make_example([("a", v)], CategoricalOutput("x")) for v in (1.0, 2.0, 3.0)]
         ds = build_dataset(InMemoryDataSource(examples))
-        info = ds.feature_domain["a"]
-        assert info.mean == pytest.approx(2.0, abs=1e-12)
-        assert info.variance == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert (info.min, info.max, info.count) == (1.0, 3.0, 3)
+        domain, a = ds.feature_domain, ds.feature_domain.ids["a"]
+        assert domain.mean[a] == pytest.approx(2.0, abs=1e-12)
+        assert domain.variance[a] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert (domain.min[a], domain.max[a], domain.count[a]) == (1.0, 3.0, 3)
 
     def test_regression_targets_whose_variance_overflows_are_rejected(self):
         # legal floats up to 2**1019, whose squares overflow: CART's node
@@ -160,13 +177,13 @@ class TestBuildDataset:
             for f in ex.features:
                 observed.setdefault(f.name, []).append(f.value)
         for name, values in observed.items():
-            info = ds.feature_domain[name]
+            domain, fid = ds.feature_domain, ds.feature_domain.ids[name]
             mean = sum(values) / len(values)
             var = sum((v - mean) ** 2 for v in values) / len(values)
-            assert info.count == len(values)
-            assert info.min == min(values) and info.max == max(values)
-            assert math.isclose(info.mean, mean, rel_tol=1e-12, abs_tol=1e-12)
-            assert math.isclose(info.variance, var, rel_tol=1e-12, abs_tol=1e-12)
+            assert domain.count[fid] == len(values)
+            assert domain.min[fid] == min(values) and domain.max[fid] == max(values)
+            assert math.isclose(domain.mean[fid], mean, rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(domain.variance[fid], var, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_output_domain_counts(self):
         examples = [
@@ -195,11 +212,9 @@ class _StubModel(Model):
 
 
 def _stub_over(names_with_range):
-    infos = {
-        name: FeatureInfo(i, 3, lo, hi, (lo + hi) / 2, 1.0)
-        for i, (name, lo, hi) in enumerate(sorted(names_with_range))
-    }
-    domain = FeatureDomain(infos)
+    names, lows, highs = zip(*sorted(names_with_range))
+    means = [(lo + hi) / 2 for lo, hi in zip(lows, highs)]
+    domain = FeatureDomain(names, [3] * len(names), lows, highs, means, [1.0] * len(names))
     return _StubModel(domain, CategoricalDomain({"x": 2, "y": 1}))
 
 

@@ -223,9 +223,9 @@ class TestApplyTransformers:
             regression_dataset, fit_transformers(regression_dataset, TransformSpec("zscore"))
         )
         for name in out.feature_domain.names():
-            info = out.feature_domain[name]
-            assert abs(info.mean) < 1e-9
-            assert abs(info.variance - 1.0) < 1e-9
+            fid = out.feature_domain.ids[name]
+            assert abs(out.feature_domain.mean[fid]) < 1e-9
+            assert abs(out.feature_domain.variance[fid] - 1.0) < 1e-9
 
     def test_unfitted_features_pass_through(self, regression_dataset):
         t = fit_transformers(regression_dataset, TransformSpec("zscore", ("f1",)))

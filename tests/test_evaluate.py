@@ -6,7 +6,6 @@ from pvml.core import (
     CategoricalDomain,
     CategoricalOutput,
     FeatureDomain,
-    FeatureInfo,
     Model,
     RealDomain,
     RealOutput,
@@ -33,7 +32,7 @@ class _FixedClassifier(Model):
 
     def __init__(self, preds, labels):
         n = len(preds)
-        domain = FeatureDomain({"i": FeatureInfo(0, n, 0.0, float(n), n / 2.0, 1.0)})
+        domain = FeatureDomain(["i"], [n], [0.0], [float(n)], [n / 2.0], [1.0])
         super().__init__(
             "fixed",
             _provenance("test.FixedClassifier"),
@@ -53,7 +52,7 @@ class _FixedRegressor(Model):
 
     def __init__(self, preds):
         n = len(preds)
-        domain = FeatureDomain({"i": FeatureInfo(0, n, 0.0, float(n), n / 2.0, 1.0)})
+        domain = FeatureDomain(["i"], [n], [0.0], [float(n)], [n / 2.0], [1.0])
         super().__init__(
             "fixed",
             _provenance("test.FixedRegressor"),

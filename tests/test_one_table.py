@@ -103,7 +103,9 @@ def _reference(examples):
 
 
 def _domains(dataset):
-    features = {name: (info.id, *_stats_bits(info)) for name, info in dataset.feature_domain.items()}
+    domain = dataset.feature_domain
+    keys = ("count", "min", "max", "mean", "variance")
+    features = {name: (fid, *(_bits(getattr(domain, key)[fid].item()) for key in keys)) for name, fid in domain.ids.items()}
     out = dataset.output_domain
     return features, (dict(out.counts) if isinstance(out, CategoricalDomain) else _stats_bits(out))
 

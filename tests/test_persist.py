@@ -214,6 +214,49 @@ class TestTreeLeavesOnLoad:
         self._check(tmp_path, reg_csv, self.REGRESSION_LEAVES[case])
 
 
+def _swap_first_ids(features):
+    a, b = sorted(features)[:2]
+    features[a]["id"], features[b]["id"] = features[b]["id"], features[a]["id"]
+
+
+class TestFeatureDomainOnLoad:
+    """Ids must be 0..N-1 in name order and counts non-negative JSON
+    integers; any other entry fails to load rather than be written back."""
+
+    MALFORMED = {
+        "ids-out-of-name-order": _swap_first_ids,
+        "id-repeated": lambda fs: fs[max(fs)].__setitem__("id", 0),
+        "id-past-the-end": lambda fs: fs[max(fs)].__setitem__("id", len(fs)),
+        "id-float": lambda fs: fs[min(fs)].__setitem__("id", 0.0),
+        "id-bool": lambda fs: fs[min(fs)].__setitem__("id", False),
+        "id-missing": lambda fs: fs[min(fs)].pop("id"),
+        "count-text": lambda fs: fs[min(fs)].__setitem__("count", "abc"),
+        "count-negative": lambda fs: fs[min(fs)].__setitem__("count", -5),
+        "count-float": lambda fs: fs[min(fs)].__setitem__("count", 3.0),
+        "count-bool": lambda fs: fs[min(fs)].__setitem__("count", True),
+        "count-past-int64": lambda fs: fs[min(fs)].__setitem__("count", 2**63),
+        "count-missing": lambda fs: fs[min(fs)].pop("count"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_entry(self, tmp_path, trained, case):
+        path = tmp_path / "m.pvml"
+        save_model(trained[1], str(path))
+        _edit_and_load(path, lambda c: self.MALFORMED[case](c["featureDomain"]["features"]))
+
+    def test_member_feature_outside_the_ensemble(self, tmp_path, interleaved_dataset):
+        cfg = EnsembleConfig(CartTrainer(TreeConfig(max_depth=2, seed=1)), num_members=3, seed=2, variant=BAGGING)
+        path = tmp_path / "e.pvml"
+        save_model(train_ensemble(interleaved_dataset, cfg), str(path))
+        container = json.loads(path.read_text())
+        member = container["parameters"]["members"][1]["featureDomain"]["features"]
+        assert set(member) == set(container["featureDomain"]["features"]) == {"x"}
+        member["y"] = dict(member["x"], id=1)
+        path.write_text(json.dumps(container))
+        with pytest.raises(FormatError, match="outside the ensemble"):
+            load_model(str(path))
+
+
 class TestFloatLiteralsOnLoad:
     """Weights and domain statistics parse in one call each; every malformed
     literal still fails to load."""

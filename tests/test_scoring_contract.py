@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pvml import CategoricalOutput, make_example
-from pvml.core import CategoricalDomain, FeatureDomain, FeatureInfo, Model, compile_examples
+from pvml.core import CategoricalDomain, FeatureDomain, Model, compile_examples
 from pvml.ensemble import combine
 from pvml.errors import NoFeatureOverlap, PvmlError
 from pvml.provenance import object_provenance
@@ -83,7 +83,8 @@ class _Outside(Model):
 OUTSIDE = _Outside(
     "outside",
     object_provenance("outside.Weighted"),
-    FeatureDomain({name: FeatureInfo(i, 1, -2.0, 6.0, 0.0, 1.0) for i, name in enumerate(sorted(["x", "y", *TOKENS]))}),
+    # every feature: count 1, range [-2, 6], mean 0, variance 1
+    FeatureDomain(sorted(["x", "y", *TOKENS]), *([stat] * (len(TOKENS) + 2) for stat in (1, -2.0, 6.0, 0.0, 1.0))),
     CategoricalDomain({"a": 1, "b": 1, "c": 1}),
 )
 

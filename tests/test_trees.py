@@ -242,7 +242,7 @@ class TestTrainCart:
         domain = interleaved_dataset.feature_domain
         for ex in interleaved_dataset.examples:
             node = model.root
-            sparse = {domain.id_of(f.name): f.value for f in ex.features}
+            sparse = {domain.ids[f.name]: f.value for f in ex.features}
             while isinstance(node, SplitNode):
                 node = node.left if sparse.get(node.feature_id, 0.0) <= node.threshold else node.right
             assert node.counts.get(ex.output.label, 0.0) > 0
@@ -252,7 +252,7 @@ class TestTrainCart:
         model = train_cart(interleaved_dataset, cfg)
         domain = interleaved_dataset.feature_domain
         rows = [
-            _Row({domain.id_of(f.name): f.value for f in ex.features}, ex.output.label, ex.weight)
+            _Row({domain.ids[f.name]: f.value for f in ex.features}, ex.output.label, ex.weight)
             for ex in interleaved_dataset.examples
         ]
 
@@ -400,7 +400,7 @@ class TestNodeView:
         dataset = _golden_dataset(CATEGORICAL, 17)
         domain = dataset.feature_domain
         expected = [
-            _Row({domain.id_of(f.name): f.value for f in ex.features}, ex.output.label, ex.weight)
+            _Row({domain.ids[f.name]: f.value for f in ex.features}, ex.output.label, ex.weight)
             for ex in dataset.examples
         ]
         seen = []
