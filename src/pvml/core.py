@@ -69,6 +69,15 @@ def check_feature_name(name: str) -> None:
         raise InvalidFeatureName(f"feature name {name!r} contains control characters")
 
 
+def check_feature_names(names: Sequence[str]) -> None:
+    """:func:`check_feature_name` of each of ``names``, in order.  One pass over
+    them all clears the usual case: a printable string holds no control
+    character."""
+    if not (all(names) and "".join(names).isprintable()):
+        for name in names:
+            check_feature_name(name)
+
+
 @dataclass(frozen=True)
 class FeatureValue:
     """One named feature observation."""
@@ -232,6 +241,11 @@ class FeatureDomain:
         stats = [_RunningStats(grouped[start:end]) for start, end in zip([0, *ends], ends)]
         return cls(names, *([getattr(s, key) for s in stats] for key in ("count", *cls.STATISTICS)))
 
+    def subset(self, ids: np.ndarray) -> "FeatureDomain":
+        """The features with the ascending ids ``ids``, with these statistics."""
+        names = [self._names[i] for i in ids.tolist()]
+        return FeatureDomain(names, *(getattr(self, key).take(ids) for key in ("count", *self.STATISTICS)))
+
     def __len__(self) -> int:
         return len(self._names)
 
@@ -252,6 +266,12 @@ class FeatureDomain:
     def ids(self) -> dict[str, int]:
         """Feature id by name, built once."""
         return dict(zip(self._names, range(len(self._names))))
+
+    @cached_property
+    def bounds(self) -> tuple[list[float], list[float]]:
+        """``min`` and ``max`` as lists of Python floats, built once: a float
+        compares faster than a numpy scalar."""
+        return self.min.tolist(), self.max.tolist()
 
 
 def _column(values, dtype, length: int) -> np.ndarray:
@@ -455,14 +475,13 @@ def data_provenance(
 
 
 def dataset_from_columns(
-    names: Sequence[str], columns: Columns, labels: Sequence[str] | None, source: PObj
+    feature_domain: FeatureDomain, columns: Columns, labels: Sequence[str] | None, source: PObj
 ) -> Dataset:
-    """A dataset of ``columns`` with fresh provenance recording ``source``.
+    """A dataset of ``columns`` over ``feature_domain`` with fresh provenance recording ``source``.
 
-    Feature ids index ``names``, each of them used.  Targets index
+    Feature ids index the domain, each of them used.  Targets index
     ``labels``, re-indexed to the labels hit, or are regression targets.
     """
-    feature_domain = FeatureDomain.observed(names, columns.feature_ids, columns.values)
     targets = columns.targets
     if labels is None:
         output_domain: OutputDomain = real_domain(targets.tolist())
@@ -470,7 +489,7 @@ def dataset_from_columns(
         hit, targets = np.unique(targets, return_inverse=True)
         counts = np.bincount(targets).tolist()
         output_domain = CategoricalDomain({labels[i]: n for i, n in zip(hit.tolist(), counts)})
-    prov = data_provenance(len(targets), len(names), (), source)
+    prov = data_provenance(len(targets), len(feature_domain), (), source)
     return Dataset(replace(columns, targets=targets), feature_domain, output_domain, prov)
 
 
@@ -517,7 +536,8 @@ def build_dataset(source) -> Dataset:
     index = dict(zip(vocabulary, range(len(vocabulary))))
     indptr, ids, values = compile_features(names, values, lengths, index)
     columns = Columns(indptr, ids, values, _targets(outputs, labels), weights)
-    return dataset_from_columns(vocabulary, columns, labels, source.provenance)
+    domain = FeatureDomain.observed(vocabulary, ids, values)
+    return dataset_from_columns(domain, columns, labels, source.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -606,16 +626,15 @@ class Model(ABC):
             raise OutputTypeMismatch(
                 f"model performs {self.task} prediction, caller asked for {expected_task}"
             )
-        # ndarray.item gives a float, which compares faster than a numpy scalar
-        index, lo, hi = self.feature_domain.ids, self.feature_domain.min, self.feature_domain.max
+        index, (lo, hi) = self.feature_domain.ids, self.feature_domain.bounds
         sparse: dict[int, float] = {}
         warnings: list[str] = []
         for f in example.features:
             fid = index.get(f.name)
             if fid is None:
                 continue  # unseen features are dropped, not errors
-            sparse[fid] = f.value
-            if f.value < lo.item(fid) or f.value > hi.item(fid):
+            value = sparse[fid] = f.value
+            if value < lo[fid] or value > hi[fid]:
                 warnings.append(f"out-of-range:{f.name}")
         if not sparse:
             raise NoFeatureOverlap(

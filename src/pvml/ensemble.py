@@ -4,7 +4,8 @@ Member i trains from the stream seeded by splitmix64(seed + i) with
 invocation count base + i, where the block of counts starting at base is
 reserved up front, so each member is exactly the model the base trainer
 would build alone from those two numbers.  Ensemble provenance nests one
-full model provenance per member.
+full model provenance per member, and each member's feature domain is the
+ensemble's restricted to the member's features.
 """
 
 from __future__ import annotations
@@ -88,8 +89,10 @@ def bootstrap_sample(
     Draws round(fraction * N) indices from the stream seeded by
     ``member_seed``; a full draw without replacement is the identity (every
     example once, original order), taken from the parent's columns.  The
-    sample's provenance wraps the original data provenance and records the
-    member seed plus a hash of the drawn indices.
+    sample's feature domain is the parent's restricted to the features
+    drawn, statistics included, as a saved member's domain is on load.
+    The sample's provenance wraps the original data provenance and records
+    the member seed plus a hash of the drawn indices.
     """
     n_total = len(dataset)
     n_draw = int(math.floor(fraction * n_total + 0.5))
@@ -118,9 +121,9 @@ def bootstrap_sample(
     )
     sample = dataset.columns.take(np.array(indices, dtype=np.intp))
     present, local = np.unique(sample.feature_ids, return_inverse=True)
-    names = [dataset.feature_domain.names()[i] for i in present.tolist()]
     labels = dataset.output_domain.labels() if dataset.task == CATEGORICAL else None
-    return dataset_from_columns(names, replace(sample, feature_ids=local.astype(np.int32)), labels, source)
+    columns = replace(sample, feature_ids=local.astype(np.int32))
+    return dataset_from_columns(dataset.feature_domain.subset(present), columns, labels, source)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 A saved model is one JSON document that carries its own provenance, the
 feature and output domains it was trained over, and its parameters, so no
-external metadata store is needed to identify it.  Every float in domains
+external metadata store is needed to identify it.  An ensemble stores each
+member once: a member's provenance is its position in the ensemble
+provenance's ``members`` list, and its feature domain lists only ids, its
+statistics being the ensemble's.  Every float in domains
 and parameters is stored as a shortest round-trip decimal string, which
 keeps reloaded models bit-identical in their predictions even across JSON
 implementations that mangle number precision.  The document is written as
@@ -17,6 +20,7 @@ import json
 import math
 import os
 import uuid
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -28,15 +32,16 @@ from .core import (
     Model,
     OutputDomain,
     RealDomain,
+    check_feature_names,
 )
 from .ensemble import ENSEMBLE_MODEL_CLASS, EnsembleModel
-from .errors import FormatError, NonFiniteStatistic, TaskMismatch, UnknownModelClass
+from .errors import FormatError, InvalidFeatureName, NonFiniteStatistic, TaskMismatch, UnknownModelClass
 from .optimize import LINEAR_MODEL_CLASS, LinearSgdModel
-from .provenance import from_json_value, to_json_value
+from .provenance import PList, PObj, from_json_value, instance_section, is_object_provenance, to_json_value
 from .trees import TREE_MODEL_CLASS, LeafNode, SplitNode, TreeModel, TreeNode
 
 FORMAT_NAME = "PVML"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _f2s(value: float) -> str:
@@ -85,20 +90,33 @@ def _floats(rows: list) -> np.ndarray:
         raise FormatError(f"bad float literal: {exc}") from exc
 
 
-def feature_domain_from_json(node: dict) -> FeatureDomain:
-    """The domain :func:`feature_domain_to_json` wrote; ids other than 0..N-1 in name order,
-    counts other than non-negative integers and statistics other than finite float literals
-    raise :class:`FormatError`."""
+def _feature_entries(node: dict) -> tuple[list[str], list[dict]]:
+    """The sorted names of a ``featureDomain`` node and their entries; names
+    :func:`~pvml.core.check_feature_name` refuses, and ids other than 0..N-1
+    in name order, raise :class:`FormatError`."""
+    features = node["features"]
+    names = sorted(features)
     try:
-        features = node["features"]
-        names = sorted(features)
-        entries = [features[name] for name in names]
-        ids, counts = [e["id"] for e in entries], [e["count"] for e in entries]
+        check_feature_names(names)
+    except InvalidFeatureName as exc:
+        raise FormatError(f"bad feature name: {exc}") from exc
+    entries = [features[name] for name in names]
+    ids = [e["id"] for e in entries]
+    if not (set(map(type, ids)) <= {int} and ids == list(range(len(ids)))):
+        raise FormatError("feature ids must be 0..N-1 in name order")
+    return names, entries
+
+
+def feature_domain_from_json(node: dict) -> FeatureDomain:
+    """The domain :func:`feature_domain_to_json` wrote; bad names or ids (see
+    :func:`_feature_entries`), counts other than non-negative integers and
+    statistics other than finite float literals raise :class:`FormatError`."""
+    try:
+        names, entries = _feature_entries(node)
+        counts = [e["count"] for e in entries]
         stats = _floats([[e[key] for e in entries] for key in FeatureDomain.STATISTICS])
         if stats.ndim != 2:
             raise FormatError("feature statistics must be float literals")
-        if not (set(map(type, ids)) <= {int} and ids == list(range(len(ids)))):
-            raise FormatError("feature ids must be 0..N-1 in name order")
         if not (set(map(type, counts)) <= {int} and min(counts, default=0) >= 0):
             raise FormatError("feature counts must be non-negative integers")
         domain = FeatureDomain(names, counts, *stats)
@@ -106,6 +124,25 @@ def feature_domain_from_json(node: dict) -> FeatureDomain:
         raise FormatError(f"malformed feature domain: {exc}") from exc
     _check_finite(domain, FormatError)
     return domain
+
+
+def _member_domain_to_json(domain: FeatureDomain) -> dict:
+    """An ensemble member's domain: ids alone, the statistics being the ensemble's."""
+    return {"features": {name: {"id": fid} for fid, name in enumerate(domain.names())}}
+
+
+def _member_domain_from_json(node: dict, ensemble: FeatureDomain) -> FeatureDomain:
+    """The domain :func:`_member_domain_to_json` wrote: ``ensemble`` restricted to
+    its names.  Bad names or ids, and names outside ``ensemble``, raise
+    :class:`FormatError`."""
+    try:
+        names, _ = _feature_entries(node)
+        ids = np.fromiter(map(ensemble.ids.get, names, repeat(-1)), dtype=np.intp, count=len(names))
+        if (ids < 0).any():
+            raise FormatError("an ensemble member's feature domain names a feature outside the ensemble's")
+        return ensemble.subset(ids)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed member feature domain: {exc}") from exc
 
 
 def output_domain_to_json(domain: OutputDomain) -> dict:
@@ -140,7 +177,7 @@ def output_domain_from_json(node: dict) -> OutputDomain:
 # ---------------------------------------------------------------------------
 
 def _linear_params(model: LinearSgdModel) -> dict:
-    return {"weights": [[_f2s(v) for v in row] for row in model.weights]}
+    return {"weights": [[repr(v) for v in row] for row in model.weights.tolist()]}
 
 
 def _linear_restore(container: dict, name, prov, fd, od) -> LinearSgdModel:
@@ -208,19 +245,39 @@ def _tree_restore(container: dict, name, prov, fd, od) -> TreeModel:
     return TreeModel(name, prov, fd, od, _tree_node_from_json(container["parameters"]["root"], len(fd), labels))
 
 
+def _recorded_members(prov: PObj) -> tuple:
+    """The member provenances an ensemble provenance records, or :class:`FormatError`."""
+    members = instance_section(prov).get("members") if is_object_provenance(prov) else None
+    if not isinstance(members, PList):
+        raise FormatError("the ensemble provenance records no member list")
+    return members.items
+
+
 def _ensemble_params(model: EnsembleModel) -> dict:
+    """Member ``i`` stores its provenance as ``i``, its position in the
+    ensemble provenance's ``members``, which must record it."""
+    recorded = _recorded_members(model.provenance)
+    if len(recorded) != len(model.members) or any(m.provenance != p for m, p in zip(model.members, recorded)):
+        raise FormatError("the ensemble provenance does not record its members' provenance in order")
     return {
-        "members": [model_to_container(m) for m in model.members],
+        "members": [
+            _container(m, i, _member_domain_to_json(m.feature_domain)) for i, m in enumerate(model.members)
+        ],
         "memberWeights": [_f2s(w) for w in model.member_weights],
     }
 
 
 def _ensemble_restore(container: dict, name, prov, fd, od) -> EnsembleModel:
     params = container["parameters"]
-    members = [_model_from_container(m) for m in params["members"]]
-    for member in members:
-        if not fd.ids.keys() >= set(member.feature_domain.names()):
-            raise FormatError("an ensemble member's feature domain names a feature outside the ensemble's")
+    recorded = _recorded_members(prov)
+    if len(params["members"]) != len(recorded):
+        raise FormatError(f"the file holds {len(params['members'])} members; the provenance records {len(recorded)}")
+    members = []
+    for i, (member, member_prov) in enumerate(zip(params["members"], recorded)):
+        at = member.get("provenance") if isinstance(member, dict) else None
+        if type(at) is not int or at != i:
+            raise FormatError(f"member {i} records provenance {at!r}, not its position {i}")
+        members.append(_model_from_container(member, (member_prov, fd)))
     weights = [_s2f(w) for w in params["memberWeights"]]
     return EnsembleModel(name, prov, fd, od, members, weights)
 
@@ -251,6 +308,10 @@ def register_model_class(
 # ---------------------------------------------------------------------------
 
 def model_to_container(model: Model) -> dict:
+    return _container(model, to_json_value(model.provenance), feature_domain_to_json(model.feature_domain))
+
+
+def _container(model: Model, provenance, feature_domain: dict) -> dict:
     to_params = _TO_PARAMS.get(model.model_class)
     if to_params is None:
         raise UnknownModelClass(f"no serializer registered for {model.model_class!r}")
@@ -259,14 +320,16 @@ def model_to_container(model: Model) -> dict:
         "version": FORMAT_VERSION,
         "modelClass": model.model_class,
         "name": model.name,
-        "provenance": to_json_value(model.provenance),
-        "featureDomain": feature_domain_to_json(model.feature_domain),
+        "provenance": provenance,
+        "featureDomain": feature_domain,
         "outputDomain": output_domain_to_json(model.output_domain),
         "parameters": to_params(model),
     }
 
 
-def _model_from_container(container: dict) -> Model:
+def _model_from_container(container: dict, member_of: tuple[PObj, FeatureDomain] | None = None) -> Model:
+    """The model of ``container``; an ensemble member's is given ``member_of``,
+    its recorded provenance and the ensemble's feature domain."""
     if not isinstance(container, dict):
         raise FormatError("model container must be a JSON object")
     if container.get("formatName") != FORMAT_NAME:
@@ -278,8 +341,11 @@ def _model_from_container(container: dict) -> Model:
     if restore is None:
         raise UnknownModelClass(f"model class {class_name!r} is not registered")
     try:
-        prov = from_json_value(container["provenance"])
-        fd = feature_domain_from_json(container["featureDomain"])
+        if member_of is None:
+            prov = from_json_value(container["provenance"])
+            fd = feature_domain_from_json(container["featureDomain"])
+        else:
+            prov, fd = member_of[0], _member_domain_from_json(container["featureDomain"], member_of[1])
         od = output_domain_from_json(container["outputDomain"])
         return restore(container, container.get("name", class_name), prov, fd, od)
     except UnknownModelClass:

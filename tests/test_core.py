@@ -18,6 +18,8 @@ from pvml.core import (
     RealOutput,
     argmax_label,
     build_dataset,
+    check_feature_name,
+    check_feature_names,
     make_example,
 )
 from pvml.data import InMemoryDataSource
@@ -115,6 +117,30 @@ class TestFeatureDomain:
         assert domain.ids == {"a": 0, "b": 1} and domain.names() == ("a", "b")
         assert domain.count.dtype == np.int64 and domain.max.dtype == np.float64
         assert not domain.min.flags.writeable
+
+    def test_subset_keeps_the_statistics_of_the_ids_given(self):
+        domain = FeatureDomain(["a", "b", "c"], [2, 1, 4], [0.0, 1.0, -2.0], [1.0, 1.0, 5.0], [0.5, 1.0, 0.0], [0.25, 0.0, 9.0])
+        sub = domain.subset(np.array([0, 2]))
+        assert sub == FeatureDomain(["a", "c"], [2, 4], [0.0, -2.0], [1.0, 5.0], [0.5, 0.0], [0.25, 9.0])
+        assert domain.subset(np.arange(3)) == domain
+        assert sub.bounds == ([0.0, -2.0], [1.0, 5.0]) and type(sub.bounds[0][0]) is float
+        with pytest.raises(ValueError):
+            domain.subset(np.array([2, 0]))
+
+
+def test_check_feature_names_refuses_what_check_feature_name_refuses():
+    """The one pass over all names agrees with the check of each name, for
+    every character of the first 1024 code points and the empty name."""
+    for code in [None, *range(1024)]:
+        bad = "" if code is None else f"x{chr(code)}"
+        try:
+            check_feature_name(bad)
+        except InvalidFeatureName as exc:
+            with pytest.raises(InvalidFeatureName) as raised:
+                check_feature_names(["a", bad, "\x00"])
+            assert str(raised.value) == str(exc)
+        else:
+            check_feature_names(["a", bad])
 
 
 class TestBuildDataset:

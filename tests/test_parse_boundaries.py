@@ -470,6 +470,26 @@ class TestFuzzModelFiles:
             break
         _load_or_raise(json.dumps(container))
 
+    @given(st.data())
+    @_fuzz(100)
+    def test_member_records_replaced(self, data):
+        """A member's provenance index, or the ensemble provenance's member
+        list, replaced by another index, a reordered, shortened or lengthened
+        list, or arbitrary JSON."""
+        container = json.loads(json.dumps(_CONTAINERS[-1]))
+        members = container["parameters"]["members"]
+        instance = container["provenance"]["value"]["fields"]["instance"]["value"]
+        entries = instance["members"]["value"]
+        if data.draw(st.booleans()):
+            at = data.draw(st.sampled_from(range(len(members))))
+            members[at]["provenance"] = data.draw(st.one_of(st.integers(-1, len(members)), _json_values(max_leaves=4)))
+        else:
+            recorded = st.lists(st.sampled_from(entries), max_size=len(entries) + 1)
+            instance["members"] = data.draw(
+                st.one_of(recorded.map(lambda items: {"type": "list", "value": items}), _json_values(max_leaves=4))
+            )
+        _load_or_raise(json.dumps(container))
+
 
 _TRAINER_DOCUMENTS = [extract_configuration(t.provenance()) for t in _trainers().values()]
 

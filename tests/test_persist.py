@@ -7,11 +7,11 @@ import pytest
 
 from pvml.core import CATEGORICAL, REAL, build_dataset
 from pvml.data import load_csv
-from pvml.ensemble import BAGGING, EnsembleConfig, train_ensemble
+from pvml.ensemble import BAGGING, EnsembleConfig, EnsembleModel, train_ensemble
 from pvml.errors import FormatError, TaskMismatch, UnknownModelClass
 from pvml.optimize import AdaGrad, train_linear_sgd
 from pvml.persist import load_model, save_model, write_atomically
-from pvml.provenance import provenance_hash
+from pvml.provenance import PList, instance_section, provenance_hash, with_instance_entry
 from pvml.trees import CartTrainer, TreeConfig, train_cart
 
 
@@ -52,7 +52,7 @@ class TestSaveModel:
         save_model(model, str(path))
         doc = json.loads(path.read_text())
         assert doc["formatName"] == "PVML"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert doc["modelClass"] == "pvml.LinearSgdModel"
 
     def test_ensemble_nests_member_containers(self, tmp_path, interleaved_dataset):
@@ -296,3 +296,143 @@ class TestFloatLiteralsOnLoad:
         loaded = load_model(str(path))
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert loaded.feature_domain == model.feature_domain
+
+
+def _ensemble_models():
+    from test_batch import MODELS
+
+    return {name: model for name, model in MODELS.items() if isinstance(model, EnsembleModel)}
+
+
+def _check_members(loaded, trained):
+    """Each member of ``loaded``, nested ones too, carries the provenance its
+    ensemble records and the ensemble's domain restricted to its names, as
+    the member trained in ``trained`` does."""
+    recorded = instance_section(loaded.provenance)["members"].items
+    assert len(recorded) == len(loaded.members) == len(trained.members)
+    for member, entry, original in zip(loaded.members, recorded, trained.members):
+        assert member.provenance is entry
+        assert member.provenance == original.provenance
+        ids = np.array([loaded.feature_domain.ids[name] for name in member.feature_domain.names()])
+        assert member.feature_domain == loaded.feature_domain.subset(ids)
+        assert member.feature_domain == original.feature_domain
+        if isinstance(member, EnsembleModel):
+            _check_members(member, original)
+
+
+class TestEnsembleMembersOnce:
+    """Version 2 stores each member once: its ``provenance`` is its position in
+    the ensemble provenance's ``members``, and its ``featureDomain`` lists ids
+    alone, the statistics being the ensemble's."""
+
+    @pytest.mark.parametrize("name", sorted(_ensemble_models()))
+    def test_round_trip(self, tmp_path, name):
+        model = _ensemble_models()[name]
+        path = tmp_path / "e.pvml"
+        save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        for i, member in enumerate(doc["parameters"]["members"]):
+            assert member["provenance"] == i
+            assert all(set(entry) == {"id"} for entry in member["featureDomain"]["features"].values())
+        loaded = load_model(str(path))
+        _check_members(loaded, model)
+        assert provenance_hash(loaded.provenance) == provenance_hash(model.provenance)
+        save_model(loaded, str(tmp_path / "again.pvml"))
+        assert (tmp_path / "again.pvml").read_bytes() == path.read_bytes()
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "e.pvml"
+        save_model(_ensemble_models()["forest-reg"], str(path))
+        return path
+
+    @pytest.mark.parametrize("where", ["top", "member"])
+    def test_a_version_1_file(self, tmp_path, where):
+        def edit(container):
+            (container if where == "top" else container["parameters"]["members"][0])["version"] = 1
+
+        _edit_and_load(self._saved(tmp_path), edit)
+
+    @pytest.mark.parametrize("index", [1, -1, 4, None, True, 0.0, "0", [0]])
+    def test_a_member_index_that_is_not_its_position(self, tmp_path, index):
+        def edit(container):
+            container["parameters"]["members"][0]["provenance"] = index
+
+        _edit_and_load(self._saved(tmp_path), edit)
+
+    def test_swapped_members(self, tmp_path):
+        def edit(container):
+            members = container["parameters"]["members"]
+            members[0], members[1] = members[1], members[0]
+
+        _edit_and_load(self._saved(tmp_path), edit)
+
+    @pytest.mark.parametrize("change", ["missing", "not-a-list", "too-short", "too-long"])
+    def test_a_recorded_member_list_that_does_not_fit(self, tmp_path, change):
+        def edit(container):
+            instance = container["provenance"]["value"]["fields"]["instance"]["value"]
+            members = instance["members"]
+            if change == "missing":
+                del instance["members"]
+            elif change == "not-a-list":
+                instance["members"] = {"type": "str", "value": "x"}
+            elif change == "too-short":
+                members["value"].pop()
+            else:
+                members["value"].append(members["value"][0])
+
+        _edit_and_load(self._saved(tmp_path), edit)
+
+    def test_a_member_domain_with_bad_ids(self, tmp_path):
+        _edit_and_load(self._saved(tmp_path), lambda c: _swap_first_ids(c["parameters"]["members"][0]["featureDomain"]["features"]))
+
+    def test_saving_members_the_provenance_does_not_record(self, tmp_path):
+        model = _ensemble_models()["forest-reg"]
+        members = instance_section(model.provenance)["members"].items
+        for recorded in (members[1:], members[::-1]):
+            prov = with_instance_entry(model.provenance, "members", PList(recorded))
+            swapped = EnsembleModel(model.name, prov, model.feature_domain, model.output_domain, model.members, model.member_weights)
+            with pytest.raises(FormatError, match="does not record its members"):
+                save_model(swapped, str(tmp_path / "e.pvml"))
+        assert not (tmp_path / "e.pvml").exists()
+
+
+class TestFeatureNamesOnLoad:
+    """A model file's feature names pass the checks data names pass."""
+
+    @pytest.mark.parametrize("bad", ["", "\x00", "a\nb", "z\x7f", "\x9f"])
+    def test_a_name_data_would_refuse(self, tmp_path, trained, bad):
+        path = tmp_path / "m.pvml"
+        save_model(trained[1], str(path))
+        container = json.loads(path.read_text())
+        features = container["featureDomain"]["features"]
+        # the first or last name is renamed, so the ids stay 0..N-1 in name order
+        renamed = min(features) if bad < min(features) else max(features)
+        features[bad] = features.pop(renamed)
+        assert [features[name]["id"] for name in sorted(features)] == list(range(len(features)))
+        path.write_text(json.dumps(container))
+        with pytest.raises(FormatError, match="feature name") as raised:
+            load_model(str(path))
+        assert repr(bad) in str(raised.value) or bad == ""
+
+    def test_in_a_member_domain(self, tmp_path):
+        path = tmp_path / "e.pvml"
+        save_model(_ensemble_models()["forest-reg"], str(path))
+        container = json.loads(path.read_text())
+        features = container["parameters"]["members"][0]["featureDomain"]["features"]
+        features["\x01"] = features.pop(min(features))
+        path.write_text(json.dumps(container))
+        with pytest.raises(FormatError, match="feature name"):
+            load_model(str(path))
+
+    def test_good_names_load(self, tmp_path, trained):
+        path = tmp_path / "m.pvml"
+        save_model(trained[1], str(path))
+        assert load_model(str(path)).feature_domain == trained[1].feature_domain
+
+
+def test_linear_weights_are_written_as_shortest_round_trip_strings(tmp_path, trained):
+    model = trained[1]
+    path = tmp_path / "m.pvml"
+    save_model(model, str(path))
+    weights = json.loads(path.read_text())["parameters"]["weights"]
+    assert weights == [[repr(float(v)) for v in row] for row in model.weights]
