@@ -38,7 +38,7 @@ from .ensemble import ENSEMBLE_MODEL_CLASS, EnsembleModel
 from .errors import FormatError, InvalidFeatureName, NonFiniteStatistic, TaskMismatch, UnknownModelClass
 from .optimize import LINEAR_MODEL_CLASS, LinearSgdModel
 from .provenance import PList, PObj, from_json_value, instance_section, is_object_provenance, to_json_value
-from .trees import TREE_MODEL_CLASS, LeafNode, SplitNode, TreeModel, TreeNode
+from .trees import TREE_MODEL_CLASS, TreeModel, grow_table
 
 FORMAT_NAME = "PVML"
 FORMAT_VERSION = 2
@@ -184,46 +184,43 @@ def _linear_restore(container: dict, name, prov, fd, od) -> LinearSgdModel:
     return LinearSgdModel(name, prov, fd, od, _floats(container["parameters"]["weights"]))
 
 
-def _tree_node_to_json(node: TreeNode) -> dict:
-    if isinstance(node, SplitNode):
-        return {
-            "kind": "split",
-            "feature": node.feature_id,
-            "threshold": _f2s(node.threshold),
-            "left": _tree_node_to_json(node.left),
-            "right": _tree_node_to_json(node.right),
-        }
-    leaf: dict = {"kind": "leaf", "n": node.n_examples}
-    if node.counts is not None:
-        leaf["counts"] = {label: _f2s(w) for label, w in sorted(node.counts.items())}
-    else:
-        leaf["mean"] = _f2s(node.mean)
-    return leaf
+def _tree_params(model: TreeModel) -> dict:
+    """The node table as nested JSON: one dict per row, each split then linked to its children."""
+    rows = [{"kind": "split", "feature": feature, "threshold": _f2s(threshold)} for feature, threshold, _, _ in model.nodes]
+    for i, (n, value) in model.leaves.items():
+        if model.task == CATEGORICAL:
+            rows[i] = {"kind": "leaf", "n": n, "counts": {label: _f2s(w) for label, w in sorted(value.items())}}
+        else:
+            rows[i] = {"kind": "leaf", "n": n, "mean": _f2s(value)}
+    for row, (_, _, left, right) in zip(rows, model.nodes):
+        if left >= 0:
+            row["left"], row["right"] = rows[left], rows[right]
+    return {"root": rows[0]}
 
 
-def _tree_node_from_json(node: dict, width: int, labels: frozenset[str] | None) -> TreeNode:
-    """The tree under ``node``; a split must name a feature id below ``width``.
+def _tree_restore(container: dict, name, prov, fd, od) -> TreeModel:
+    """The node table :func:`_tree_params` wrote, in growth order.  A split
+    needs a finite threshold, a leaf an integer ``n`` of at least 1 and a
+    finite ``mean`` or ``counts`` over the output domain's labels whose
+    weights are finite, non-negative and not all zero."""
+    labels = frozenset(od.labels()) if od.task == CATEGORICAL else None
 
-    A classification tree (``labels`` given) needs leaf ``counts`` over
-    those labels whose weights are finite, non-negative and not all zero; a
-    regression tree (``labels`` None) needs a finite leaf ``mean``.
-    """
-    if node["kind"] == "split":
-        feature = node["feature"]
-        if type(feature) is not int or not 0 <= feature < width:
-            raise FormatError(f"split feature {feature!r} is not an id of the {width}-feature domain")
-        return SplitNode(
-            feature,
-            _s2f(node["threshold"]),
-            _tree_node_from_json(node["left"], width, labels),
-            _tree_node_from_json(node["right"], width, labels),
-        )
-    if node["kind"] == "leaf":
+    def expand(node: dict):
+        if node["kind"] == "split":
+            threshold = _s2f(node["threshold"])
+            if not math.isfinite(threshold):
+                raise FormatError(f"split threshold {node['threshold']!r} is not finite")
+            return (node["feature"], threshold), (node["left"], node["right"])
+        if node["kind"] != "leaf":
+            raise FormatError(f"unknown tree node kind {node.get('kind')!r}")
+        n = node.get("n")
+        if type(n) is not int or n < 1:
+            raise FormatError(f"leaf size {n!r} is not an integer of at least 1")
         if labels is None:
-            mean = _s2f(node["mean"]) if "mean" in node else math.nan
+            mean = _s2f(node.get("mean"))
             if not math.isfinite(mean):
                 raise FormatError("a regression leaf needs a finite mean")
-            return LeafNode(node["n"], mean=mean)
+            return None, (n, mean)
         counts = node.get("counts")
         if not isinstance(counts, dict):
             raise FormatError("a classification leaf needs a map of label counts")
@@ -232,17 +229,9 @@ def _tree_node_from_json(node: dict, width: int, labels: frozenset[str] | None) 
         weights = {label: _s2f(w) for label, w in counts.items()}
         if not (all(0.0 <= w < math.inf for w in weights.values()) and sum(weights.values()) > 0.0):
             raise FormatError("leaf counts must be finite, non-negative and not all zero")
-        return LeafNode(node["n"], counts=weights)
-    raise FormatError(f"unknown tree node kind {node.get('kind')!r}")
+        return None, (n, weights)
 
-
-def _tree_params(model: TreeModel) -> dict:
-    return {"root": _tree_node_to_json(model.root)}
-
-
-def _tree_restore(container: dict, name, prov, fd, od) -> TreeModel:
-    labels = frozenset(od.labels()) if od.task == CATEGORICAL else None
-    return TreeModel(name, prov, fd, od, _tree_node_from_json(container["parameters"]["root"], len(fd), labels))
+    return TreeModel(name, prov, fd, od, *grow_table(container["parameters"]["root"], expand))
 
 
 def _recorded_members(prov: PObj) -> tuple:
@@ -279,6 +268,8 @@ def _ensemble_restore(container: dict, name, prov, fd, od) -> EnsembleModel:
             raise FormatError(f"member {i} records provenance {at!r}, not its position {i}")
         members.append(_model_from_container(member, (member_prov, fd)))
     weights = [_s2f(w) for w in params["memberWeights"]]
+    if not all(0.0 < w < math.inf for w in weights):
+        raise FormatError("member weights must be finite and greater than 0")
     return EnsembleModel(name, prov, fd, od, members, weights)
 
 

@@ -60,42 +60,7 @@ class TreeConfig:
             raise ValueError(f"unknown split kind {self.split_kind!r}")
 
 
-@dataclass(frozen=True)
-class LeafNode:
-    """Per-label weight totals for classification, weighted mean for regression."""
-
-    n_examples: int
-    counts: dict[str, float] | None = None
-    mean: float | None = None
-
-
-@dataclass(frozen=True)
-class SplitNode:
-    feature_id: int
-    threshold: float
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = LeafNode | SplitNode
-
-
-@dataclass(frozen=True, eq=False)
-class FlatTree:
-    """A tree as node arrays, parents before children.
-
-    Node ``i`` splits on ``feature[i]`` at ``threshold[i]`` into nodes
-    ``left[i]`` and ``right[i]``; a leaf has ``left[i] == -1`` and its
-    ``(output, scores)`` in ``leaves[i]``.  ``nodes[i]`` holds the same
-    four entries as Python numbers, for walking one row.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    leaves: dict[int, tuple[Output, dict[str, float]]]
-    nodes: list[tuple[int, float, int, int]]
+LEAF = (-1, 0.0, -1, -1)  # the node-table row of every leaf
 
 
 # ---------------------------------------------------------------------------
@@ -393,79 +358,109 @@ def _split_decrease(values, targets, weights, threshold, parent, total_weight, c
 # Training and the tree model
 # ---------------------------------------------------------------------------
 
+def grow_table(root, expand) -> tuple[list[tuple[int, float, int, int]], dict[int, tuple]]:
+    """The node table and leaves of a tree, in growth order: a split, its
+    left subtree, then its right.
+
+    ``expand(item)`` returns ``(None, leaf)`` for a leaf, ``leaf`` being its
+    entry of :attr:`TreeModel.leaves`, or ``((feature, threshold), (left_item,
+    right_item))`` for a split.  A right item carries its parent's row, whose
+    right pointer it sets.  A work list, not recursion, so a tree may
+    outgrow the recursion limit.
+    """
+    nodes, leaves, work = [], {}, [(root, -1)]
+    while work:
+        item, parent = work.pop()
+        i = len(nodes)
+        if parent >= 0:
+            nodes[parent] = nodes[parent][:3] + (i,)
+        split, value = expand(item)
+        if split is None:
+            nodes.append(LEAF)
+            leaves[i] = value
+        else:
+            nodes.append((*split, i + 1, -1))
+            work += [(value[1], i), (value[0], -1)]
+    return nodes, leaves
+
+
 class TreeModel(Model):
+    """A CART tree as one node table.
+
+    Row ``i`` of ``nodes`` is ``(feature, threshold, left, right)``: a row
+    whose value of feature id ``feature`` (0.0 when absent) is at most
+    ``threshold`` goes on to row ``left``, any other to row ``right``.  A
+    leaf's row is :data:`LEAF` and ``leaves[i]`` is its ``(n_examples,
+    counts)``, per-label weight totals, or in a regression tree its
+    ``(n_examples, mean)``.  The constructor raises ``ValueError`` unless
+    the rows are a tree in the growth order of :func:`grow_table`, so every
+    walk from row 0 ends at a leaf, each split names a feature of the
+    domain and ``leaves`` is keyed by exactly the leaf rows.
+    """
+
     model_class = TREE_MODEL_CLASS
 
-    def __init__(self, name, provenance, feature_domain, output_domain, root: TreeNode):
+    def __init__(self, name, provenance, feature_domain, output_domain, nodes, leaves):
         super().__init__(name, provenance, feature_domain, output_domain)
-        self.root = root
+        self.nodes = list(nodes)
+        self.leaves = dict(leaves)
+        width, due, work = len(feature_domain), 0, [0]
+        while work:  # pops the rows in growth order, so row ``due`` must come next
+            i = work.pop()
+            if type(i) is not int or i != due or i >= len(self.nodes):
+                raise ValueError(f"the node table is not a tree in growth order at row {due}")
+            due += 1
+            feature, _, left, right = self.nodes[i]
+            if self.nodes[i] != LEAF:
+                if type(feature) is not int or not 0 <= feature < width:
+                    raise ValueError(f"split feature {feature!r} is not an id of the {width}-feature domain")
+                work += (right, left)
+        if due != len(self.nodes) or self.leaves.keys() != {i for i, row in enumerate(self.nodes) if row == LEAF}:
+            raise ValueError("the node table has rows not reached from row 0, or leaves not keyed by its leaf rows")
 
     def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
-        """Walk :attr:`flat` from the root, as :meth:`leaves_of` walks many rows."""
-        nodes = self.flat.nodes
+        """Walk :attr:`nodes` from row 0, as :meth:`leaves_of` walks many rows."""
+        nodes = self.nodes
         i = 0
         feature, threshold, left, right = nodes[0]
         while left >= 0:
             i = left if sparse.get(feature, 0.0) <= threshold else right
             feature, threshold, left, right = nodes[i]
-        output, scores = self.flat.leaves[i]
+        output, scores = self.leaf_outputs[i]
         return output, dict(scores)
 
-    def _leaf_output(self, leaf: LeafNode) -> tuple[Output, dict[str, float]]:
-        if leaf.counts is not None:
-            total = sum(leaf.counts.values())
-            scores = {
-                label: leaf.counts.get(label, 0.0) / total
-                for label in self.output_domain.labels()
-            }
-            return CategoricalOutput(argmax_label(scores)), scores
-        return RealOutput(leaf.mean), {}
-
     @cached_property
-    def flat(self) -> FlatTree:
-        """The tree as node arrays, built once with an explicit work list.
-
-        A split on a feature id outside the domain reads 0.0, as an absent
-        feature does; it is stored as the id one past the domain.
-        """
-        width = len(self.feature_domain)
-        nodes: list[TreeNode] = [self.root]
-        table: list[tuple[int, float, int, int]] = []
-        for node in nodes:  # grows while it is walked: children go to the back
-            if isinstance(node, SplitNode):
-                fid = node.feature_id
-                fid = fid if isinstance(fid, int) and 0 <= fid < width else width
-                table.append((fid, node.threshold, len(nodes), len(nodes) + 1))
-                nodes += (node.left, node.right)
-            else:
-                table.append((width, 0.0, -1, -1))
-        leaves = {i: self._leaf_output(node) for i, node in enumerate(nodes) if isinstance(node, LeafNode)}
-        feature, threshold, left, right = zip(*table)
-        return FlatTree(
-            np.array(feature, dtype=np.int64),
-            np.array(threshold, dtype=np.float64),
-            np.array(left, dtype=np.intp),
-            np.array(right, dtype=np.intp),
-            leaves,
-            table,
-        )
+    def leaf_outputs(self) -> dict[int, tuple[Output, dict[str, float]]]:
+        """Each leaf's ``(output, scores)`` by row, built once."""
+        if self.task != CATEGORICAL:
+            return {i: (RealOutput(mean), {}) for i, (_, mean) in self.leaves.items()}
+        labels, outputs = self.output_domain.labels(), {}
+        for i, (_, counts) in self.leaves.items():
+            total = sum(counts[label] for label in sorted(counts))  # the file's order, so a loaded tree scores alike
+            scores = {label: counts.get(label, 0.0) / total for label in labels}
+            outputs[i] = (CategoricalOutput(argmax_label(scores)), scores)
+        return outputs
 
     @cached_property
     def leaf_values(self) -> np.ndarray:
-        """A regression tree's value at each leaf of :attr:`flat`, indexed by node; 0.0 at splits."""
-        values = np.zeros(len(self.flat.left))
-        for i, (output, _) in self.flat.leaves.items():
-            values[i] = output.value
+        """A regression tree's mean at each leaf, indexed by row; 0.0 at splits."""
+        values = np.zeros(len(self.nodes))
+        values[list(self.leaves)] = [mean for _, mean in self.leaves.values()]
         return values
 
+    @cached_property
+    def node_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The feature, threshold, left and right columns of :attr:`nodes`, built once."""
+        return tuple(np.array(column) for column in zip(*self.nodes))
+
     def leaves_of(self, columns: Columns) -> np.ndarray:
-        """Index into :attr:`flat` of the leaf each compiled row reaches.
+        """Row of :attr:`nodes` of the leaf each compiled row reaches.
 
         Every row descends one level per step.  A split finds its feature
         among the row's entries by a sorted search over (row, feature id)
         keys; an absent feature reads 0.0.
         """
-        flat = self.flat
+        feature, threshold, left, right = self.node_arrays
         n = len(columns.indptr) - 1
         width = len(self.feature_domain)
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(columns.indptr))
@@ -476,18 +471,17 @@ class TreeModel(Model):
         node = np.zeros(n, dtype=np.intp)
         active = np.arange(n)
         while len(active):
-            active = active[flat.left.take(node[active]) >= 0]
+            active = active[left.take(node[active]) >= 0]
             at = node[active]
-            fid = flat.feature.take(at)
-            wanted = active * width + fid
+            wanted = active * width + feature.take(at)
             pos = np.searchsorted(keys, wanted)
-            value = np.where((fid < width) & (keys.take(pos) == wanted), values.take(pos), 0.0)
-            node[active] = np.where(value <= flat.threshold.take(at), flat.left.take(at), flat.right.take(at))
+            value = np.where(keys.take(pos) == wanted, values.take(pos), 0.0)
+            node[active] = np.where(value <= threshold.take(at), left.take(at), right.take(at))
         return node
 
     def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]]]:
-        leaves = self.flat.leaves
-        return [(leaves[i][0], dict(leaves[i][1])) for i in self.leaves_of(columns).tolist()]
+        outputs = self.leaf_outputs
+        return [(outputs[i][0], dict(outputs[i][1])) for i in self.leaves_of(columns).tolist()]
 
 
 class CartTrainer(Trainer):
@@ -512,27 +506,7 @@ class CartTrainer(Trainer):
         rng = Xoshiro256StarStar(self.stream_seed(count))
         cfg = self.cfg
 
-        def make_leaf(node: _Node) -> LeafNode:
-            targets, weights = node.targets_and_weights()
-            if task == CATEGORICAL:
-                counts: dict[str, float] = {}
-                for target, weight in zip(targets, weights):
-                    counts[labels[target]] = counts.get(labels[target], 0.0) + weight
-                return LeafNode(len(node), counts=counts)
-            mean = sum(t * w for t, w in zip(targets, weights)) / sum(weights)
-            return LeafNode(len(node), mean=mean)
-
-        # A work list, not recursion, so a tree may outgrow the recursion limit.
-        # Left subtrees grow first, as the RNG draws require; a split is built
-        # once both of its subtrees are, which then lie on top of ``built``.
-        work: list = [(0, len(dataset), 0)]
-        built: list[TreeNode] = []
-        while work:
-            item = work.pop()
-            if isinstance(item, Split):
-                right, left = built.pop(), built.pop()
-                built.append(SplitNode(item.feature_id, item.threshold, left, right))
-                continue
+        def expand(item):  # in growth order, left subtree first, as the RNG draws require
             start, end, depth = item
             node, split = _Node(sample, start, end), None
             if depth < cfg.max_depth and len(node) >= 2 * cfg.min_examples_per_leaf:
@@ -541,20 +515,25 @@ class CartTrainer(Trainer):
                 else:
                     candidates = list(range(num_features))  # no draw when taking everything
                 split = best_split(node, candidates, cfg, task, rng)
-            if split is None:
-                built.append(make_leaf(node))
-            else:
+            if split is not None:
                 middle = sample.partition(start, end, split.feature_id, split.threshold)
-                work += [split, (middle, end, depth + 1), (start, middle, depth + 1)]
-        (root,) = built
+                return (split.feature_id, split.threshold), ((start, middle, depth + 1), (middle, end, depth + 1))
+            targets, weights = node.targets_and_weights()
+            if task == CATEGORICAL:
+                counts: dict[str, float] = {}
+                for target, weight in zip(targets, weights):
+                    counts[labels[target]] = counts.get(labels[target], 0.0) + weight
+                return None, (len(node), counts)
+            return None, (len(node), sum(t * w for t, w in zip(targets, weights)) / sum(weights))
 
+        nodes, leaves = grow_table((0, len(dataset), 0), expand)
         prov = model_provenance(
             TREE_MODEL_CLASS,
             trainer_provenance=self.provenance_with_count(count),
             dataset_provenance=dataset.provenance,
             user_info=user_info,
         )
-        return TreeModel("cart", prov, domain, dataset.output_domain, root)
+        return TreeModel("cart", prov, domain, dataset.output_domain, nodes, leaves)
 
 
 def train_cart(dataset: Dataset, cfg: TreeConfig) -> TreeModel:

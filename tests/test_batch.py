@@ -188,17 +188,21 @@ class TestBatchEqualsOneByOne:
         assert [_bits(p) for p in predict_chunked(model, examples)] == _one_by_one(model, examples)
 
     def test_tree_deeper_than_the_recursion_limit(self):
-        # the node arrays are built with a work list, not recursion
+        # the node table is walked with loops, not recursion
         import sys
 
-        from pvml.trees import LeafNode, SplitNode, TreeModel
+        from pvml.trees import LEAF, TreeModel
 
         tree = MODELS["cart-reg"]
         x = tree.feature_domain.ids["x"]
-        node = LeafNode(1, mean=-1.0)
-        for d in reversed(range(sys.getrecursionlimit() + 50)):
-            node = SplitNode(x, float(d), LeafNode(1, mean=float(d)), node)
-        deep = TreeModel("deep", tree.provenance, tree.feature_domain, tree.output_domain, node)
+        depth = sys.getrecursionlimit() + 50
+        nodes, leaves = [], {}
+        for d in range(depth):  # split d sends x <= d to a leaf of value d, any other row on to split d + 1
+            nodes += [(x, float(d), 2 * d + 1, 2 * d + 2), LEAF]
+            leaves[2 * d + 1] = (1, float(d))
+        nodes.append(LEAF)
+        leaves[2 * depth] = (1, -1.0)
+        deep = TreeModel("deep", tree.provenance, tree.feature_domain, tree.output_domain, nodes, leaves)
         rows = [make_example([("x", v)]) for v in (-1.0, 0.5, 40.0, 1e9)]
         assert [p.output.value for p in deep.predict_batch(rows)] == [0.0, 1.0, 40.0, -1.0]
         assert _batched(deep, rows) == _one_by_one(deep, rows)

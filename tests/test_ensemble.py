@@ -47,7 +47,7 @@ def assert_members_trained_alone(dataset, cfg, model):
         member_seed = splitmix64((cfg.seed + i) & MASK64)
         sample = bootstrap_sample(dataset, cfg.sample_fraction, cfg.with_replacement, member_seed)
         alone = cfg.base_trainer.train_with_count(sample, base + i)
-        assert member.root == alone.root
+        assert (member.nodes, member.leaves) == (alone.nodes, alone.leaves)
         assert provenance_hash(member.provenance) == provenance_hash(alone.provenance)
 
 
@@ -164,7 +164,7 @@ class TestTrainEnsemble:
 
         a, b = run(), run()
         assert provenance_hash(a.provenance) == provenance_hash(b.provenance)
-        assert [m.root for m in a.members] == [m.root for m in b.members]
+        assert [(m.nodes, m.leaves) for m in a.members] == [(m.nodes, m.leaves) for m in b.members]
 
     def test_parallel_equals_serial(self, clf_csv):
         # each member depends only on its seed and count, so any execution

@@ -1,0 +1,82 @@
+"""``pvml train`` makes the same model under every string-hash seed.
+
+Python salts the hash of a ``str`` per process, so iterating a set or dict
+of strings can change order from one process to the next.  Each trainer
+here trains on the same CSV in two processes, with ``PYTHONHASHSEED`` 0 and
+1; the parameter blocks and the provenance hashes must be equal.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from pvml.data import ColumnarSchema, FieldProcessor
+from pvml.ensemble import RANDOM_FOREST, EnsembleConfig, EnsembleTrainer
+from pvml.optimize import AdaGrad, LinearSgdTrainer
+from pvml.provenance import config_to_json, extract_configuration
+from pvml.trees import CartTrainer, TreeConfig
+
+from test_benchmark_reader import checks
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+TRAINERS = {
+    "tree": CartTrainer(TreeConfig(max_depth=4, seed=5)),
+    "linear": LinearSgdTrainer("logistic", AdaGrad(0.3), epochs=5, batch_size=4, seed=13),
+    "random-forest": EnsembleTrainer(
+        EnsembleConfig(
+            CartTrainer(TreeConfig(max_depth=3, feature_subsampling_fraction=0.5, seed=2)),
+            4,
+            seed=7,
+            variant=RANDOM_FOREST,
+        )
+    ),
+}
+
+COLORS = ["red", "green", "blue", "cyan", "amber", "violet"]
+WORDS = ["fox", "dog", "owl", "cat", "elk", "yak", "emu", "ant"]
+
+
+def _write_inputs(directory: Path, trainer) -> list[str]:
+    """A CSV of numeric, categorical and text columns, its schema and the
+    trainer config; returns the arguments of ``pvml train`` without the output."""
+    rows = ["f1,color,words,label"]
+    for i in range(24):
+        words = " ".join(WORDS[(i * k) % len(WORDS)] for k in (1, 3, 5))
+        rows.append(f"{(i * 7) % 11 / 4},{COLORS[i % len(COLORS)]},{words},{'abc'[(i * 5) % 3]}")
+    (directory / "train.csv").write_text("\n".join(rows) + "\n")
+    schema = ColumnarSchema(
+        "label",
+        "categorical",
+        (FieldProcessor("f1", "numeric"), FieldProcessor("color", "categorical"), FieldProcessor("words", "text")),
+    )
+    (directory / "schema.json").write_text(config_to_json(extract_configuration(schema.provenance())))
+    (directory / "trainer.json").write_text(config_to_json(extract_configuration(trainer.provenance())))
+    return ["train", "--data", "train.csv", "--schema", "schema.json", "--trainer", "trainer.json"]
+
+
+def _train(directory: Path, argv: list[str], hash_seed: str) -> tuple[dict, str]:
+    """The parameter block and provenance hash of one ``pvml train`` process."""
+    output = f"model-{hash_seed}.pvml"
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pvml.cli", *argv, "--output", output],
+        cwd=directory, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (hash_line,) = [line for line in done.stdout.splitlines() if line.startswith("provenance-hash ")]
+    container = json.loads((directory / output).read_text())
+    return checks.parameter_block(container), hash_line.split()[1]
+
+
+@pytest.mark.parametrize("name", sorted(TRAINERS))
+def test_train_is_the_same_under_every_hash_seed(tmp_path, name):
+    argv = _write_inputs(tmp_path, TRAINERS[name])
+    (block_0, hash_0), (block_1, hash_1) = (_train(tmp_path, argv, seed) for seed in ("0", "1"))
+    assert block_0 == block_1
+    assert hash_0 == hash_1

@@ -1,18 +1,20 @@
 """The PVML model container: determinism, round trips, and loud failures."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from pvml.core import CATEGORICAL, REAL, build_dataset
-from pvml.data import load_csv
-from pvml.ensemble import BAGGING, EnsembleConfig, EnsembleModel, train_ensemble
+from pvml.core import CATEGORICAL, REAL, CategoricalOutput, FeatureDomain, build_dataset, make_example
+from pvml.data import InMemoryDataSource, load_csv
+from pvml.ensemble import ADABOOST, BAGGING, EnsembleConfig, EnsembleModel, train_ensemble
 from pvml.errors import FormatError, TaskMismatch, UnknownModelClass
 from pvml.optimize import AdaGrad, train_linear_sgd
 from pvml.persist import load_model, save_model, write_atomically
 from pvml.provenance import PList, instance_section, provenance_hash, with_instance_entry
-from pvml.trees import CartTrainer, TreeConfig, train_cart
+from pvml.rng import Xoshiro256StarStar
+from pvml.trees import EXHAUSTIVE, RANDOM_THRESHOLD, CartTrainer, TreeConfig, TreeModel, train_cart
 
 
 @pytest.fixture
@@ -126,7 +128,7 @@ class TestLoadModel:
         path = tmp_path / "t.pvml"
         save_model(model, str(path))
         loaded = load_model(str(path), CATEGORICAL)
-        assert loaded.root == model.root
+        assert (loaded.nodes, loaded.leaves) == (model.nodes, model.leaves)
         for ex in xor_dataset.examples:
             assert loaded.predict(ex) == model.predict(ex)
 
@@ -140,6 +142,16 @@ class TestLoadModel:
         root["feature"] = feature
         path.write_text(json.dumps(container))
         with pytest.raises(FormatError, match="split feature"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("threshold", ["nan", "-nan", "inf", "-inf", "1e999"])
+    def test_split_threshold_that_is_not_finite(self, tmp_path, xor_dataset, threshold):
+        path = tmp_path / "t.pvml"
+        save_model(train_cart(xor_dataset, TreeConfig(max_depth=2)), str(path))
+        container = json.loads(path.read_text())
+        container["parameters"]["root"]["threshold"] = threshold
+        path.write_text(json.dumps(container))
+        with pytest.raises(FormatError, match="threshold"):
             load_model(str(path))
 
     def test_ensemble_round_trip(self, tmp_path, interleaved_dataset):
@@ -191,6 +203,8 @@ class TestTreeLeavesOnLoad:
         "null-mean": lambda leaf: leaf.update(mean=None),
     }
 
+    LEAF_SIZES = {"string": "abc", "negative": -1, "zero": 0, "fraction": 1.5, "bool": True, "null": None}
+
     def _check(self, tmp_path, csv, edit):
         path, schema = csv
         model_path = tmp_path / "t.pvml"
@@ -212,6 +226,82 @@ class TestTreeLeavesOnLoad:
     @pytest.mark.parametrize("case", sorted(REGRESSION_LEAVES))
     def test_regression_leaf(self, tmp_path, reg_csv, case):
         self._check(tmp_path, reg_csv, self.REGRESSION_LEAVES[case])
+
+
+    @pytest.mark.parametrize("case", sorted(LEAF_SIZES) + ["missing"])
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_leaf_size(self, tmp_path, clf_csv, reg_csv, task, case):
+        def edit(leaf):
+            if case == "missing":
+                del leaf["n"]
+            else:
+                leaf["n"] = self.LEAF_SIZES[case]
+
+        self._check(tmp_path, clf_csv if task == "classification" else reg_csv, edit)
+
+
+def _trees(model):
+    """The trees of ``model``: itself, or those of its members, nested ensembles too."""
+    if isinstance(model, EnsembleModel):
+        return [tree for member in model.members for tree in _trees(member)]
+    return [model] if isinstance(model, TreeModel) else []
+
+
+def _models_with_trees():
+    from test_batch import MODELS
+
+    return {name: model for name, model in MODELS.items() if _trees(model)}
+
+
+@pytest.mark.parametrize("name", sorted(_models_with_trees()))
+def test_a_loaded_tree_has_the_trained_node_table(tmp_path, name):
+    model = _models_with_trees()[name]
+    path = tmp_path / "m.pvml"
+    save_model(model, str(path))
+    trained, loaded = _trees(model), _trees(load_model(str(path)))
+    assert len(loaded) == len(trained)
+    for a, b in zip(loaded, trained):
+        assert a.nodes == b.nodes
+        assert a.leaves == b.leaves
+
+
+def test_a_loaded_boosted_ensemble_scores_bit_for_bit(tmp_path):
+    # boosting reweights the rows, so a leaf's label weights, added up in
+    # another order, could give other last bits
+    rng = Xoshiro256StarStar(1)
+    examples = [
+        make_example([("x", rng.next_float()), ("y", rng.next_float())], CategoricalOutput("abcde"[rng.next_below(5)]))
+        for _ in range(40)
+    ]
+    dataset = build_dataset(InMemoryDataSource(examples, "five-labels"))
+    model = train_ensemble(dataset, EnsembleConfig(CartTrainer(TreeConfig(max_depth=2, seed=3)), 6, seed=0, variant=ADABOOST))
+    path = tmp_path / "e.pvml"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    for ex in examples:
+        assert loaded.predict(ex).scores == model.predict(ex).scores
+        for a, b in zip(loaded.members, model.members):
+            assert a.predict(ex).scores == b.predict(ex).scores
+
+
+@pytest.mark.parametrize("split_kind", [EXHAUSTIVE, RANDOM_THRESHOLD])
+def test_trees_over_values_near_the_largest_double_save_and_load(tmp_path, split_kind):
+    # midpoints and random draws between these values can overflow; a threshold
+    # that is not finite sends every row one way, so the leaf minimum drops it
+    big = [-1.7e308, -1.69e308, -1.0, 1.0, 1.69e308, 1.7e308, 1.75e308, 1.79e308]
+    examples = [
+        make_example([("x", x), ("y", float(i % 3))], CategoricalOutput("ab"[i % 2])) for i, x in enumerate(big)
+    ]
+    model = train_cart(build_dataset(InMemoryDataSource(examples, "huge")), TreeConfig(max_depth=4, split_kind=split_kind, seed=3))
+    assert any(left >= 0 for _, _, left, _ in model.nodes)
+    assert all(math.isfinite(threshold) for _, threshold, _, _ in model.nodes)
+    # the variance of x overflows, so the file gets the same names with finite statistics
+    names = model.feature_domain.names()
+    domain = FeatureDomain(names, model.feature_domain.count, *(np.zeros(len(names)) for _ in FeatureDomain.STATISTICS))
+    path = tmp_path / "t.pvml"
+    save_model(TreeModel(model.name, model.provenance, domain, model.output_domain, model.nodes, model.leaves), str(path))
+    loaded = load_model(str(path))
+    assert (loaded.nodes, loaded.leaves) == (model.nodes, model.leaves)
 
 
 def _swap_first_ids(features):
@@ -379,6 +469,18 @@ class TestEnsembleMembersOnce:
                 members["value"].pop()
             else:
                 members["value"].append(members["value"][0])
+
+        _edit_and_load(self._saved(tmp_path), edit)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [["0.0"] * 4, ["0.0", "0.25", "0.25", "0.25"], ["-0.0"] * 4, ["-0.25", "0.25", "0.25", "0.25"],
+         ["nan", "0.25", "0.25", "0.25"], ["inf", "0.25", "0.25", "0.25"], ["-inf"] * 4],
+    )
+    def test_member_weights_that_are_not_finite_and_positive(self, tmp_path, weights):
+        def edit(container):
+            assert len(container["parameters"]["memberWeights"]) == len(weights)
+            container["parameters"]["memberWeights"] = weights
 
         _edit_and_load(self._saved(tmp_path), edit)
 

@@ -17,10 +17,10 @@ from pvml.provenance import provenance_hash
 from pvml.rng import Xoshiro256StarStar
 from pvml.trees import (
     EXHAUSTIVE,
+    LEAF,
     RANDOM_THRESHOLD,
     CartTrainer,
-    LeafNode,
-    SplitNode,
+    TreeModel,
     TreeConfig,
     _Row,
     best_split,
@@ -193,16 +193,67 @@ class TestBestSplit:
         assert a == b
 
 
-def _leaves(node):
-    if isinstance(node, LeafNode):
-        return [node]
-    return _leaves(node.left) + _leaves(node.right)
+def _depth(model):
+    """The depth of the deepest row of the node table, whose children follow their parents."""
+    depths = [0] * len(model.nodes)
+    for i, (_, _, left, right) in enumerate(model.nodes):
+        if left >= 0:
+            depths[left] = depths[right] = depths[i] + 1
+    return max(depths)
 
 
-def _depth(node):
-    if isinstance(node, LeafNode):
-        return 0
-    return 1 + max(_depth(node.left), _depth(node.right))
+SPLIT = (0, 0.5, 1, 2)  # a split whose children are rows 1 and 2
+TABLES = {
+    "empty": ([], {}),
+    "right-child-is-the-split": ([(0, 0.5, 1, 0), LEAF, LEAF], {1: (1, 0.0), 2: (1, 1.0)}),
+    "right-child-past-the-end": ([(0, 0.5, 1, 3), LEAF, LEAF], {1: (1, 0.0), 2: (1, 1.0)}),
+    "right-child-is-the-left": ([(0, 0.5, 1, 1), LEAF, LEAF], {1: (1, 0.0), 2: (1, 1.0)}),
+    "right-subtree-first": ([(0, 0.5, 2, 1), LEAF, LEAF], {1: (1, 0.0), 2: (1, 1.0)}),
+    "child-before-its-parent": ([LEAF, (0, 0.5, 0, 2), LEAF], {0: (1, 0.0), 2: (1, 1.0)}),
+    "cycle": ([SPLIT, (0, 0.5, 0, 2), LEAF], {2: (1, 1.0)}),
+    "float-child": ([(0, 0.5, 1.0, 2), LEAF, LEAF], {1: (1, 0.0), 2: (1, 1.0)}),
+    "unreachable-row": ([LEAF, LEAF], {0: (1, 0.0), 1: (1, 1.0)}),
+    "leaf-missing": ([SPLIT, LEAF, LEAF], {1: (1, 0.0)}),
+    "leaf-at-a-split": ([SPLIT, LEAF, LEAF], {0: (1, 0.0), 1: (1, 0.0), 2: (1, 1.0)}),
+    "feature-past-the-domain": ([(2, 0.5, 1, 2), LEAF, LEAF], {1: (1, 0.0), 2: (1, 1.0)}),
+    "negative-feature": ([(-1, 0.5, 1, 2), LEAF, LEAF], {1: (1, 0.0), 2: (1, 1.0)}),
+    "bool-feature": ([(True, 0.5, 1, 2), LEAF, LEAF], {1: (1, 0.0), 2: (1, 1.0)}),
+    "float-feature": ([(0.0, 0.5, 1, 2), LEAF, LEAF], {1: (1, 0.0), 2: (1, 1.0)}),
+}
+
+
+class TestNodeTable:
+    """The constructor accepts only a tree in growth order over the domain's
+    features, with a leaf entry for exactly each leaf row."""
+
+    def _tree(self, regression_dataset, nodes, leaves):
+        assert len(regression_dataset.feature_domain) == 2
+        trained = train_cart(regression_dataset, TreeConfig(max_depth=1))
+        return TreeModel("t", trained.provenance, trained.feature_domain, trained.output_domain, nodes, leaves)
+
+    def test_a_good_table(self, regression_dataset):
+        tree = self._tree(regression_dataset, [SPLIT, LEAF, LEAF], {1: (1, -2.0), 2: (1, 3.0)})
+        assert [tree.predict(make_example([("f1", v)])).output.value for v in (0.5, 0.75)] == [-2.0, 3.0]
+
+    @pytest.mark.parametrize("case", sorted(TABLES))
+    def test_a_bad_table(self, regression_dataset, case):
+        with pytest.raises(ValueError):
+            self._tree(regression_dataset, *TABLES[case])
+
+    def test_trained_rows_are_in_growth_order(self, interleaved_dataset):
+        model = train_cart(interleaved_dataset, TreeConfig(max_depth=4))
+        splits = [(i, left, right) for i, (_, _, left, right) in enumerate(model.nodes) if left >= 0]
+        assert len(splits) > 2
+        for i, left, right in splits:
+            # the left child follows its parent; the right follows the left subtree
+            assert left == i + 1
+            assert right == left + _size(model, left)
+
+
+def _size(model, i):
+    """The number of rows in the subtree at row ``i``."""
+    _, _, left, right = model.nodes[i]
+    return 1 if left < 0 else 1 + _size(model, left) + _size(model, right)
 
 
 class TestTrainCart:
@@ -228,24 +279,27 @@ class TestTrainCart:
         cfg = TreeConfig(max_depth=4, feature_subsampling_fraction=0.5, seed=17)
         a = train_cart(ds, cfg)
         b = train_cart(ds, cfg)
-        assert a.root == b.root
+        assert (a.nodes, a.leaves) == (b.nodes, b.leaves)
         assert provenance_hash(a.provenance) == provenance_hash(b.provenance)
 
     def test_depth_and_leaf_size_bounds(self, interleaved_dataset):
         cfg = TreeConfig(max_depth=3, min_examples_per_leaf=2)
         model = train_cart(interleaved_dataset, cfg)
-        assert _depth(model.root) <= 3
-        assert all(leaf.n_examples >= 2 for leaf in _leaves(model.root))
+        assert _depth(model) <= 3
+        assert all(n_examples >= 2 for n_examples, _ in model.leaves.values())
 
     def test_every_example_lands_in_a_leaf_containing_it(self, interleaved_dataset):
         model = train_cart(interleaved_dataset, TreeConfig(max_depth=4))
         domain = interleaved_dataset.feature_domain
         for ex in interleaved_dataset.examples:
-            node = model.root
+            i = 0
             sparse = {domain.ids[f.name]: f.value for f in ex.features}
-            while isinstance(node, SplitNode):
-                node = node.left if sparse.get(node.feature_id, 0.0) <= node.threshold else node.right
-            assert node.counts.get(ex.output.label, 0.0) > 0
+            feature, threshold, left, right = model.nodes[i]
+            while left >= 0:
+                i = left if sparse.get(feature, 0.0) <= threshold else right
+                feature, threshold, left, right = model.nodes[i]
+            _, counts = model.leaves[i]
+            assert counts.get(ex.output.label, 0.0) > 0
 
     def test_accepted_splits_respect_min_decrease(self, interleaved_dataset):
         cfg = TreeConfig(max_depth=4, min_impurity_decrease=0.05)
@@ -256,17 +310,16 @@ class TestTrainCart:
             for ex in interleaved_dataset.examples
         ]
 
-        def audit(node, node_rows):
-            if isinstance(node, LeafNode):
+        def audit(i, node_rows):
+            feature, threshold, left, right = model.nodes[i]
+            if left < 0:
                 return
             result = _brute_force_split(node_rows, [0], cfg, CATEGORICAL)
             assert result is not None and result[2] >= cfg.min_impurity_decrease
-            left = [r for r in node_rows if r.values.get(node.feature_id, 0.0) <= node.threshold]
-            right = [r for r in node_rows if r.values.get(node.feature_id, 0.0) > node.threshold]
-            audit(node.left, left)
-            audit(node.right, right)
+            audit(left, [r for r in node_rows if r.values.get(feature, 0.0) <= threshold])
+            audit(right, [r for r in node_rows if r.values.get(feature, 0.0) > threshold])
 
-        audit(model.root, rows)
+        audit(0, rows)
 
     def test_regression_tree_predicts_leaf_means(self, regression_dataset):
         model = train_cart(regression_dataset, TreeConfig(max_depth=3))
