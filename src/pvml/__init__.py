@@ -25,7 +25,6 @@ from .core import (
     argmax_label,
     build_dataset,
     make_example,
-    predict_chunked,
 )
 from .data import (
     ColumnarSchema,

@@ -16,8 +16,8 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property
-from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_type_hints
+from itertools import repeat
+from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -357,17 +357,22 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.columns.weights)
 
+    def outputs(self) -> list[Output]:
+        """Each row's output, from its target: a label of the output domain or a real value."""
+        targets = self.columns.targets.tolist()
+        if self.task == REAL:
+            return list(map(RealOutput, targets))
+        labels = self.output_domain.labels()
+        return [CategoricalOutput(labels[t]) for t in targets]
+
     @cached_property
     def examples(self) -> tuple[Example, ...]:
         """The rows as examples, built from the columns on first use."""
         names, columns = self.feature_domain.names(), self.columns
-        labels = self.output_domain.labels() if self.task == CATEGORICAL else None
-        targets = columns.targets.tolist()
-        outputs = [RealOutput(t) if labels is None else CategoricalOutput(labels[t]) for t in targets]
         ids, values, bounds = columns.feature_ids.tolist(), columns.values.tolist(), columns.indptr.tolist()
         return tuple(
             checked_example([names[i] for i in ids[a:b]], values[a:b], output, weight)
-            for a, b, output, weight in zip(bounds, bounds[1:], outputs, columns.weights.tolist())
+            for a, b, output, weight in zip(bounds, bounds[1:], self.outputs(), columns.weights.tolist())
         )
 
 
@@ -714,15 +719,6 @@ class Model(ABC):
 
 
 BATCH_ROWS = 256
-
-
-def predict_chunked(model: Model, examples: Iterable[Example]) -> Iterator[Prediction]:
-    """The predictions of ``examples`` in order, scored through
-    :meth:`Model.predict_batch` :data:`BATCH_ROWS` at a time, so that the
-    compiled arrays do not grow with the input."""
-    rest = iter(examples)
-    while chunk := tuple(islice(rest, BATCH_ROWS)):
-        yield from model.predict_batch(chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -386,25 +386,16 @@ class CsvDataSource:
         self, model: Model, seen: set[str] | None = None
     ) -> Iterator[tuple[Columns, list[int], list[Output]]]:
         """The rows in ``model``'s space, :data:`~pvml.core.BATCH_ROWS` at a
-        time, for :meth:`~pvml.core.Model.predict_compiled`.
-
-        Each chunk is the :class:`Columns` that ``compile_examples(...,
-        targets=False)`` makes of the rows' examples against the model's
-        domain, rescaled through its :func:`recorded_pipeline`, with each
-        row's feature count before names outside the domain were dropped, and
-        each row's output.  Every feature name met is added to ``seen`` when
-        it is given, so that after the last chunk it holds the names a
-        dataset of the file would have in its domain.
-        """
+        time, for :meth:`~pvml.core.Model.predict_compiled`: each chunk's
+        :func:`_compiled` columns, each row's feature count and each row's
+        output.  Every feature name met is added to ``seen`` when it is given,
+        so that after the last chunk it holds the names a dataset of the file
+        would have in its domain."""
         domain, pipeline = model.feature_domain, recorded_pipeline(model)
         for names, values, totals, outputs in self.merged():
             if seen is not None:
                 seen.update(names)
-            indptr, ids, array = compile_features(names, np.array(values, dtype=np.float64), totals, domain.ids)
-            columns = Columns(indptr, ids, array, np.empty(0), np.ones(len(totals)))
-            for transformer in pipeline:
-                columns = transformer.rescale(domain, columns)
-            yield columns, totals, outputs
+            yield _compiled(domain, pipeline, names, np.array(values, dtype=np.float64), totals), totals, outputs
 
 
 def load_csv(path: str, schema: ColumnarSchema) -> CsvDataSource:
@@ -608,19 +599,35 @@ def pipeline_provenance(model: Model) -> tuple[PObj, ...]:
     return _transformations(data)
 
 
-def in_model_space(model: Model, dataset: Dataset) -> Dataset:
-    """``dataset`` as ``model``'s trainer saw its own data.  One that records
-    the model's :func:`recorded_pipeline` is returned as it is, one that
-    records no transformation goes through the pipeline, and any other
-    raises :class:`PipelineMismatch` rather than be rescaled twice."""
-    pipeline = recorded_pipeline(model)
-    done = instance_section(dataset.provenance).get("transformations", PList())
-    if done != PList(tuple(t.provenance for t in pipeline)):
-        if done != PList():
-            raise PipelineMismatch("the dataset records transformations other than the model's pipeline")
-        for transformer in pipeline:
-            dataset = apply_transformers(dataset, transformer)
-    return dataset
+def _compiled(domain: FeatureDomain, pipeline: Sequence[TransformerMap], names, values, totals) -> Columns:
+    """Raw rows given flat, as :func:`~pvml.core.compile_features` takes them, in
+    the space of a model of ``domain`` and ``pipeline``: the columns that
+    ``compile_examples(..., targets=False)`` makes of their examples, rescaled."""
+    indptr, ids, array = compile_features(names, values, totals, domain.ids)
+    columns = Columns(indptr, ids, array, np.empty(0), np.ones(len(totals)))
+    for transformer in pipeline:
+        columns = transformer.rescale(domain, columns)
+    return columns
+
+
+def in_model_space(model: Model, dataset: Dataset) -> tuple[Columns, list[int], PObj]:
+    """``dataset``'s rows as ``model``'s trainer saw its own data: their :func:`_compiled`
+    columns, each row's feature count and their provenance.  Rows whose provenance records
+    no transformation go through the model's :func:`recorded_pipeline`, which it then records;
+    any pipeline but that one raises :class:`PipelineMismatch` rather than be rescaled twice."""
+    pipeline, provenance = recorded_pipeline(model), dataset.provenance
+    recorded = PList(tuple(t.provenance for t in pipeline))
+    done = instance_section(provenance).get("transformations", PList())
+    if done == recorded:
+        pipeline = []
+    elif done == PList():
+        provenance = with_instance_entry(provenance, "transformations", recorded)
+    else:
+        raise PipelineMismatch("the dataset records transformations other than the model's pipeline")
+    names, columns = dataset.feature_domain.names(), dataset.columns
+    totals = np.diff(columns.indptr).tolist()
+    flat = [names[i] for i in columns.feature_ids.tolist()]
+    return _compiled(model.feature_domain, pipeline, flat, columns.values, totals), totals, provenance
 
 
 def _recorded_map(tprov: PObj) -> TransformerMap:

@@ -20,7 +20,6 @@ from .core import (
     Prediction,
     build_dataset,
     data_provenance,
-    predict_chunked,
     real_domain,
 )
 from .data import CsvDataSource, in_model_space, pipeline_provenance
@@ -108,20 +107,20 @@ def _ratio(num: float, den: float) -> float:
 
 
 def _scored(model: Model, data: Dataset | CsvDataSource, task: str) -> tuple[list[Output], list[Prediction], PObj]:
-    """The truths, the predictions and the test-data provenance of ``data``
-    in the model's space: a dataset through :func:`~pvml.data.in_model_space`,
-    a CSV source as rescaled columns, with the provenance and the first error
-    of that route for ``build_dataset(data)``.  A file without rows, without
-    the response column or with regression targets whose variance overflows
-    raises before any row is scored."""
+    """The truths, the predictions and the test-data provenance of ``data``,
+    scored as columns in the model's space: a dataset's through
+    :func:`~pvml.data.in_model_space`, a CSV source's chunk by chunk, with the
+    provenance and the first error of that route for ``build_dataset(data)``.
+    A file without rows, without the response column or with regression
+    targets whose variance overflows raises before any row is scored."""
     name = _TASK_NAMES[task]
     if model.task != task:
         raise TaskMismatch(f"model does not perform {name}")
     if (data.task if isinstance(data, Dataset) else data.schema.response_type) != task:
         raise TaskMismatch(f"dataset does not carry {name} ground truth")
     if isinstance(data, Dataset):
-        data = in_model_space(model, data)
-        return [ex.output for ex in data.examples], list(predict_chunked(model, data.examples)), data.provenance
+        columns, totals, provenance = in_model_space(model, data)
+        return data.outputs(), model.predict_compiled(columns, totals), provenance
 
     names: set[str] = set()
     try:
@@ -154,7 +153,7 @@ def evaluate_classification(model: Model, data: Dataset | CsvDataSource) -> Clas
 
     n = len(truths)
     per_label: dict[str, LabelMetrics] = {}
-    tp_total = fp_total = fn_total = 0
+    tp_total = 0
     for label in labels:
         tp = confusion[label].get(label, 0)
         fp = sum(confusion[t].get(label, 0) for t in labels if t != label)
@@ -164,14 +163,13 @@ def evaluate_classification(model: Model, data: Dataset | CsvDataSource) -> Clas
         f1 = _ratio(2 * precision * recall, precision + recall)
         per_label[label] = LabelMetrics(precision, recall, f1)
         tp_total += tp
-        fp_total += fp
-        fn_total += fn
 
-    micro_p = _ratio(tp_total, tp_total + fp_total)
-    micro_r = _ratio(tp_total, tp_total + fn_total)
+    # a miss is a false positive of one label and a false negative of another,
+    # so micro-averaged precision and recall are both the accuracy
+    micro_p = micro_r = tp_total / n
     return ClassificationEvaluation(
         confusion=confusion,
-        accuracy=tp_total / n,
+        accuracy=micro_p,
         per_label=per_label,
         macro_precision=sum(m.precision for m in per_label.values()) / len(labels),
         macro_recall=sum(m.recall for m in per_label.values()) / len(labels),

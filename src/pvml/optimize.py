@@ -164,15 +164,12 @@ def optimizer_step(
 # Objectives
 # ---------------------------------------------------------------------------
 
-def _design_matrix(columns: Columns, rows: np.ndarray, num_features: int) -> np.ndarray:
-    """Dense (batch, features + 1) matrix of ``rows`` with a trailing bias column of ones."""
-    starts = columns.indptr[rows]
-    lengths = columns.indptr[rows + 1] - starts
-    # the positions of every batch row's entries, row after row
-    at = np.repeat(starts + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
-    x = np.zeros((len(rows), num_features + 1))
+def _design_matrix(columns: Columns, num_features: int) -> np.ndarray:
+    """Dense (rows, features + 1) matrix of ``columns`` with a trailing bias column of ones."""
+    lengths = np.diff(columns.indptr)
+    x = np.zeros((len(lengths), num_features + 1))
     x[:, -1] = 1.0
-    x[np.repeat(np.arange(len(rows)), lengths), columns.feature_ids[at]] = columns.values[at]
+    x[np.repeat(np.arange(len(lengths)), lengths), columns.feature_ids] = columns.values
     return x
 
 
@@ -205,8 +202,8 @@ def _squared_loss(params, x, y, w) -> tuple[float, np.ndarray]:
 
 def _batch_loss(loss, params, columns: Columns, rows: np.ndarray, num_features: int):
     """``loss`` and its gradient over the compiled ``rows``."""
-    x = _design_matrix(columns, rows, num_features)
-    return loss(params, x, columns.targets[rows], columns.weights[rows])
+    batch = columns.take(rows)
+    return loss(params, _design_matrix(batch, num_features), batch.targets, batch.weights)
 
 
 def logistic_objective(

@@ -146,27 +146,31 @@ def _member_domain_from_json(node: dict, ensemble: FeatureDomain) -> FeatureDoma
 
 
 def output_domain_to_json(domain: OutputDomain) -> dict:
+    """Label counts, or the targets' count and the four statistics a feature has."""
     if isinstance(domain, CategoricalDomain):
         return {"type": "categorical", "counts": dict(sorted(domain.counts.items()))}
-    return {
-        "type": "real",
-        "min": _f2s(domain.min),
-        "max": _f2s(domain.max),
-        "mean": _f2s(domain.mean),
-        "variance": _f2s(domain.variance),
-        "count": domain.count,
-    }
+    stats = {key: _f2s(getattr(domain, key)) for key in FeatureDomain.STATISTICS}
+    return {"type": "real", **stats, "count": domain.count}
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 1  # a JSON integer of at least 1, not a bool
 
 
 def output_domain_from_json(node: dict) -> OutputDomain:
+    """The domain :func:`output_domain_to_json` wrote; counts other than integers of at
+    least 1, statistics that are not finite and a negative variance raise :class:`FormatError`."""
     try:
         if node["type"] == "categorical":
-            return CategoricalDomain(dict(node["counts"]))
+            counts = node["counts"]
+            if isinstance(counts, dict) and all(map(_is_count, counts.values())):
+                return CategoricalDomain(dict(counts))
+            raise FormatError("label counts must be a map of integers of at least 1")
         if node["type"] == "real":
-            return RealDomain(
-                _s2f(node["min"]), _s2f(node["max"]), _s2f(node["mean"]),
-                _s2f(node["variance"]), node["count"],
-            )
+            stats = [_s2f(node[key]) for key in FeatureDomain.STATISTICS]
+            if all(map(math.isfinite, stats)) and stats[3] >= 0.0 and _is_count(node["count"]):
+                return RealDomain(*stats, node["count"])
+            raise FormatError("a real output domain needs finite statistics, a variance of at least 0 and a count of at least 1")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed output domain: {exc}") from exc
     raise FormatError(f"unknown output domain type {node.get('type')!r}")
@@ -214,7 +218,7 @@ def _tree_restore(container: dict, name, prov, fd, od) -> TreeModel:
         if node["kind"] != "leaf":
             raise FormatError(f"unknown tree node kind {node.get('kind')!r}")
         n = node.get("n")
-        if type(n) is not int or n < 1:
+        if not _is_count(n):
             raise FormatError(f"leaf size {n!r} is not an integer of at least 1")
         if labels is None:
             mean = _s2f(node.get("mean"))
@@ -286,9 +290,7 @@ _RESTORERS: dict[str, Callable] = {
 }
 
 
-def register_model_class(
-    class_name: str, to_params: Callable[[Model], dict], restore: Callable
-) -> None:
+def register_model_class(class_name: str, to_params: Callable[[Model], dict], restore: Callable) -> None:
     """Open registry hook for model classes defined outside this library."""
     _TO_PARAMS[class_name] = to_params
     _RESTORERS[class_name] = restore

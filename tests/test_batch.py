@@ -21,7 +21,7 @@ from pvml import (
     fit_transformers,
     make_example,
 )
-from pvml.core import BATCH_ROWS, Example, FeatureValue, predict_chunked
+from pvml.core import Example, FeatureValue
 from pvml.data import (
     ColumnarSchema,
     CsvDataSource,
@@ -143,6 +143,15 @@ def _compiled_csv(model, examples):
             return type(exc)
 
 
+def _in_model_space(model, dataset):
+    """The predictions of ``dataset`` through ``in_model_space`` and ``predict_compiled``."""
+    columns, totals, _ = in_model_space(model, dataset)
+    try:
+        return [_bits(p) for p in model.predict_compiled(columns, totals)]
+    except PvmlError as exc:
+        return type(exc)
+
+
 class TestBatchEqualsOneByOne:
     @pytest.mark.parametrize("kind", sorted(MODELS))
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -181,11 +190,6 @@ class TestBatchEqualsOneByOne:
 
     def test_empty_batch(self):
         assert MODELS["forest-reg"].predict_batch([]) == []
-
-    def test_chunks_cover_every_row_in_order(self):
-        model = MODELS["cart-reg"]
-        examples = [REG.examples[i % len(REG)] for i in range(BATCH_ROWS + 5)]
-        assert [_bits(p) for p in predict_chunked(model, examples)] == _one_by_one(model, examples)
 
     def test_tree_deeper_than_the_recursion_limit(self):
         # the node table is walked with loops, not recursion
@@ -234,16 +238,16 @@ class TestReplayedTransformations:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(examples=st.lists(EXAMPLES, min_size=1, max_size=6))
     def test_raw_rows_reach_model_space_as_the_transformed_examples(self, kinds, examples):
-        """Raw rows enter the model's space through ``CsvDataSource.compiled``
-        (rescaled columns) and ``in_model_space`` (a rescaled dataset); both
-        score as the examples that the recorded fits rewrote."""
+        """Raw rows enter the model's space as rescaled columns, through
+        ``CsvDataSource.compiled`` and through ``in_model_space``; both score
+        as the examples that the recorded fits rewrote."""
         transformed, _, model = _pipeline(kinds)
         queries = build_dataset(InMemoryDataSource([Example(x.features, CategoricalOutput("a")) for x in examples]))
         rewritten = queries
         for tmap in recorded_transformers(transformed.provenance):
             rewritten = apply_transformers(rewritten, tmap)
         expected = _one_by_one(model, rewritten.examples)
-        assert _batched(model, in_model_space(model, queries).examples) == expected
+        assert _in_model_space(model, queries) == expected
         assert _compiled_csv(model, examples) == expected
 
     def test_overflowing_rescale_is_a_non_finite_feature(self):

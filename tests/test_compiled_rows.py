@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pvml import CATEGORICAL, CategoricalOutput, InMemoryDataSource, build_dataset, make_example
-from pvml.core import BATCH_ROWS, compile_examples, predict_chunked
+from pvml.core import BATCH_ROWS, compile_examples
 from pvml.core import UNKNOWN
 from pvml.data import ColumnarSchema, CsvDataSource, FieldProcessor, _parse_numeric, featurize_row
 from pvml.errors import InvalidFeatureName, MissingResponse, PvmlError
@@ -159,7 +159,7 @@ class TestCompiledEqualsExamples:
         chunks = list(_source(path, processors).compiled(model))
         assert [len(totals) for _, totals, _ in chunks] == [BATCH_ROWS, BATCH_ROWS, 5]
         got = [_bits(p) for columns, totals, _ in chunks for p in model.predict_compiled(columns, totals)]
-        want = [_bits(p) for p in predict_chunked(model, list(_source(path, processors)))]
+        want = [_bits(p) for p in model.predict_batch(list(_source(path, processors)))]
         assert got == want
 
 

@@ -218,6 +218,38 @@ def test_cli_evaluate_builds_no_example_and_no_domain(tmp_path, monkeypatch, tas
     assert _by_cli(model_path, test_csv, schema_path, tmp_path) == (0, expected)
 
 
+@pytest.mark.parametrize("task", [CATEGORICAL, REAL])
+@pytest.mark.parametrize("transform", [None, "zscore", "minmax"])
+def test_a_dataset_is_evaluated_from_its_columns(tmp_path, monkeypatch, task, transform):
+    """``evaluate_*`` of a dataset, raw or already in the model's space, builds
+    no example, compiles no example and rescales no dataset, and gives the
+    report of the CSV source it was built from."""
+    schema_path, model_path = _train(tmp_path, task, sorted(POOL), "linear", transform)
+    test_csv = str(tmp_path / "test.csv")
+    response = 4 if task == CATEGORICAL else 5
+    extra = [("7", "", "violet", "fish", "b", "2.5"), ("", "-3", "", "big fish", "a", "-1")]
+    _write_csv(test_csv, [*POOL, "y"], [(*row[:4], row[response]) for row in TRAIN_ROWS + extra])
+    schema = _schema(task, sorted(POOL))
+    expected = _by_library(model_path, test_csv, schema, as_dataset=False)
+    assert not isinstance(expected, type)
+    model = load_model(model_path)
+    raw = build_dataset(load_csv(test_csv, schema))
+    rescaled = raw
+    for transformer in pvml.data.recorded_pipeline(model):
+        rescaled = apply_transformers(rescaled, transformer)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the evaluation of a dataset built, compiled or rescaled examples")
+
+    monkeypatch.setattr(pvml.core.Dataset, "examples", property(refuse))
+    monkeypatch.setattr(pvml.core, "compile_examples", refuse)
+    monkeypatch.setattr(pvml.data, "apply_transformers", refuse)
+    evaluate = evaluate_classification if task == CATEGORICAL else evaluate_regression
+    for dataset in (raw, rescaled):
+        report = evaluate(model, dataset).to_report()
+        assert _untimed(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n") == expected
+
+
 @pytest.mark.parametrize("transform", [None, "zscore", "minmax"])
 def test_compiled_predictions_are_the_cli_predictions(tmp_path, transform):
     """``CsvDataSource.compiled(model)`` and ``predict_compiled`` give the

@@ -6,6 +6,7 @@ subclass, and through the CLI each malformed file exits with code 2.
 """
 
 import json
+import math
 import os
 import random
 import tempfile
@@ -489,6 +490,52 @@ class TestFuzzModelFiles:
                 st.one_of(recorded.map(lambda items: {"type": "list", "value": items}), _json_values(max_leaves=4))
             )
         _load_or_raise(json.dumps(container))
+
+
+    @given(st.data())
+    @_fuzz(200)
+    def test_output_domain_value_replaced(self, data):
+        """A statistic, the count or a label count of an output domain, at the
+        top or in a member, replaced: a value the checks refuse raises
+        :class:`FormatError`, any other loads and round-trips."""
+        container = json.loads(json.dumps(data.draw(st.sampled_from(_CONTAINERS))))
+        nodes = [container["outputDomain"], *(m["outputDomain"] for m in container["parameters"].get("members", []))]
+        node = data.draw(st.sampled_from(nodes))
+        if "counts" in node:
+            node, key = node["counts"], data.draw(st.sampled_from(sorted(node["counts"])))
+        else:
+            key = data.draw(st.sampled_from(["min", "max", "mean", "variance", "count"]))
+        node[key] = value = data.draw(_DOMAIN_VALUES)
+        if _refused(key, value):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "m.pvml")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(container))
+                with pytest.raises(FormatError):
+                    load_model(path)
+        else:
+            _load_or_raise(json.dumps(container))
+
+
+_DOMAIN_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-1.0", "-0.0", "0.5", "x", "3", None, True, False, 0, -5, 1.5]),
+    st.integers(min_value=-3, max_value=2**70),
+    st.floats().map(repr),
+    st.floats(),
+)
+
+
+def _refused(key, value) -> bool:
+    """Whether an output domain's ``key`` may not hold ``value``: a count, of the
+    targets or of a label, must be a JSON integer of at least 1 and not a bool,
+    and a statistic a finite float literal, the variance not negative."""
+    if key not in ("min", "max", "mean", "variance"):
+        return not (type(value) is int and value >= 1)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return True
+    return not math.isfinite(number) or (key == "variance" and number < 0.0)
 
 
 _TRAINER_DOCUMENTS = [extract_configuration(t.provenance()) for t in _trainers().values()]

@@ -11,7 +11,7 @@ from pvml.data import InMemoryDataSource, load_csv
 from pvml.ensemble import ADABOOST, BAGGING, EnsembleConfig, EnsembleModel, train_ensemble
 from pvml.errors import FormatError, TaskMismatch, UnknownModelClass
 from pvml.optimize import AdaGrad, train_linear_sgd
-from pvml.persist import load_model, save_model, write_atomically
+from pvml.persist import load_model, model_to_container, save_model, write_atomically
 from pvml.provenance import PList, instance_section, provenance_hash, with_instance_entry
 from pvml.rng import Xoshiro256StarStar
 from pvml.trees import EXHAUSTIVE, RANDOM_THRESHOLD, CartTrainer, TreeConfig, TreeModel, train_cart
@@ -538,3 +538,149 @@ def test_linear_weights_are_written_as_shortest_round_trip_strings(tmp_path, tra
     save_model(model, str(path))
     weights = json.loads(path.read_text())["parameters"]["weights"]
     assert weights == [[repr(float(v)) for v in row] for row in model.weights]
+
+
+def _output_domains(container):
+    """The output-domain nodes of a container: its own, then each member's, nested ones too."""
+    members = container["parameters"].get("members", []) if container["modelClass"] == "pvml.EnsembleModel" else []
+    return [container["outputDomain"], *(node for m in members for node in _output_domains(m))]
+
+
+class TestOutputDomainOnLoad:
+    """An output domain edited to a value no trainer writes fails to load, at
+    the top of the file or in an ensemble member, and ``pvml predict``,
+    ``pvml evaluate`` and ``pvml reproduce`` exit 2 on it."""
+
+    REAL = {
+        "nan-mean": ("mean", "nan"),
+        "infinite-min": ("min", "inf"),
+        "infinite-max": ("max", "-inf"),
+        "overflowing-mean": ("mean", "1e999"),
+        "null-min": ("min", None),
+        "negative-variance": ("variance", "-1.0"),
+        "infinite-variance": ("variance", "inf"),
+        "nan-variance": ("variance", "nan"),
+        "negative-count": ("count", -5),
+        "zero-count": ("count", 0),
+        "bool-count": ("count", True),
+        "fraction-count": ("count", 1.5),
+        "string-count": ("count", "3"),
+        "null-count": ("count", None),
+    }
+    LABEL_COUNTS = {"string": "x", "negative": -4, "zero": 0, "fraction": 1.5, "bool": True, "null": None}
+
+    @staticmethod
+    def _real(case):
+        key, value = TestOutputDomainOnLoad.REAL[case]
+        return lambda node: node.update({key: value})
+
+    @staticmethod
+    def _label_count(case):
+        return lambda node: node["counts"].update({sorted(node["counts"])[0]: TestOutputDomainOnLoad.LABEL_COUNTS[case]})
+
+    @pytest.mark.parametrize("where", ["top", "member"])
+    @pytest.mark.parametrize("case", sorted(REAL))
+    def test_real_domain(self, tmp_path, case, where):
+        from test_batch import MODELS
+
+        path = tmp_path / "m.pvml"
+        save_model(MODELS["forest-reg"], str(path))
+        _edit_and_load(path, lambda c: self._real(case)(_output_domains(c)[0 if where == "top" else -1]))
+
+    @pytest.mark.parametrize("where", ["top", "member"])
+    @pytest.mark.parametrize("case", sorted(LABEL_COUNTS) + ["counts-not-a-map"])
+    def test_label_counts(self, tmp_path, case, where):
+        from test_batch import MODELS
+
+        path = tmp_path / "m.pvml"
+        save_model(MODELS["forest-clf"], str(path))
+        if case == "counts-not-a-map":
+            edit = lambda node: node.update(counts=[[label, 1] for label in node["counts"]])  # noqa: E731
+        else:
+            edit = self._label_count(case)
+        _edit_and_load(path, lambda c: edit(_output_domains(c)[0 if where == "top" else -1]))
+
+    def test_every_batch_model_round_trips(self, tmp_path):
+        from test_batch import MODELS
+
+        path = tmp_path / "m.pvml"
+        for model in MODELS.values():
+            save_model(model, str(path))
+            loaded = load_model(str(path))
+            assert loaded.output_domain == model.output_domain
+            assert model_to_container(loaded) == model_to_container(model)
+
+    @pytest.mark.parametrize(
+        "task, case",
+        [("real", case) for case in sorted(REAL)] + [("categorical", case) for case in sorted(LABEL_COUNTS)],
+    )
+    def test_cli_exits_2(self, tmp_path, clf_csv, reg_csv, task, case):
+        from pvml.cli import main
+        from pvml.provenance import config_to_json, extract_configuration
+
+        path, schema = clf_csv if task == "categorical" else reg_csv
+        trainer = tmp_path / "trainer.json"
+        trainer.write_text(config_to_json(extract_configuration(CartTrainer(TreeConfig(max_depth=2)).provenance())))
+        model = str(tmp_path / "m.pvml")
+        common = ["--data", str(path), "--schema", _schema_file(tmp_path, schema)]
+        assert main(["train", *common, "--trainer", str(trainer), "--output", model]) == 0
+        assert main(["reproduce", "--model", model, "--output", str(tmp_path / "again.pvml")]) == 0
+        edit = self._real(case) if task == "real" else self._label_count(case)
+        _edit_and_load(tmp_path / "m.pvml", lambda c: edit(c["outputDomain"]))
+        outs = [tmp_path / name for name in ("p.csv", "e.json", "r.pvml")]
+        assert main(["predict", "--model", model, *common, "--out", str(outs[0])]) == 2
+        assert main(["evaluate", "--model", model, *common, "--report", str(outs[1])]) == 2
+        assert main(["reproduce", "--model", model, "--output", str(outs[2])]) == 2
+        assert not any(out.exists() for out in outs)
+
+
+class TestRegisterModelClass:
+    """A model class defined outside the library, as the README's ``MeanModel``,
+    saves, loads and predicts the same bits once registered."""
+
+    @staticmethod
+    def _mean_model(regression_dataset):
+        from pvml.core import Model, RealOutput
+
+        class MeanModel(Model):
+            model_class = "ext.MeanModel"
+
+            def _predict_intersected(self, sparse):
+                return RealOutput(sum(sparse.values()) / len(sparse)), {}
+
+        trained = train_cart(regression_dataset, TreeConfig(max_depth=1))
+        return MeanModel("mean", trained.provenance, trained.feature_domain, trained.output_domain)
+
+    @pytest.fixture(autouse=True)
+    def _own_registry(self, monkeypatch):
+        import pvml.persist
+
+        monkeypatch.setattr(pvml.persist, "_TO_PARAMS", dict(pvml.persist._TO_PARAMS))
+        monkeypatch.setattr(pvml.persist, "_RESTORERS", dict(pvml.persist._RESTORERS))
+
+    def test_registered_class_round_trips(self, tmp_path, regression_dataset):
+        from pvml import register_model_class
+
+        model = self._mean_model(regression_dataset)
+        cls = type(model)
+        register_model_class(cls.model_class, lambda m: {}, lambda container, name, prov, fd, od: cls(name, prov, fd, od))
+        path = tmp_path / "mean.pvml"
+        save_model(model, str(path))
+        loaded = load_model(str(path), expected_task=REAL)
+        assert type(loaded) is cls and loaded.name == "mean"
+        assert provenance_hash(loaded.provenance) == provenance_hash(model.provenance)
+        assert loaded.feature_domain == model.feature_domain and loaded.output_domain == model.output_domain
+        examples = regression_dataset.examples
+        for m in (model, loaded):
+            assert [float.hex(p.output.value) for p in m.predict_batch(examples)] == [
+                float.hex(sum(f.value for f in ex.features) / len(ex.features)) for ex in examples
+            ]
+        again = tmp_path / "again.pvml"
+        save_model(loaded, str(again))
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_unregistered_class_raises_on_save(self, tmp_path, regression_dataset):
+        path = tmp_path / "mean.pvml"
+        with pytest.raises(UnknownModelClass):
+            save_model(self._mean_model(regression_dataset), str(path))
+        assert not path.exists()
