@@ -10,6 +10,7 @@ ensemble's restricted to the member's features.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -45,7 +46,7 @@ from .provenance import (
     sha256_hex,
 )
 from .rng import MASK64, Xoshiro256StarStar, splitmix64, to_signed64
-from .trees import CartTrainer, TreeModel
+from .trees import LEAF, CartTrainer, TreeModel, descend, walk
 
 BAGGING = "bagging"
 RANDOM_FOREST = "random-forest"
@@ -159,52 +160,81 @@ def combine(predictions: Sequence[Prediction], weights: Sequence[float]) -> Pred
     return Prediction(CategoricalOutput(argmax_label(scores)), scores, 0, 0)
 
 
+class _Forest:
+    """The node tables of tree members stacked into one, member by member,
+    each split's feature relabelled to the ensemble's ids and each child
+    pointer offset; ``roots`` holds each member's first row.  ``values``
+    holds each row's leaf mean, 0.0 at splits, when every member regresses."""
+
+    def __init__(self, members: Sequence[TreeModel], index: Mapping[str, int]):
+        self.nodes, self.roots, self.known, self.outputs = [], [], [], {}
+        self.mask = np.zeros((len(members), len(index)), dtype=bool)  # the ids each member knows, as ``known``
+        for m, member in enumerate(members):
+            ids, base = [index[name] for name in member.feature_domain.names()], len(self.nodes)
+            self.roots.append(base)
+            self.known.append(frozenset(ids))
+            self.mask[m, ids] = True
+            self.nodes += [LEAF if a < 0 else (ids[f], t, base + a, base + b) for f, t, a, b in member.nodes]
+            self.outputs.update((base + i, out) for i, out in member.leaf_outputs.items())
+        self.arrays = tuple(map(np.array, zip(*self.nodes)))
+        self.values = None
+        if all(member.task == REAL for member in members):
+            self.values = [self.outputs[i][0].value if i in self.outputs else 0.0 for i in range(len(self.nodes))]
+
+
 class EnsembleModel(Model):
-    """Weighted committee of trained members."""
+    """Weighted committee of trained members.  An ensemble of trees scores
+    through its forest table, :attr:`_forest`; any other asks each member,
+    through :attr:`_member_ids`.  Either way a member that knows none of a
+    row's features skips the row, and the rest merge as :func:`combine` does."""
 
     model_class = ENSEMBLE_MODEL_CLASS
 
-    def __init__(
-        self,
-        name,
-        provenance,
-        feature_domain,
-        output_domain,
-        members: Sequence[Model],
-        member_weights: Sequence[float],
-    ):
+    def __init__(self, name, provenance, feature_domain, output_domain, members: Sequence[Model], member_weights):
         super().__init__(name, provenance, feature_domain, output_domain)
         if len(members) != len(member_weights):
             raise ValueError("need one weight per member")
+        if not all(0.0 < w < math.inf for w in member_weights):
+            raise ValueError("member weights must be finite and greater than 0")
+        outside = {name for member in members for name in member.feature_domain.names()}.difference(feature_domain.ids)
+        if outside:
+            raise ValueError(f"member features {sorted(outside)!r} are outside the ensemble's domain")
         self.members = tuple(members)
         self.member_weights = tuple(member_weights)
 
+    @cached_property
+    def _forest(self) -> _Forest | None:
+        """The forest table, built once, or None unless every member is a :class:`TreeModel`."""
+        trees = all(isinstance(member, TreeModel) for member in self.members)
+        return _Forest(self.members, self.feature_domain.ids) if trees else None
+
     def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
-        """Each member scores the vector mapped to its own ids through
-        :attr:`_member_ids`; the results merge through :func:`combine`."""
-        ids = np.fromiter(sparse, dtype=np.intp, count=len(sparse))
-        preds, used_weights = [], []
-        for member, weight, member_ids in zip(self.members, self.member_weights, self._member_ids):
-            local = {m: v for m, v in zip(member_ids.take(ids).tolist(), sparse.values()) if m >= 0}
-            if not local:
-                continue  # a member whose bootstrap never saw these features
-            try:
-                preds.append(Prediction(*member._predict_intersected(local), 0, 0))
-            except NoFeatureOverlap:
-                continue  # a nested ensemble none of whose members overlaps them
-            used_weights.append(weight)
-        if not preds:
-            raise NoFeatureOverlap("no ensemble member overlaps the example's features")
-        merged = combine(preds, used_weights)
-        return merged.output, merged.scores
+        """Walk the forest table from the root of each member that knows a
+        feature of ``sparse``, in member order, or ask each such member
+        through :attr:`_member_ids`.  A forest regression takes the weighted
+        mean of the leaves by :func:`combine`'s float operations."""
+        forest, results, used = self._forest, [], []
+        if forest is None:
+            ids = np.fromiter(sparse, dtype=np.intp, count=len(sparse))
+            for member, weight, member_ids in zip(self.members, self.member_weights, self._member_ids):
+                local = {m: v for m, v in zip(member_ids.take(ids).tolist(), sparse.values()) if m >= 0}
+                if not local:
+                    continue  # a member whose bootstrap never saw these features
+                with contextlib.suppress(NoFeatureOverlap):  # a nested ensemble none of whose members overlaps them
+                    results.append(member._predict_intersected(local))
+                    used.append(weight)
+            return _merged(results, used)
+        for root, known, weight in zip(forest.roots, forest.known, self.member_weights):
+            if not known.isdisjoint(sparse):
+                results.append(walk(forest.nodes, sparse, root))  # the leaf row it reaches
+                used.append(weight)
+        if used and forest.values is not None:
+            return RealOutput(sum(forest.values[i] * w for i, w in zip(results, used)) / sum(used)), {}
+        return _merged([forest.outputs[i] for i in results], used)
 
     @cached_property
     def _member_ids(self) -> list[np.ndarray]:
-        """Per member: the member's id of each feature id of the ensemble, or -1.
-
-        A member's domain is a subset of the ensemble's (loading a file
-        checks it), so these views hold every feature the member knows.
-        """
+        """Per member: the member's id of each feature id of the ensemble, or -1."""
         index, views = self.feature_domain.ids, []
         for member in self.members:
             ids = np.full(len(self.feature_domain), -1, dtype=np.int32)
@@ -213,17 +243,45 @@ class EnsembleModel(Model):
         return views
 
     def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]] | None]:
-        """Each member scores the rows it overlaps through a view of the
-        columns.  When every member regresses, the weighted values add up as
-        arrays in member order, the order :func:`combine` adds them in, so
-        the means are equal bit for bit; otherwise each row's member results
-        merge through :func:`combine`.
-        """
+        """When every member regresses, the weighted values add up as arrays in member order, as
+        :func:`combine` adds them, so the means are equal bit for bit; otherwise through :func:`combine`."""
         n = len(columns.indptr) - 1
-        rows = np.repeat(np.arange(n), np.diff(columns.indptr))
         regression = all(member.task == REAL for member in self.members)
         acc, total, used = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-        per_row: list[tuple[list[Prediction], list[float]]] = [([], []) for _ in range(n)]
+        per_row: list[list[tuple]] = [[] for _ in range(n)]  # (result, weight) of each member that scores a row
+        for weight, at, results in self._member_results(columns, regression):
+            if regression:
+                acc[at] += results * weight
+                total[at] += weight
+                used[at] = True
+                continue
+            for r, result in zip(at.tolist(), results):
+                if result is not None:
+                    per_row[r].append((result, weight))
+        if regression:
+            with np.errstate(all="ignore"):
+                means = (acc / total).tolist()
+            return [(RealOutput(v), {}) if u else None for v, u in zip(means, used.tolist())]
+        return [_merged(*zip(*row)) if row else None for row in per_row]
+
+    def _member_results(self, columns: Columns, regression: bool):
+        """Per member, in order: its weight, the rows it scores and its
+        results there, an array of values when every member regresses.  The
+        forest table descends all (member, row) pairs at once, on these
+        columns; any other ensemble hands each member a view in its ids."""
+        n = len(columns.indptr) - 1
+        rows = np.repeat(np.arange(n), np.diff(columns.indptr))
+        forest = self._forest
+        if forest is not None:
+            member, entry = forest.mask[:, columns.feature_ids].nonzero()
+            overlap = np.zeros((len(self.members), n), dtype=bool)
+            overlap[member, rows.take(entry)] = True
+            member, at = overlap.nonzero()  # member by member, rows ascending
+            leaves = descend(forest.arrays, columns, len(self.feature_domain), np.take(forest.roots, member), at)
+            values, ends = np.array(forest.values or ()), np.cumsum(overlap.sum(axis=1))[:-1]
+            for weight, at, leaves in zip(self.member_weights, np.split(at, ends), np.split(leaves, ends)):
+                yield weight, at, values.take(leaves) if regression else [forest.outputs[i] for i in leaves.tolist()]
+            return
         for member, weight, ids in zip(self.members, self.member_weights, self._member_ids):
             member_ids = ids.take(columns.feature_ids)
             keep = member_ids >= 0
@@ -232,36 +290,19 @@ class EnsembleModel(Model):
             indptr = np.zeros(len(overlap) + 1, dtype=np.int64)
             np.cumsum(counts[overlap], out=indptr[1:])
             view = Columns(indptr, member_ids[keep], columns.values[keep], columns.targets, columns.weights[overlap])
-            if regression:
-                ok, values = _regression_values(member, view)
-                at = overlap[ok]
-                acc[at] += values[ok] * weight
-                total[at] += weight
-                used[at] = True
-                continue
-            for r, result in zip(overlap.tolist(), member._score_compiled(view)):
-                if result is not None:
-                    per_row[r][0].append(Prediction(*result, 0, 0))
-                    per_row[r][1].append(weight)
-        if regression:
-            with np.errstate(all="ignore"):
-                means = (acc / total).tolist()
-            return [(RealOutput(v), {}) if u else None for v, u in zip(means, used.tolist())]
-        merged = [combine(preds, weights) if preds else None for preds, weights in per_row]
-        return [None if m is None else (m.output, m.scores) for m in merged]
+            results = member._score_compiled(view)
+            if regression:  # a row a nested ensemble rejects is no row of the member's
+                ok = [i for i, result in enumerate(results) if result is not None]
+                overlap, results = overlap.take(ok), np.array([results[i][0].value for i in ok])
+            yield weight, overlap, results
 
 
-def _regression_values(member: Model, view: Columns) -> tuple[np.ndarray, np.ndarray]:
-    """Which rows of ``view`` a regressing member scores, and its values there.
-
-    A tree looks up the leaf each row reaches; any other member scores
-    through its own :meth:`Model._score_compiled`.
-    """
-    if isinstance(member, TreeModel):
-        return np.ones(len(view.indptr) - 1, dtype=bool), member.leaf_values.take(member.leaves_of(view))
-    results = member._score_compiled(view)
-    ok = np.array([result is not None for result in results], dtype=bool)
-    return ok, np.array([result[0].value if result is not None else 0.0 for result in results], dtype=np.float64)
+def _merged(results: list[tuple[Output, dict[str, float]]], weights: list[float]) -> tuple[Output, dict[str, float]]:
+    """Member results merged through :func:`combine`; none raises :class:`NoFeatureOverlap`."""
+    if not results:
+        raise NoFeatureOverlap("no ensemble member overlaps the example's features")
+    merged = combine([Prediction(*result, 0, 0) for result in results], weights)
+    return merged.output, merged.scores
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import uuid
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -48,11 +48,11 @@ def _f2s(value: float) -> str:
     return repr(float(value))
 
 
-def _s2f(text) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad float literal {text!r}") from exc
+def _s2f(text) -> float:  # a JSON bool is no float literal
+    if type(text) is not bool:
+        with contextlib.suppress(TypeError, ValueError):
+            return float(text)
+    raise FormatError(f"bad float literal {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +81,16 @@ def feature_domain_to_json(domain: FeatureDomain) -> dict:
 
 
 def _floats(rows: list) -> np.ndarray:
-    """Float literals, parsed in one call; one that is not a float raises
-    :class:`FormatError`.  A JSON ``null`` reads as NaN, so callers must
-    check that the values are finite."""
+    """A table of float literals, parsed in one call; one that is not a
+    float, a JSON bool among them, raises :class:`FormatError`.  A JSON
+    ``null`` reads as NaN, so callers must check that the values are finite."""
     try:
-        return np.array(rows, dtype=np.float64)
+        table = np.array(rows, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad float literal: {exc}") from exc
+    if table.ndim != 2 or bool in set(map(type, chain.from_iterable(rows))):
+        raise FormatError("float literals must be a table of numbers or decimal strings")
+    return table
 
 
 def _feature_entries(node: dict) -> tuple[list[str], list[dict]]:
@@ -115,8 +118,6 @@ def feature_domain_from_json(node: dict) -> FeatureDomain:
         names, entries = _feature_entries(node)
         counts = [e["count"] for e in entries]
         stats = _floats([[e[key] for e in entries] for key in FeatureDomain.STATISTICS])
-        if stats.ndim != 2:
-            raise FormatError("feature statistics must be float literals")
         if not (set(map(type, counts)) <= {int} and min(counts, default=0) >= 0):
             raise FormatError("feature counts must be non-negative integers")
         domain = FeatureDomain(names, counts, *stats)
@@ -271,10 +272,7 @@ def _ensemble_restore(container: dict, name, prov, fd, od) -> EnsembleModel:
         if type(at) is not int or at != i:
             raise FormatError(f"member {i} records provenance {at!r}, not its position {i}")
         members.append(_model_from_container(member, (member_prov, fd)))
-    weights = [_s2f(w) for w in params["memberWeights"]]
-    if not all(0.0 < w < math.inf for w in weights):
-        raise FormatError("member weights must be finite and greater than 0")
-    return EnsembleModel(name, prov, fd, od, members, weights)
+    return EnsembleModel(name, prov, fd, od, members, [_s2f(w) for w in params["memberWeights"]])
 
 
 _TO_PARAMS: dict[str, Callable] = {

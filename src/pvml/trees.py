@@ -384,6 +384,42 @@ def grow_table(root, expand) -> tuple[list[tuple[int, float, int, int]], dict[in
     return nodes, leaves
 
 
+def walk(nodes: Sequence[tuple[int, float, int, int]], sparse: Mapping[int, float], i: int = 0) -> int:
+    """The leaf row that the ``{feature id: value}`` row ``sparse`` reaches
+    from row ``i`` of a node table; an absent feature reads 0.0."""
+    feature, threshold, left, right = nodes[i]
+    while left >= 0:
+        i = left if sparse.get(feature, 0.0) <= threshold else right
+        feature, threshold, left, right = nodes[i]
+    return i
+
+
+def descend(node_arrays, columns: Columns, width: int, start: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The leaf rows that many walks reach, level by level, in a node table
+    given as its feature, threshold, left and right columns: walk ``k``
+    starts at row ``start[k]`` and reads row ``rows[k]`` of ``columns``,
+    whose feature ids are below ``width``.  A split finds its feature among
+    the row's entries by a sorted search over (row, feature id) keys.
+    """
+    feature, threshold, left, right = node_arrays
+    n = len(columns.indptr) - 1
+    entries = np.repeat(np.arange(n, dtype=np.int64), np.diff(columns.indptr))
+    # ascending, since rows come in order and ids ascend within a row; the
+    # sentinel lets every search land on an entry
+    keys = np.append(entries * width + columns.feature_ids, np.iinfo(np.int64).max)
+    values = np.append(columns.values, 0.0)
+    node = np.array(start, dtype=np.intp)
+    active = np.arange(len(node))
+    while len(active):
+        active = active[left.take(node[active]) >= 0]
+        at = node[active]
+        wanted = rows.take(active) * width + feature.take(at)
+        pos = np.searchsorted(keys, wanted)
+        value = np.where(keys.take(pos) == wanted, values.take(pos), 0.0)
+        node[active] = np.where(value <= threshold.take(at), left.take(at), right.take(at))
+    return node
+
+
 class TreeModel(Model):
     """A CART tree as one node table.
 
@@ -419,14 +455,7 @@ class TreeModel(Model):
             raise ValueError("the node table has rows not reached from row 0, or leaves not keyed by its leaf rows")
 
     def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
-        """Walk :attr:`nodes` from row 0, as :meth:`leaves_of` walks many rows."""
-        nodes = self.nodes
-        i = 0
-        feature, threshold, left, right = nodes[0]
-        while left >= 0:
-            i = left if sparse.get(feature, 0.0) <= threshold else right
-            feature, threshold, left, right = nodes[i]
-        output, scores = self.leaf_outputs[i]
+        output, scores = self.leaf_outputs[walk(self.nodes, sparse)]
         return output, dict(scores)
 
     @cached_property
@@ -442,42 +471,14 @@ class TreeModel(Model):
         return outputs
 
     @cached_property
-    def leaf_values(self) -> np.ndarray:
-        """A regression tree's mean at each leaf, indexed by row; 0.0 at splits."""
-        values = np.zeros(len(self.nodes))
-        values[list(self.leaves)] = [mean for _, mean in self.leaves.values()]
-        return values
-
-    @cached_property
     def node_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The feature, threshold, left and right columns of :attr:`nodes`, built once."""
         return tuple(np.array(column) for column in zip(*self.nodes))
 
     def leaves_of(self, columns: Columns) -> np.ndarray:
-        """Row of :attr:`nodes` of the leaf each compiled row reaches.
-
-        Every row descends one level per step.  A split finds its feature
-        among the row's entries by a sorted search over (row, feature id)
-        keys; an absent feature reads 0.0.
-        """
-        feature, threshold, left, right = self.node_arrays
+        """Row of :attr:`nodes` of the leaf each compiled row reaches: :func:`descend` from row 0."""
         n = len(columns.indptr) - 1
-        width = len(self.feature_domain)
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(columns.indptr))
-        # ascending, since rows come in order and ids ascend within a row; the
-        # sentinel lets every search land on an entry
-        keys = np.append(rows * width + columns.feature_ids, np.iinfo(np.int64).max)
-        values = np.append(columns.values, 0.0)
-        node = np.zeros(n, dtype=np.intp)
-        active = np.arange(n)
-        while len(active):
-            active = active[left.take(node[active]) >= 0]
-            at = node[active]
-            wanted = active * width + feature.take(at)
-            pos = np.searchsorted(keys, wanted)
-            value = np.where(keys.take(pos) == wanted, values.take(pos), 0.0)
-            node[active] = np.where(value <= threshold.take(at), left.take(at), right.take(at))
-        return node
+        return descend(self.node_arrays, columns, len(self.feature_domain), np.zeros(n, dtype=np.intp), np.arange(n))
 
     def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]]]:
         outputs = self.leaf_outputs

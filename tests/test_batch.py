@@ -21,7 +21,7 @@ from pvml import (
     fit_transformers,
     make_example,
 )
-from pvml.core import Example, FeatureValue
+from pvml.core import Example, FeatureValue, Prediction
 from pvml.data import (
     ColumnarSchema,
     CsvDataSource,
@@ -31,12 +31,13 @@ from pvml.data import (
     in_model_space,
     recorded_transformers,
 )
-from pvml.ensemble import ADABOOST, BAGGING, RANDOM_FOREST, EnsembleConfig, EnsembleTrainer, train_ensemble
+from pvml.ensemble import ADABOOST, BAGGING, RANDOM_FOREST, EnsembleConfig, EnsembleModel, EnsembleTrainer, combine, train_ensemble
 from pvml.errors import NoFeatureOverlap, NonFiniteFeature, NonFiniteScore, ParseError, PipelineMismatch, PvmlError
 from pvml.evaluate import evaluate_classification
 from pvml.optimize import AdaGrad, LinearSgdModel, LinearSgdTrainer, Sgd, train_linear_sgd
+from pvml.persist import load_model, save_model
 from pvml.provenance import PFlt, PInt, PList, PMap, PStr, instance_section, with_instance_entry
-from pvml.trees import CartTrainer, TreeConfig, train_cart
+from pvml.trees import CartTrainer, TreeConfig, TreeModel, train_cart
 
 # Two numeric features plus one rare token per row: a bootstrap sample
 # misses some tokens, so some members cannot score a row of tokens alone.
@@ -82,8 +83,19 @@ MODELS = {
     "bagging-linear": train_ensemble(
         CLF, _forest(BAGGING, LinearSgdTrainer("logistic", AdaGrad(0.3), 3, 4, 9), 3)
     ),
+    "bagging-linear-reg": train_ensemble(REG, _forest(BAGGING, LinearSgdTrainer("squared", Sgd(0.01), 3, 4, 9), 3)),
     "bagging-of-forests": train_ensemble(
         CLF,
+        _forest(
+            BAGGING,
+            EnsembleTrainer(
+                _forest(RANDOM_FOREST, CartTrainer(TreeConfig(max_depth=2, feature_subsampling_fraction=0.5, seed=4)), 2)
+            ),
+            3,
+        ),
+    ),
+    "bagging-of-forests-reg": train_ensemble(
+        REG,
         _forest(
             BAGGING,
             EnsembleTrainer(
@@ -210,6 +222,84 @@ class TestBatchEqualsOneByOne:
         rows = [make_example([("x", v)]) for v in (-1.0, 0.5, 40.0, 1e9)]
         assert [p.output.value for p in deep.predict_batch(rows)] == [0.0, 1.0, 40.0, -1.0]
         assert _batched(deep, rows) == _one_by_one(deep, rows)
+
+
+ENSEMBLES = sorted(kind for kind, model in MODELS.items() if isinstance(model, EnsembleModel))
+
+
+@cache
+def _round_trip(kind):
+    """``MODELS[kind]`` saved and loaded again."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.pvml")
+        save_model(MODELS[kind], path)
+        return load_model(path)
+
+
+def _committee(model, example):
+    """An ensemble's prediction by its definition: each member predicts the
+    example restricted to the member's own names, a member that knows none
+    of them is skipped, and the rest merge through ``combine``."""
+    known = [f for f in example.features if f.name in model.feature_domain]
+    predictions, weights = [], []
+    for member, weight in zip(model.members, model.member_weights):
+        own = tuple(f for f in known if f.name in member.feature_domain)
+        if not own:
+            continue
+        try:
+            score = _committee if isinstance(member, EnsembleModel) else type(member).predict
+            predictions.append(score(member, Example(own)))
+        except NoFeatureOverlap:
+            continue  # a nested ensemble none of whose members knows them
+        weights.append(weight)
+    if not predictions:
+        raise NoFeatureOverlap("no member knows the example's features")
+    merged = combine(predictions, weights)
+    domain = model.feature_domain
+    bounds = [(f.name, f.value, domain.min[domain.ids[f.name]], domain.max[domain.ids[f.name]]) for f in known]
+    warnings = tuple(f"out-of-range:{name}" for name, value, lo, hi in bounds if value < lo or value > hi)
+    return Prediction(merged.output, merged.scores, len(known), len(example.features), warnings)
+
+
+class TestEnsembleDefinition:
+    """An ensemble predicts, bit for bit, as its committee of members, trained
+    or loaded from its file, whichever table or path scores it."""
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("kind", ENSEMBLES)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(examples=st.lists(EXAMPLES, min_size=1, max_size=6))
+    def test_predict_is_the_committee(self, kind, loaded, examples):
+        model = _round_trip(kind) if loaded else MODELS[kind]
+        for example in examples:
+            try:
+                expected = _bits(_committee(model, example))
+            except NoFeatureOverlap:
+                with pytest.raises(NoFeatureOverlap):
+                    model.predict(example)
+                continue
+            assert _bits(model.predict(example)) == expected
+
+    def test_tree_ensembles_score_through_the_forest_table(self, monkeypatch):
+        class MemberIdsUsed(Exception):
+            pass
+
+        def member_ids(self):
+            raise MemberIdsUsed
+
+        monkeypatch.setattr(EnsembleModel, "_member_ids", property(member_ids))
+        forests = [kind for kind in ENSEMBLES if all(isinstance(m, TreeModel) for m in MODELS[kind].members)]
+        assert sorted(forests) == ["adaboost-tree", "bagging-clf", "bagging-reg", "forest-clf", "forest-reg"]
+        for kind in forests:
+            model = MODELS[kind]
+            dataset = REG if model.task == "real" else CLF
+            model.predict(dataset.examples[0])
+            model.predict_batch(dataset.examples)
+            model.predict_compiled(dataset.columns, [len(x.features) for x in dataset.examples])
+        with pytest.raises(MemberIdsUsed):
+            MODELS["bagging-linear"].predict(CLF.examples[0])
+        with pytest.raises(MemberIdsUsed):
+            MODELS["bagging-linear"].predict_batch(CLF.examples)
 
 
 @cache

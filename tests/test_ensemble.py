@@ -18,6 +18,7 @@ from pvml.ensemble import (
     BAGGING,
     RANDOM_FOREST,
     EnsembleConfig,
+    EnsembleModel,
     bootstrap_sample,
     combine,
     train_ensemble,
@@ -34,7 +35,7 @@ from pvml.provenance import (
     strip_volatile,
 )
 from pvml.rng import MASK64, splitmix64
-from pvml.trees import CartTrainer, TreeConfig
+from pvml.trees import CartTrainer, TreeConfig, train_cart
 
 
 def assert_members_trained_alone(dataset, cfg, model):
@@ -201,6 +202,31 @@ class TestTrainEnsemble:
             1 for ex in separable_dataset.examples if ensemble.predict(ex).output == ex.output
         )
         assert correct == len(separable_dataset.examples)
+
+
+class TestEnsembleModelChecks:
+    """The constructor refuses what the forest table could not score."""
+
+    @staticmethod
+    def _rebuilt(model, members=None, weights=None):
+        return EnsembleModel(
+            model.name, model.provenance, model.feature_domain, model.output_domain,
+            model.members if members is None else members, model.member_weights if weights is None else weights,
+        )
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 0.0, -0.0, -0.25])
+    def test_weight_not_finite_and_positive(self, interleaved_dataset, weight):
+        model = train_ensemble(interleaved_dataset, EnsembleConfig(CartTrainer(TreeConfig(max_depth=2)), 3, seed=1))
+        with pytest.raises(ValueError, match="finite and greater than 0"):
+            self._rebuilt(model, weights=(weight, *model.member_weights[1:]))
+
+    def test_member_feature_outside_the_domain(self, interleaved_dataset):
+        model = train_ensemble(interleaved_dataset, EnsembleConfig(CartTrainer(TreeConfig(max_depth=2)), 3, seed=1))
+        stranger = train_cart(build_dataset(InMemoryDataSource([
+            make_example([("zz", float(i))], CategoricalOutput("ab"[i % 2])) for i in range(4)
+        ])), TreeConfig(max_depth=1))
+        with pytest.raises(ValueError, match="'zz'"):
+            self._rebuilt(model, members=(*model.members[:-1], stranger))
 
 
 class TestRedactionOfEnsembles:

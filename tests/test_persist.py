@@ -351,7 +351,7 @@ class TestFloatLiteralsOnLoad:
     """Weights and domain statistics parse in one call each; every malformed
     literal still fails to load."""
 
-    BAD = {"null": None, "nested": ["1.0"], "suffix": "1.5x"}
+    BAD = {"null": None, "nested": ["1.0"], "suffix": "1.5x", "true": True, "false": False}
 
     @pytest.mark.parametrize("literal", sorted(BAD))
     def test_weight(self, tmp_path, trained, literal):
@@ -378,6 +378,51 @@ class TestFloatLiteralsOnLoad:
         _edit_and_load(path, nest_domain)
         save_model(trained[1], str(path))
         _edit_and_load(path, lambda c: c["parameters"].update(weights=[[[v] for v in row] for row in c["parameters"]["weights"]]))
+
+    @staticmethod
+    def _saved(tmp_path, name):
+        from test_batch import MODELS
+
+        path = tmp_path / "m.pvml"
+        save_model(MODELS[name], str(path))
+        return path
+
+    @staticmethod
+    def _leaf(node):
+        while node["kind"] == "split":
+            node = node["left"]
+        return node
+
+    @pytest.mark.parametrize("literal", sorted(BAD))
+    @pytest.mark.parametrize("name, member", [("cart-reg", False), ("forest-reg", True)])
+    def test_split_threshold(self, tmp_path, literal, name, member):
+        def edit(c):
+            root = (c["parameters"]["members"][0] if member else c)["parameters"]["root"]
+            assert root["kind"] == "split"
+            root["threshold"] = self.BAD[literal]
+
+        _edit_and_load(self._saved(tmp_path, name), edit)
+
+    @pytest.mark.parametrize("literal", sorted(BAD))
+    def test_leaf_mean(self, tmp_path, literal):
+        _edit_and_load(self._saved(tmp_path, "cart-reg"), lambda c: self._leaf(c["parameters"]["root"]).update(mean=self.BAD[literal]))
+
+    @pytest.mark.parametrize("literal", sorted(BAD))
+    def test_leaf_count(self, tmp_path, literal):
+        def edit(c):
+            counts = self._leaf(c["parameters"]["root"])["counts"]
+            counts[sorted(counts)[0]] = self.BAD[literal]
+
+        _edit_and_load(self._saved(tmp_path, "cart-clf"), edit)
+
+    @pytest.mark.parametrize("literal", sorted(BAD))
+    def test_member_weight(self, tmp_path, literal):
+        _edit_and_load(self._saved(tmp_path, "forest-reg"), lambda c: c["parameters"]["memberWeights"].__setitem__(0, self.BAD[literal]))
+
+    @pytest.mark.parametrize("literal", sorted(BAD))
+    @pytest.mark.parametrize("statistic", ["min", "max", "mean", "variance"])
+    def test_output_domain_statistic(self, tmp_path, literal, statistic):
+        _edit_and_load(self._saved(tmp_path, "forest-reg"), lambda c: c["outputDomain"].__setitem__(statistic, self.BAD[literal]))
 
     def test_parsed_bit_for_bit(self, tmp_path, trained):
         path = tmp_path / "m.pvml"
