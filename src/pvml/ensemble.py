@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Mapping, Sequence
+from functools import cached_property, reduce
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -131,6 +132,11 @@ def bootstrap_sample(
 # Combination
 # ---------------------------------------------------------------------------
 
+def _fold(values: Iterable[float]) -> float:
+    """``values`` added one by one from 0.0, as a batch adds member arrays (builtin ``sum`` compensates from 3.12 on)."""
+    return reduce(operator.add, values, 0.0)
+
+
 def combine(predictions: Sequence[Prediction], weights: Sequence[float]) -> Prediction:
     """Merge member predictions: weighted vote or weighted mean.
 
@@ -144,15 +150,15 @@ def combine(predictions: Sequence[Prediction], weights: Sequence[float]) -> Pred
     if len(tasks) != 1 or None in tasks:
         raise InconsistentTask("ensemble members disagree on the task type")
     task = tasks.pop()
-    total = sum(weights)
+    total = _fold(weights)
 
     if task == REAL:
-        value = sum(p.output.value * w for p, w in zip(predictions, weights)) / total
+        value = _fold(p.output.value * w for p, w in zip(predictions, weights)) / total
         return Prediction(RealOutput(value), {}, 0, 0)
 
     merged: dict[str, float] = {}
     for pred, weight in zip(predictions, weights):
-        norm = sum(pred.scores.values())
+        norm = _fold(pred.scores.values())
         for label, score in pred.scores.items():
             share = score / norm if norm > 0 else 0.0
             merged[label] = merged.get(label, 0.0) + weight * share
@@ -229,7 +235,7 @@ class EnsembleModel(Model):
                 results.append(walk(forest.nodes, sparse, root))  # the leaf row it reaches
                 used.append(weight)
         if used and forest.values is not None:
-            return RealOutput(sum(forest.values[i] * w for i, w in zip(results, used)) / sum(used)), {}
+            return RealOutput(_fold(forest.values[i] * w for i, w in zip(results, used)) / _fold(used)), {}
         return _merged([forest.outputs[i] for i in results], used)
 
     @cached_property

@@ -9,7 +9,7 @@ new (state, params), which keeps training deterministic and easy to test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -164,13 +164,29 @@ def optimizer_step(
 # Objectives
 # ---------------------------------------------------------------------------
 
-def _design_matrix(columns: Columns, num_features: int) -> np.ndarray:
-    """Dense (rows, features + 1) matrix of ``columns`` with a trailing bias column of ones."""
-    lengths = np.diff(columns.indptr)
-    x = np.zeros((len(lengths), num_features + 1))
-    x[:, -1] = 1.0
-    x[np.repeat(np.arange(len(lengths)), lengths), columns.feature_ids] = columns.values
-    return x
+_ONE_ROW = np.zeros(1, dtype=np.intp)  # the segment starts of a single row
+
+
+def _scores(weights: np.ndarray, starts: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The linear scores of sparse rows: row ``i`` holds the entries of ``ids``
+    and ``values`` from ``starts[i]`` to the next start, at least one.  Its
+    ``weights[id] * value`` terms are added by ``np.add.reduceat``, in an order
+    fixed by the row alone, then the bias row: a row scores to the same bits
+    alone or in a batch, and no BLAS kernel takes part."""
+    return np.add.reduceat(weights.take(ids, axis=0) * values[:, None], starts, axis=0) + weights[-1]
+
+
+def _gradient(params: np.ndarray, batch: Columns, delta: np.ndarray) -> np.ndarray:
+    """The gradient of the batch's scores weighted by ``delta``, one row per
+    batch row: ``np.bincount`` adds each entry's ``value * delta[row]`` to its
+    feature's row in entry order, and the bias row sums ``delta`` over rows."""
+    k = params.shape[1]
+    rows = np.repeat(np.arange(len(delta)), np.diff(batch.indptr))
+    cells = (batch.feature_ids[:, None] * k + np.arange(k)).ravel()  # each term's place in ``params.ravel()``
+    terms = batch.values[:, None] * delta.take(rows, axis=0)
+    grads = np.bincount(cells, weights=terms.ravel(), minlength=params.size).reshape(params.shape)
+    grads[-1] = delta.sum(axis=0)
+    return grads
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -179,31 +195,33 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _logistic_loss(params, x, targets, w) -> tuple[float, np.ndarray]:
-    n = len(targets)
-    probs = _softmax(x @ params)
-    picked = probs[np.arange(n), targets]
-    loss = float(np.sum(w * -np.log(picked)) / n)
-
+def _logistic_loss(params: np.ndarray, batch: Columns) -> tuple[float, np.ndarray]:
+    n, targets, w = len(batch.targets), batch.targets, batch.weights
+    probs = _softmax(_scores(params, batch.indptr[:-1], batch.feature_ids, batch.values))
+    loss = float(np.sum(w * -np.log(probs[np.arange(n), targets])) / n)
     delta = probs.copy()
     delta[np.arange(n), targets] -= 1.0
-    grads = x.T @ (delta * (w / n)[:, None])
-    return loss, grads
+    return loss, _gradient(params, batch, delta * (w / n)[:, None])
 
 
-def _squared_loss(params, x, y, w) -> tuple[float, np.ndarray]:
-    n = len(y)
-    pred = (x @ params)[:, 0]
-    resid = pred - y
+def _squared_loss(params: np.ndarray, batch: Columns) -> tuple[float, np.ndarray]:
+    n, y, w = len(batch.targets), batch.targets, batch.weights
+    resid = _scores(params, batch.indptr[:-1], batch.feature_ids, batch.values)[:, 0] - y
     loss = float(np.sum(w * 0.5 * resid * resid) / n)
-    grads = x.T @ (resid * w / n)[:, None]
-    return loss, grads
+    return loss, _gradient(params, batch, (resid * w / n)[:, None])
 
 
-def _batch_loss(loss, params, columns: Columns, rows: np.ndarray, num_features: int):
-    """``loss`` and its gradient over the compiled ``rows``."""
-    batch = columns.take(rows)
-    return loss(params, _design_matrix(batch, num_features), batch.targets, batch.weights)
+def _objective_columns(examples: Sequence[Example], domain: FeatureDomain, labels=None) -> Columns:
+    """The examples compiled against ``domain``, where a row none of whose
+    features ``domain`` knows gets one 0.0 entry at id 0: it still adds its
+    bias-only term, and training, whose rows all hold an entry, pays nothing."""
+    columns = compile_examples(examples, domain, labels)
+    empty = np.diff(columns.indptr) == 0
+    if not empty.any():
+        return columns
+    at = columns.indptr[:-1][empty]
+    ids, values = np.insert(columns.feature_ids, at, 0), np.insert(columns.values, at, 0.0)
+    return replace(columns, indptr=columns.indptr + np.append(0, np.cumsum(empty)), feature_ids=ids, values=values)
 
 
 def logistic_objective(
@@ -222,8 +240,7 @@ def logistic_objective(
         raise ValueError("empty batch")
     if not all(isinstance(ex.output, CategoricalOutput) for ex in examples):
         raise UnlabelledExample("logistic objective needs categorical ground truth")
-    columns = compile_examples(examples, domain, labels)
-    return _batch_loss(_logistic_loss, params, columns, np.arange(len(examples)), len(domain))
+    return _logistic_loss(params, _objective_columns(examples, domain, labels))
 
 
 def squared_objective(
@@ -236,8 +253,7 @@ def squared_objective(
         raise ValueError("empty batch")
     if not all(isinstance(ex.output, RealOutput) for ex in examples):
         raise UnlabelledExample("squared objective needs real-valued ground truth")
-    columns = compile_examples(examples, domain)
-    return _batch_loss(_squared_loss, params, columns, np.arange(len(examples)), len(domain))
+    return _squared_loss(params, _objective_columns(examples, domain))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +267,7 @@ class LinearSgdModel(Model):
 
     def __init__(self, name, provenance, feature_domain, output_domain, weights: np.ndarray):
         super().__init__(name, provenance, feature_domain, output_domain)
-        expected = (len(feature_domain) + 1, self._num_outputs())
+        expected = (len(feature_domain) + 1, len(self.output_domain.labels()) if self.task == CATEGORICAL else 1)
         if weights.shape != expected:
             raise ShapeMismatch(f"weights {weights.shape}, expected {expected}")
         if not np.all(np.isfinite(weights)):
@@ -259,35 +275,14 @@ class LinearSgdModel(Model):
         self.weights = weights.copy()
         self.weights.setflags(write=False)
 
-    def _num_outputs(self) -> int:
-        if self.task == CATEGORICAL:
-            return len(self.output_domain.labels())
-        return 1
-
     def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
-        x = np.zeros(len(self.feature_domain) + 1)
-        x[-1] = 1.0
-        for fid, value in sparse.items():
-            x[fid] = value
-        return self._outputs_of((x @ self.weights)[None, :])[0]
+        ids = np.fromiter(sparse, dtype=np.intp, count=len(sparse))
+        values = np.fromiter(sparse.values(), dtype=np.float64, count=len(sparse))
+        return self._outputs_of(_scores(self.weights, _ONE_ROW, ids, values))[0]
 
     def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]]]:
-        """Row by row, through the same product as :meth:`_predict_intersected`,
-        then one :meth:`_outputs_of` over the stacked scores.
-
-        A whole-batch matrix product may add in another order than one
-        row's, so the rows share one dense vector instead.
-        """
-        x = np.zeros(len(self.feature_domain) + 1)
-        x[-1] = 1.0
-        bounds = columns.indptr.tolist()
-        z = np.empty((len(bounds) - 1, self.weights.shape[1]))
-        for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
-            ids = columns.feature_ids[start:end]
-            x[ids] = columns.values[start:end]
-            z[row] = x @ self.weights
-            x[ids] = 0.0
-        return self._outputs_of(z)
+        """Every row through :func:`_scores` at once, as :meth:`_predict_intersected` scores one."""
+        return self._outputs_of(_scores(self.weights, columns.indptr[:-1], columns.feature_ids, columns.values))
 
     def _outputs_of(self, z: np.ndarray) -> list[tuple[Output, dict[str, float]]]:
         """The predictions for the linear scores ``z``, one row per example.
@@ -338,7 +333,6 @@ class LinearSgdTrainer(Trainer):
         weights = np.zeros((len(domain) + 1, k))
         state = init_state(cfg.optimizer, weights.shape)
 
-        columns = dataset.columns
         loss = _logistic_loss if cfg.objective == LOGISTIC else _squared_loss
         rng = Xoshiro256StarStar(self.stream_seed(count))
         order = list(range(len(dataset)))
@@ -346,8 +340,7 @@ class LinearSgdTrainer(Trainer):
             rng.shuffle(order)
             shuffled = np.array(order)
             for start in range(0, len(order), cfg.batch_size):
-                rows = shuffled[start : start + cfg.batch_size]
-                _, grads = _batch_loss(loss, weights, columns, rows, len(domain))
+                _, grads = loss(weights, dataset.columns.take(shuffled[start : start + cfg.batch_size]))
                 state, weights = optimizer_step(cfg.optimizer, state, weights, grads)
         if not np.all(np.isfinite(weights)):
             raise NonFiniteGradient("an update overflowed: the weights are not finite")

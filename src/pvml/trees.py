@@ -319,7 +319,7 @@ def _swept_child_impurity(node: _Node, task, order, col, counts) -> np.ndarray:
     else:
         w, y = sample.columns.weights, sample.columns.targets
         node_w = w.take(node.rows)
-        yc = y - np.dot(node_w, y.take(node.rows)) / node_w.sum()  # centred, so the sums below do not cancel
+        yc = y - (node_w * y.take(node.rows)).sum() / node_w.sum()  # centred, so the sums below do not cancel
         quantities = (w, w * yc, w * yc * yc)
     n = order.shape[1]
     left, right = [], []

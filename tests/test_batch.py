@@ -2,6 +2,7 @@
 recorded transformations that take raw rows to the model's space, and
 linear scores that overflow."""
 
+import builtins
 import copy
 import os
 import tempfile
@@ -189,6 +190,26 @@ class TestBatchEqualsOneByOne:
         if 0 in known:
             unscorable = [token_rows[known.index(0)]]
             assert _batched(model, unscorable) is NoFeatureOverlap is _one_by_one(model, unscorable)
+
+    def test_forest_mean_ignores_a_compensated_builtin_sum(self, monkeypatch):
+        # from Python 3.12 on, builtin sum adds floats with a compensation
+        # term; a forest's one-row mean must add its members in the order a
+        # batch adds their arrays, whatever builtin sum does
+        rows = [make_example([("x", i / 7.0), ("y", (i * i) % 13 / 3.0)], RealOutput(i * 0.1 + i % 7 / 3.0)) for i in range(60)]
+        data = build_dataset(InMemoryDataSource(rows, "sum-order"))
+        base = CartTrainer(TreeConfig(max_depth=4, feature_subsampling_fraction=0.5, seed=6))
+        model = train_ensemble(data, EnsembleConfig(base, 6, seed=8, variant=RANDOM_FOREST))
+
+        def neumaier_sum(values, start=0):
+            total, compensation = start, 0.0
+            for value in values:
+                step = total + value
+                compensation += (total - step) + value if abs(total) >= abs(value) else (value - step) + total
+                total = step
+            return total + compensation if compensation else total
+
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        assert _batched(model, data.examples) == _one_by_one(model, data.examples)
 
     def test_no_overlap_is_the_same_error(self):
         rows = [make_example([("x", 1.0)]), make_example([("z-unknown", 1.0)])]

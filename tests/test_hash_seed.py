@@ -1,9 +1,13 @@
-"""``pvml train`` makes the same model under every string-hash seed.
+"""``pvml train`` makes the same model under every string-hash seed and
+every OpenBLAS kernel.
 
 Python salts the hash of a ``str`` per process, so iterating a set or dict
 of strings can change order from one process to the next.  Each trainer
 here trains on the same CSV in two processes, with ``PYTHONHASHSEED`` 0 and
-1; the parameter blocks and the provenance hashes must be equal.
+1; the parameter blocks and the provenance hashes must be equal.  OpenBLAS
+picks a kernel for the host's CPU, and each kernel sums a product in its own
+order; each trainer also trains with ``OPENBLAS_CORETYPE`` unset,
+``Haswell`` and ``Prescott``, and the parameter blocks must be equal.
 """
 
 import json
@@ -59,10 +63,14 @@ def _write_inputs(directory: Path, trainer) -> list[str]:
     return ["train", "--data", "train.csv", "--schema", "schema.json", "--trainer", "trainer.json"]
 
 
-def _train(directory: Path, argv: list[str], hash_seed: str) -> tuple[dict, str]:
-    """The parameter block and provenance hash of one ``pvml train`` process."""
-    output = f"model-{hash_seed}.pvml"
+def _train(directory: Path, argv: list[str], hash_seed: str, coretype: str | None = None) -> tuple[dict, str]:
+    """The parameter block and provenance hash of one ``pvml train`` process,
+    under the OpenBLAS kernel ``coretype`` or, if None, the host's own."""
+    output = f"model-{hash_seed}-{coretype}.pvml"
     env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "pvml.cli", *argv, "--output", output],
@@ -80,3 +88,10 @@ def test_train_is_the_same_under_every_hash_seed(tmp_path, name):
     (block_0, hash_0), (block_1, hash_1) = (_train(tmp_path, argv, seed) for seed in ("0", "1"))
     assert block_0 == block_1
     assert hash_0 == hash_1
+
+
+@pytest.mark.parametrize("name", sorted(TRAINERS))
+def test_train_is_the_same_under_every_blas_kernel(tmp_path, name):
+    argv = _write_inputs(tmp_path, TRAINERS[name])
+    blocks = [_train(tmp_path, argv, "0", coretype)[0] for coretype in (None, "Haswell", "Prescott")]
+    assert blocks[0] == blocks[1] == blocks[2]

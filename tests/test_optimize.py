@@ -161,14 +161,18 @@ class TestLogisticObjective:
 
 
     def test_features_outside_the_domain_are_ignored(self):
+        # the last example of ``extra`` has no feature in the domain: it
+        # still adds its bias-only term, as a feature of value 0.0 does
         known = [
             make_example([("a", 1.0), ("b", 2.0)], CategoricalOutput("x")),
             make_example([("a", -1.0)], CategoricalOutput("y"), 2.0),
+            make_example([("a", 0.0)], CategoricalOutput("y"), 1.5),
         ]
         domain = _domain_for(known)
         extra = [
             make_example([("a", 1.0), ("b", 2.0), ("zz", 5.0)], CategoricalOutput("x")),
             make_example([("_", 3.0), ("a", -1.0)], CategoricalOutput("y"), 2.0),
+            make_example([("zz", 4.0)], CategoricalOutput("y"), 1.5),
         ]
         params = np.array([[0.3, -0.1], [0.2, 0.4], [0.0, 0.2]])
         loss, grads = logistic_objective(params, known, domain, ("x", "y"))
@@ -191,6 +195,14 @@ class TestSquaredObjective:
         domain = _domain_for(examples)
         loss, _ = squared_objective(np.zeros((2, 1)), examples, domain)
         assert loss == 0.5
+
+    def test_a_row_outside_the_domain_adds_its_bias_term(self):
+        domain = _domain_for([make_example([("a", 1.0)], RealOutput(0.0))])
+        params = np.array([[0.5], [2.0]])
+        outside = make_example([("zz", 3.0)], RealOutput(1.0), 2.0)
+        loss, grads = squared_objective(params, [outside], domain)
+        assert loss == 0.5 * 2.0 * (2.0 - 1.0) ** 2
+        assert grads.tolist() == [[0.0], [2.0]]
 
     def test_gradient_matches_finite_differences(self):
         rng = Xoshiro256StarStar(77)
@@ -307,7 +319,32 @@ class TestGoldenWeights:
         assert _weights_sha256(model) == GOLDEN_SQUARED_ADAM
 
 
-# Recorded with the design matrix built from feature names batch by batch,
-# which the compiled dataset replaced.
-GOLDEN_LOGISTIC_ADAGRAD = "8b4ff0d5d3fc9dcc8ca8aad920dbd502b519c6849d60307be29a324fe46dd594"
-GOLDEN_SQUARED_ADAM = "3e6e3d096b6540fe8b3dc18abdcb4b0bb28f60a025c58796384066637b50380e"
+class TestSparseProduct:
+    def test_matches_the_dense_product(self):
+        # the sparse kernels add the terms of a dense product in another
+        # order, so the two agree to rounding, not bit for bit
+        labels = ("a", "b", "c")
+        dataset = _golden_dataset(labels, 41)
+        model = train_linear_sgd(dataset, "logistic", AdaGrad(0.3), epochs=4, batch_size=7, shuffle_seed=42)
+        domain, examples = dataset.feature_domain, dataset.examples
+        x = np.zeros((len(examples), len(domain) + 1))
+        x[:, -1] = 1.0
+        for row, example in enumerate(examples):
+            for f in example.features:
+                x[row, domain.ids[f.name]] = f.value
+        z = x @ model.weights
+        probs = np.exp(z - z.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        scores = [[p.scores[label] for label in labels] for p in model.predict_batch(examples)]
+        np.testing.assert_allclose(scores, probs, rtol=1e-12, atol=1e-15)
+        n, targets, weights = len(examples), dataset.columns.targets, dataset.columns.weights
+        probs[np.arange(n), targets] -= 1.0
+        _, grads = logistic_objective(model.weights, examples, domain, labels)
+        np.testing.assert_allclose(grads, x.T @ (probs * (weights / n)[:, None]), rtol=1e-9, atol=1e-15)
+
+
+# Recorded with the sparse product of the compiled rows, which adds each
+# row's terms in a fixed order, in place of the dense design matrix whose
+# BLAS product summed in the order of whichever kernel the host picked.
+GOLDEN_LOGISTIC_ADAGRAD = "9ec5c84a6cc3118076ff5e163017b10b5d5a8b975848ba34cf654a13e4aed607"
+GOLDEN_SQUARED_ADAM = "4cf9485c026a394c32cbb0f05933ef56b4e868261f6a1e53022d2f925dd6493e"
