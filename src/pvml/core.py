@@ -10,12 +10,13 @@ values flagged).
 from __future__ import annotations
 
 import math
+import operator
 import platform
 import re
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
 
@@ -560,6 +561,13 @@ class Prediction:
     def __post_init__(self):
         if self.features_used > self.features_total:
             raise ValueError("features_used cannot exceed features_total")
+
+
+def _fold(values: Iterable[float]) -> float:
+    """``values`` added one by one from 0.0, left to right: a sum whose bits
+    do not depend on the Python version (builtin ``sum`` compensates floats
+    from 3.12 on)."""
+    return reduce(operator.add, values, 0.0)
 
 
 def argmax_label(scores: Mapping[str, float]) -> str:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import math
-import operator
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .core import (
     Prediction,
     RealOutput,
     Trainer,
+    _fold,
     argmax_label,
     dataset_from_columns,
     model_provenance,
@@ -131,11 +131,6 @@ def bootstrap_sample(
 # ---------------------------------------------------------------------------
 # Combination
 # ---------------------------------------------------------------------------
-
-def _fold(values: Iterable[float]) -> float:
-    """``values`` added one by one from 0.0, as a batch adds member arrays (builtin ``sum`` compensates from 3.12 on)."""
-    return reduce(operator.add, values, 0.0)
-
 
 def combine(predictions: Sequence[Prediction], weights: Sequence[float]) -> Prediction:
     """Merge member predictions: weighted vote or weighted mean.
@@ -386,7 +381,7 @@ class EnsembleTrainer(Trainer):
             member = cfg.base_trainer.train_with_count(weighted, base_count + i)
             predictions = member.predict_compiled(columns, totals)
             missed = [p.output.label != truth for p, truth in zip(predictions, truths)]
-            err = sum(w for w, m in zip(weights, missed) if m)
+            err = _fold(w for w, m in zip(weights, missed) if m)
 
             if err >= 1 - 1 / k:
                 break  # no better than chance: discard and stop
@@ -399,7 +394,7 @@ class EnsembleTrainer(Trainer):
             alphas.append(alpha)
             scale = math.exp(alpha)
             weights = [w * scale if m else w for w, m in zip(weights, missed)]
-            total = sum(weights)
+            total = _fold(weights)
             weights = [w / total for w in weights]
 
         if not members:

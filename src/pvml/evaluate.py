@@ -18,6 +18,7 @@ from .core import (
     Model,
     Output,
     Prediction,
+    _fold,
     build_dataset,
     data_provenance,
     real_domain,
@@ -171,9 +172,9 @@ def evaluate_classification(model: Model, data: Dataset | CsvDataSource) -> Clas
         confusion=confusion,
         accuracy=micro_p,
         per_label=per_label,
-        macro_precision=sum(m.precision for m in per_label.values()) / len(labels),
-        macro_recall=sum(m.recall for m in per_label.values()) / len(labels),
-        macro_f1=sum(m.f1 for m in per_label.values()) / len(labels),
+        macro_precision=_fold(m.precision for m in per_label.values()) / len(labels),
+        macro_recall=_fold(m.recall for m in per_label.values()) / len(labels),
+        macro_f1=_fold(m.f1 for m in per_label.values()) / len(labels),
         micro_precision=micro_p,
         micro_recall=micro_r,
         micro_f1=_ratio(2 * micro_p * micro_r, micro_p + micro_r),
@@ -190,16 +191,16 @@ def evaluate_regression(model: Model, data: Dataset | CsvDataSource) -> Regressi
     residuals = [p.output.value - y for p, y in zip(predictions, targets)]
 
     n = len(residuals)
-    ss_res = sum(r * r for r in residuals)
-    mean_y = sum(targets) / n
-    ss_tot = sum((y - mean_y) ** 2 for y in targets)
+    ss_res = _fold(r * r for r in residuals)
+    mean_y = _fold(targets) / n
+    ss_tot = _fold((y - mean_y) ** 2 for y in targets)
     if ss_tot > 0:
         r2 = 1.0 - ss_res / ss_tot
     else:
         r2 = 1.0 if ss_res == 0 else 0.0
     return RegressionEvaluation(
         rmse=(ss_res / n) ** 0.5,
-        mae=sum(abs(r) for r in residuals) / n,
+        mae=_fold(abs(r) for r in residuals) / n,
         r2=r2,
         num_examples=n,
         provenance=evaluation_provenance(REGRESSION_EVAL_CLASS, model, test_data),

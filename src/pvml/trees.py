@@ -25,6 +25,7 @@ from .core import (
     Output,
     RealOutput,
     Trainer,
+    _fold,
     argmax_label,
     model_provenance,
 )
@@ -69,7 +70,7 @@ LEAF = (-1, 0.0, -1, -1)  # the node-table row of every leaf
 
 def gini_impurity(class_weights: Mapping[str, float]) -> float:
     """1 - sum of squared class proportions, proportions by weight."""
-    total = sum(class_weights[label] for label in sorted(class_weights))
+    total = _fold(class_weights[label] for label in sorted(class_weights))
     if total <= 0:
         raise EmptyNode("impurity of a node with no weight")
     acc = 0.0
@@ -81,11 +82,11 @@ def gini_impurity(class_weights: Mapping[str, float]) -> float:
 
 def weighted_variance(values: Sequence[float], weights: Sequence[float]) -> float:
     """Weighted population variance of regression targets."""
-    total = sum(weights)
+    total = _fold(weights)
     if total <= 0:
         raise EmptyNode("impurity of a node with no weight")
-    mean = sum(v * w for v, w in zip(values, weights)) / total
-    return sum(w * (v - mean) ** 2 for v, w in zip(values, weights)) / total
+    mean = _fold(v * w for v, w in zip(values, weights)) / total
+    return _fold(w * (v - mean) ** 2 for v, w in zip(values, weights)) / total
 
 
 @dataclass(frozen=True)
@@ -108,14 +109,10 @@ def _impurity(targets: Sequence, weights: Sequence[float], task: str) -> float:
 
 
 class _Sample:
-    """A tree's training rows as arrays, every feature sorted once at the root.
+    """A tree's training rows as arrays, read and never changed by growth.
 
     ``x`` holds the values as a dense (features, rows) matrix; absent
-    features read 0.0.  Row ``f`` of ``order`` lists the row positions
-    sorted by feature ``f``, ties in position order, and its last row lists
-    the positions in order.  Growth stable-partitions each split node's
-    segment ``order[:, start:end]`` in place, so every node's segment holds
-    its rows sorted by each feature, and in sample order in the last row.
+    features read 0.0.  A node names its rows by their positions here.
     """
 
     def __init__(self, columns: Columns, num_features: int, labels: Sequence[str] | None):
@@ -124,39 +121,24 @@ class _Sample:
         self.labels = labels  # label of each target index; None for regression
         self.x = np.zeros((num_features, n))
         self.x[columns.feature_ids, np.repeat(np.arange(n), np.diff(columns.indptr))] = columns.values
-        self.order = np.empty((num_features + 1, n), dtype=np.int32)
-        self.order[:-1] = np.argsort(self.x, axis=1, kind="stable")
-        self.order[-1] = np.arange(n)
         if labels is not None:  # each row's weight under its label, zero under the others
             one_hot = columns.targets == np.arange(len(labels))[:, None]
             self.label_weights = np.where(one_hot, columns.weights, 0.0)
 
-    def partition(self, start: int, end: int, feature_id: int, threshold: float) -> int:
-        """Send the segment's rows at or under the threshold to its front; returns the boundary."""
-        segment = self.order[:, start:end]
-        goes_left = (self.x[feature_id].take(segment) <= threshold).ravel()
-        left = np.compress(goes_left, segment).reshape(len(segment), -1)
-        right = np.compress(~goes_left, segment).reshape(len(segment), -1)
-        n_left = left.shape[1]
-        segment[:, :n_left] = left
-        segment[:, n_left:] = right
-        return start + n_left
-
 
 class _Node:
-    """The rows of one tree node, as :func:`best_split` searches them.
+    """The rows of one tree node, as :func:`best_split` searches them:
+    ``rows`` holds their positions in the sample, ascending.
 
     It has a ``len()``, and iterating it yields the rows as :class:`_Row`s,
-    in sample order, built on demand.  Its sorted segment is valid until
-    growth partitions the node.
+    in sample order, built on demand.
     """
 
-    def __init__(self, sample: _Sample, start: int, end: int):
-        self.sample, self.start, self.end = sample, start, end
-        self.rows = sample.order[-1, start:end].copy()  # row positions, ascending
+    def __init__(self, sample: _Sample, rows: np.ndarray):
+        self.sample, self.rows = sample, rows
 
     def __len__(self) -> int:
-        return self.end - self.start
+        return len(self.rows)
 
     def __iter__(self):
         columns, labels = self.sample.columns, self.sample.labels
@@ -187,7 +169,7 @@ def _node_of_rows(rows: Sequence[_Row], candidate_features: Sequence[int], task:
     indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
     columns = Columns(indptr, ids, values, targets, np.array([r.weight for r in rows], dtype=np.float64))
     num_features = 1 + max(max(candidate_features, default=-1), int(ids.max(initial=-1)))
-    return _Node(_Sample(columns, num_features, labels), 0, len(rows))
+    return _Node(_Sample(columns, num_features, labels), np.arange(len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +204,9 @@ def best_split(
     ``_Row``s in sample order.  A list is compiled on entry into a view of
     its own, so both take the same path.
 
-    The search is a sorted sweep.  The view holds every candidate column
-    already sorted, ties in row order: growth sorts each feature once at
-    the root and stable-partitions the order down the tree.  Running sums
-    over the sorted rows give the child impurity of every threshold.  Those
+    The search is a sorted sweep.  It gathers the node's candidate columns
+    and sorts each one stably, so ties keep sample order.  Running sums over
+    the sorted rows give the child impurity of every threshold.  Those
     sums add in another order than the two-pass impurity formulas, so they
     may differ in the last bits and serve only to shortlist the thresholds
     within a rounding margin of the best.  Each shortlisted threshold is
@@ -249,8 +230,9 @@ def best_split(
 
     sample = node.sample
     n = len(node)
-    order = sample.order[fids, node.start : node.end]
-    xs = sample.x.take(order + len(sample.order[0]) * np.array(fids)[:, None])  # values, each row sorted
+    block = sample.x.take(node.rows, axis=1).take(fids, axis=0)
+    order = node.rows.take(np.argsort(block, axis=1, kind="stable"))  # row positions, each row sorted by its column
+    xs = sample.x.take(order + sample.x.shape[1] * np.array(fids)[:, None])  # values, each row sorted
     varying = np.flatnonzero(xs[:, 0] < xs[:, -1])  # a constant column cannot split
     order, xs = order.take(varying, axis=0), xs.take(varying, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -271,7 +253,7 @@ def best_split(
         col, thresholds, counts = col[ok], thresholds[ok], counts[ok]
         if not len(col):
             return None
-        total_weight = sum(weights)
+        total_weight = _fold(weights)
         approx = _swept_child_impurity(node, task, order, col, counts) / total_weight
 
     # Gini is at most 1 and its formula rounds in absolute terms; variance
@@ -350,7 +332,7 @@ def _split_decrease(values, targets, weights, threshold, parent, total_weight, c
     child = 0.0
     for side in (left, right):
         side_weights = [weights[i] for i in side]
-        child += sum(side_weights) * _impurity([targets[i] for i in side], side_weights, task)
+        child += _fold(side_weights) * _impurity([targets[i] for i in side], side_weights, task)
     return parent - child / total_weight
 
 
@@ -465,7 +447,7 @@ class TreeModel(Model):
             return {i: (RealOutput(mean), {}) for i, (_, mean) in self.leaves.items()}
         labels, outputs = self.output_domain.labels(), {}
         for i, (_, counts) in self.leaves.items():
-            total = sum(counts[label] for label in sorted(counts))  # the file's order, so a loaded tree scores alike
+            total = _fold(counts[label] for label in sorted(counts))  # the file's order, so a loaded tree scores alike
             scores = {label: counts.get(label, 0.0) / total for label in labels}
             outputs[i] = (CategoricalOutput(argmax_label(scores)), scores)
         return outputs
@@ -508,8 +490,8 @@ class CartTrainer(Trainer):
         cfg = self.cfg
 
         def expand(item):  # in growth order, left subtree first, as the RNG draws require
-            start, end, depth = item
-            node, split = _Node(sample, start, end), None
+            rows, depth = item
+            node, split = _Node(sample, rows), None
             if depth < cfg.max_depth and len(node) >= 2 * cfg.min_examples_per_leaf:
                 if k < num_features:
                     candidates = sorted(rng.sample_prefix(num_features, k))
@@ -517,17 +499,17 @@ class CartTrainer(Trainer):
                     candidates = list(range(num_features))  # no draw when taking everything
                 split = best_split(node, candidates, cfg, task, rng)
             if split is not None:
-                middle = sample.partition(start, end, split.feature_id, split.threshold)
-                return (split.feature_id, split.threshold), ((start, middle, depth + 1), (middle, end, depth + 1))
+                goes_left = sample.x[split.feature_id].take(rows) <= split.threshold
+                return (split.feature_id, split.threshold), ((rows[goes_left], depth + 1), (rows[~goes_left], depth + 1))
             targets, weights = node.targets_and_weights()
             if task == CATEGORICAL:
                 counts: dict[str, float] = {}
                 for target, weight in zip(targets, weights):
                     counts[labels[target]] = counts.get(labels[target], 0.0) + weight
                 return None, (len(node), counts)
-            return None, (len(node), sum(t * w for t, w in zip(targets, weights)) / sum(weights))
+            return None, (len(node), _fold(t * w for t, w in zip(targets, weights)) / _fold(weights))
 
-        nodes, leaves = grow_table((0, len(dataset), 0), expand)
+        nodes, leaves = grow_table((np.arange(len(dataset)), 0), expand)
         prov = model_provenance(
             TREE_MODEL_CLASS,
             trainer_provenance=self.provenance_with_count(count),

@@ -1,5 +1,5 @@
 """``pvml train`` makes the same model under every string-hash seed and
-every OpenBLAS kernel.
+every OpenBLAS kernel, and trees under every numpy CPU dispatch.
 
 Python salts the hash of a ``str`` per process, so iterating a set or dict
 of strings can change order from one process to the next.  Each trainer
@@ -8,6 +8,11 @@ here trains on the same CSV in two processes, with ``PYTHONHASHSEED`` 0 and
 picks a kernel for the host's CPU, and each kernel sums a product in its own
 order; each trainer also trains with ``OPENBLAS_CORETYPE`` unset,
 ``Haswell`` and ``Prescott``, and the parameter blocks must be equal.
+numpy picks its loops by the host's CPU features too.  A tree and a forest
+train with ``NPY_DISABLE_CPU_FEATURES`` unset and set to the AVX-512 groups,
+and the parameter blocks must be equal.  The linear trainer is left out:
+numpy's ``exp`` and ``log`` round differently under AVX-512 and AVX2, so a
+logistic model's last bits follow the host.
 """
 
 import json
@@ -63,14 +68,16 @@ def _write_inputs(directory: Path, trainer) -> list[str]:
     return ["train", "--data", "train.csv", "--schema", "schema.json", "--trainer", "trainer.json"]
 
 
-def _train(directory: Path, argv: list[str], hash_seed: str, coretype: str | None = None) -> tuple[dict, str]:
-    """The parameter block and provenance hash of one ``pvml train`` process,
-    under the OpenBLAS kernel ``coretype`` or, if None, the host's own."""
-    output = f"model-{hash_seed}-{coretype}.pvml"
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
-    env.pop("OPENBLAS_CORETYPE", None)
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
+def _train(directory: Path, argv: list[str], hash_seed: str, **settings: str | None) -> tuple[dict, str]:
+    """The parameter block and provenance hash of one ``pvml train`` process.
+
+    ``settings`` sets environment variables, or unsets them where None.
+    ``OPENBLAS_CORETYPE`` and ``NPY_DISABLE_CPU_FEATURES`` are unset unless
+    set there, so OpenBLAS and numpy pick the host's own kernels and loops.
+    """
+    output = "model.pvml"
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_CORETYPE": None, "NPY_DISABLE_CPU_FEATURES": None}
+    env = {name: value for name, value in {**env, **settings}.items() if value is not None}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "pvml.cli", *argv, "--output", output],
@@ -93,5 +100,15 @@ def test_train_is_the_same_under_every_hash_seed(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(TRAINERS))
 def test_train_is_the_same_under_every_blas_kernel(tmp_path, name):
     argv = _write_inputs(tmp_path, TRAINERS[name])
-    blocks = [_train(tmp_path, argv, "0", coretype)[0] for coretype in (None, "Haswell", "Prescott")]
+    blocks = [_train(tmp_path, argv, "0", OPENBLAS_CORETYPE=kernel)[0] for kernel in (None, "Haswell", "Prescott")]
     assert blocks[0] == blocks[1] == blocks[2]
+
+
+@pytest.mark.parametrize("name", ["random-forest", "tree"])
+def test_trees_are_the_same_under_every_numpy_dispatch(tmp_path, name):
+    argv = _write_inputs(tmp_path, TRAINERS[name])
+    blocks = [
+        _train(tmp_path, argv, "0", NPY_DISABLE_CPU_FEATURES=disabled)[0]
+        for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR")
+    ]
+    assert blocks[0] == blocks[1]

@@ -1,8 +1,10 @@
 """CART: impurity, split search against brute force, growth invariants."""
 
+import builtins
 import copy
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -410,6 +412,40 @@ class TestGoldenTrees:
         assert _parameter_sha256(model) == GOLDEN_SAMME_ADABOOST
 
 
+def _compensated(real_sum):
+    """Builtin ``sum`` as Python 3.12 and later add floats: with Neumaier
+    compensation.  Anything but a nonempty run of floats goes to ``real_sum``."""
+
+    def compensated(iterable, /, start=0):
+        items = list(iterable)
+        if not items or not all(type(v) is float for v in items):
+            return real_sum(items, start)
+        total, compensation = float(start), 0.0
+        for v in items:
+            t = total + v
+            if abs(total) >= abs(v):
+                compensation += (total - t) + v
+            else:
+                compensation += (v - t) + total
+            total = t
+        return total + compensation if compensation and math.isfinite(compensation) else total
+
+    return compensated
+
+
+class TestGoldenTreesUnderCompensatedSum(TestGoldenTrees):
+    """The same goldens with builtin ``sum`` compensating floats, as from
+    Python 3.12 on: training adds in a fixed order, whatever the version."""
+
+    @pytest.fixture(autouse=True)
+    def compensated_sum(self, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", _compensated(builtins.sum))
+
+    def test_the_patch_compensates(self):
+        assert sum([1e16, 1.0, -1e16]) == 1.0
+        assert sum(x for x in (1, 2)) == 3
+
+
 def _split_bits(split):
     if split is None:
         return None
@@ -467,13 +503,32 @@ class TestNodeView:
         train_cart(dataset, TreeConfig(max_depth=2))
         assert seen[0] == expected
 
+    @pytest.mark.parametrize("split_kind", [EXHAUSTIVE, RANDOM_THRESHOLD])
+    def test_a_node_searches_alike_after_growth(self, monkeypatch, split_kind):
+        search = pvml.trees.best_split
+        calls = []
 
-# Recorded with the search that rescanned every row for every threshold, which
-# the sorted sweep replaced; the sweep must reproduce its trees bit for bit.
+        def keep(node, candidates, cfg, task, rng=None):
+            replay = copy.deepcopy(rng)
+            split = search(node, candidates, cfg, task, rng)
+            calls.append((node, candidates, cfg, task, replay, split))
+            return split
+
+        monkeypatch.setattr(pvml.trees, "best_split", keep)
+        cfg = TreeConfig(max_depth=4, min_examples_per_leaf=2, split_kind=split_kind, seed=3)
+        train_cart(_golden_dataset(CATEGORICAL, 11), cfg)
+        assert len(calls) > 10
+        for node, candidates, node_cfg, task, rng, split in calls:
+            assert _split_bits(search(node, candidates, node_cfg, task, rng)) == _split_bits(split)
+
+
+# Recorded with the search that rescanned every row for every threshold.  The
+# sorted sweep, which sorts only each node's candidate columns, must reproduce
+# these trees bit for bit, and so must any search that replaces it.
 GOLDEN_EXHAUSTIVE_GINI = "1a5dfca40e456a175d04a76a99cae75e2f9ab1aba49e2817ea46404a4cec0cf0"
 GOLDEN_FOREST_REGRESSOR = "c2a8b7fd570446714a4365a0579704fe17b207393354a71605ca10bae5b637fb"
 GOLDEN_RANDOM_THRESHOLD = "f3f1a0361f5f3ea512b216f922793d1ceb041dc12dcdd5e7cf83882f3e56475d"
 # Recorded with the search that gathered every node's columns from per-row
-# dicts, which the root presort replaced.
+# dicts; they pin trees grown from repeated rows and from uneven weights.
 GOLDEN_BAGGED_GINI = "1c5b89bcea0e3cb3cf617a2bf263bfe8e9e98fbeee291f786c2077d45d9625a3"
 GOLDEN_SAMME_ADABOOST = "9a00debbb958b361ec61a02db534ede8ae95e1cc593b772fd4a29082df7483d0"
