@@ -437,20 +437,22 @@ def compile_examples(
     is empty.
     """
     names, values, lengths, outputs, weights = _flatten(examples)
-    indptr, ids, values = compile_features(names, values, lengths, domain.ids)
+    indptr, ids, values = compile_features(feature_ids(domain.ids, names), values, lengths)
     return Columns(indptr, ids, values, _targets(outputs, labels) if targets else np.empty(0), weights)
 
 
+def feature_ids(index: Mapping[str, int], names: Sequence[str]) -> np.ndarray:
+    """Each of ``names``' id in ``index``, such as :attr:`FeatureDomain.ids`, or -1 outside it."""
+    return np.fromiter(map(index.get, names, repeat(-1)), dtype=np.int32, count=len(names))
+
+
 def compile_features(
-    names: Sequence[str], values: np.ndarray, lengths: Sequence[int], index: Mapping[str, int]
+    ids: np.ndarray, values: np.ndarray, lengths: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(indptr, feature_ids, values)`` of rows given flat: row ``i`` holds the
-    next ``lengths[i]`` of ``names`` and ``values``, in name order.
-
-    This is the one place names become ids, through ``index``, such as
-    :attr:`FeatureDomain.ids`; names outside it are dropped with their values.
+    next ``lengths[i]`` of ``ids`` and ``values``, in name order.  A negative id,
+    a name outside the domain, is dropped with its value.
     """
-    ids = np.fromiter(map(index.get, names, repeat(-1)), dtype=np.int32, count=len(names))
     lengths = np.array(lengths, dtype=np.int64)
     known = ids >= 0
     if not known.all():
@@ -518,18 +520,21 @@ def real_domain(targets: Iterable[float]) -> RealDomain:
 def build_dataset(source) -> Dataset:
     """Materialize a data source into a dataset with fresh provenance.
 
-    The source has a ``provenance`` attribute.  One with a ``merged`` method,
-    a :class:`~pvml.data.CsvDataSource`, hands over flat rows and builds no
-    example; any other is an iterable of examples.  Statistics use
-    population variance (divisor = count).
+    The source has a ``provenance`` attribute.  One with a ``blocks`` method,
+    a :class:`~pvml.data.CsvDataSource`, hands over its rows as one
+    :class:`~pvml.data.Block`, whose sorted vocabulary becomes the feature
+    names, and builds no example; any other is an iterable of examples.
+    Statistics use population variance (divisor = count).
     """
-    merged = getattr(source, "merged", None)
-    if merged is None:
+    blocks = getattr(source, "blocks", None)
+    if blocks is None:
         names, values, lengths, outputs, weights = _flatten(tuple(source))
+        vocabulary = sorted(set(names))
+        ids = feature_ids(dict(zip(vocabulary, range(len(vocabulary)))), names)
     else:
-        # every row in one chunk; an empty file gives no chunk
-        names, values, lengths, outputs = next(merged(len(source) or 1), ([], [], [], []))
-        values, weights = np.array(values, dtype=np.float64), np.ones(len(lengths))
+        # every row in one block; an empty file gives none
+        vocabulary, _, ids, values, lengths, outputs = next(blocks(len(source) or 1), ((), None, None, None, [], []))
+        weights = np.ones(len(lengths))
     if not lengths:
         raise EmptySource("data source yielded no examples")
     tasks = set(map(output_task, outputs))
@@ -538,9 +543,7 @@ def build_dataset(source) -> Dataset:
     if len(tasks) != 1:
         raise MixedOutputTypes("source mixes categorical and real outputs")
     labels = sorted({output.label for output in outputs}) if tasks.pop() == CATEGORICAL else None
-    vocabulary = sorted(set(names))
-    index = dict(zip(vocabulary, range(len(vocabulary))))
-    indptr, ids, values = compile_features(names, values, lengths, index)
+    indptr, ids, values = compile_features(ids, values, lengths)
     columns = Columns(indptr, ids, values, _targets(outputs, labels), weights)
     domain = FeatureDomain.observed(vocabulary, ids, values)
     return dataset_from_columns(domain, columns, labels, source.provenance)

@@ -10,12 +10,14 @@ statistics so a pipeline can be replayed from provenance alone.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
-import re
+import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from itertools import chain, compress, repeat
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .core import (
     check_feature_name,
     checked_example,
     compile_features,
+    feature_ids,
 )
 from .errors import (
     CsvParseError,
@@ -46,6 +49,7 @@ from .errors import (
     NonFiniteStatistic,
     ParseError,
     PipelineMismatch,
+    PvmlError,
     UnknownClass,
     UnparseableNumeric,
 )
@@ -58,7 +62,10 @@ from .provenance import (
     PObj,
     PStr,
     ProvValue,
-    canonical_encode,
+    _TAG_FLT,
+    _TAG_LIST,
+    _TAG_STR,
+    _raw_str,
     config_section,
     instance_section,
     is_object_provenance,
@@ -77,8 +84,6 @@ IN_MEMORY_SOURCE_CLASS = "pvml.InMemorySource"
 SCHEMA_CLASS = "pvml.ColumnarSchema"
 ZSCORE_CLASS = "pvml.ZScoreTransform"
 MINMAX_CLASS = "pvml.MinMaxTransform"
-
-_TOKEN = re.compile(r"[a-z0-9]+")
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,10 @@ class ColumnarSchema:
         return tuple(p.column for p in self.processors)
 
     @cached_property
-    def featurizer(self) -> "RowFeaturizer":
-        """The featurizer of this schema; it remembers the names it has checked."""
-        return RowFeaturizer(self)
+    def checked_names(self) -> set[str]:
+        """The feature names of this schema's rows that have passed
+        :func:`~pvml.core.check_feature_name`, so that each is checked once."""
+        return set()
 
     def provenance(self) -> PObj:
         return object_provenance(
@@ -161,86 +167,134 @@ def _text(v: ProvValue) -> str:
     return v.value
 
 
-class RowFeaturizer:
-    """Turns rows of one schema into name-sorted features.
+class Block(NamedTuple):
+    """Rows featurized together: row ``i`` holds the next ``totals[i]`` of
+    ``ids`` and ``values``, in name order.  ``ids`` index ``vocabulary``, the
+    sorted names the rows hold, and ``codes`` gives each one's intern code."""
 
-    Numeric columns parse directly, categorical columns binarize as
-    ``column@value`` and text columns become ``column@token`` counts; a
-    name met more than once in a row sums its values in column order, as
-    :func:`~pvml.core.make_example` merges pairs.  Each distinct name is
-    checked once per featurizer, since every check after the first would
-    give the same answer.
-    """
+    vocabulary: list[str]
+    codes: np.ndarray
+    ids: np.ndarray
+    values: np.ndarray
+    totals: list[int]
+    outputs: list[Output]
+
+
+class _Codes(dict):
+    """A code per key, made by ``make(key)`` when the key is first met."""
+
+    def __init__(self, make, known=()):
+        super().__init__(known)
+        self._make = make
+
+    def __missing__(self, key):
+        code = self[key] = self._make(key)
+        return code
+
+
+class BlockFeaturizer:
+    """Featurizes blocks of rows of one schema column by column, in one pass over a file.
+
+    Numeric columns parse through :func:`_parse_numeric`, categorical columns
+    binarize as ``column@value`` and text columns become ``column@token``
+    counts.  The intern table codes each name in order of first sight, and each
+    column's values and tokens by their name's code, so a name is built once per
+    pass and keeps its code from block to block.  A name met twice in a row sums
+    its values in column order from 0.0, as :func:`~pvml.core.make_example`
+    merges pairs: one sort of (row, name) keys groups them and ``np.bincount``
+    adds each group in entry order."""
 
     def __init__(self, schema: ColumnarSchema):
         self.schema = schema
-        self._checked: set[str] = set()
-        self._fields = tuple((p.column, p.kind, f"{p.column}@") for p in schema.processors)
+        self._codes = _Codes(lambda name: len(self._codes))
+        self._cells = [_Codes(lambda cell, at=f"{p.column}@": self._codes[at + cell], {"": -1}) for p in schema.processors]
 
-    def merge(self, row: Mapping[str, str]) -> tuple[list[str], list[float], Output]:
-        """The row's feature names in order, their values, and its output.
+    def block(self, columns: Sequence[Sequence[str]], responses: Sequence[str] | None, n: int) -> Block:
+        """The ``n`` rows whose cells ``columns`` holds, one sequence per
+        processor, with the response cells ``responses`` (``None`` for
+        unlabelled rows).  One row raises, in this order, for its first bad
+        numeric cell in column order, a bad response cell, no features
+        (:class:`EmptyExample`) and its first bad name in name order.  A larger
+        block that fails featurizes its halves apart, so its first bad row raises."""
+        try:
+            return self._block(columns, responses, n)
+        except PvmlError:
+            if n == 1:
+                raise
+        for part in (slice(0, n // 2), slice(n // 2, n)):
+            cells = [column[part] for column in columns]
+            BlockFeaturizer(self.schema).block(cells, None if responses is None else responses[part], len(range(n)[part]))
+        raise AssertionError("a block that fails has a half that fails")
 
-        Raises, in this order: :class:`UnparseableNumeric` for a numeric
-        cell, :class:`MissingResponse` or :class:`UnparseableNumeric` for
-        the response cell, :class:`EmptyExample` for a row without
-        features and :class:`InvalidFeatureName` for its first bad name.
-        """
-        merged: dict[str, float] = {}
-        get = merged.get
-        for column, kind, prefix in self._fields:
-            cell = row.get(column, "")
-            if cell == "":
-                continue
-            if kind == NUMERIC:
-                merged[column] = get(column, 0.0) + _parse_numeric(column, cell)
-            elif kind == CATEGORICAL_FIELD:
-                name = prefix + cell
-                merged[name] = get(name, 0.0) + 1.0
+    def _block(self, columns: Sequence[Sequence[str]], responses: Sequence[str] | None, n: int) -> Block:
+        known = len(self._codes)
+        parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+        for processor, cells, table in zip(self.schema.processors, columns, self._cells):
+            if processor.kind == NUMERIC:  # a numeric cell's name is its column
+                rows = np.fromiter(compress(range(n), cells), np.intp)
+                codes = np.full(len(rows), self._codes[processor.column] if len(rows) else -1, np.intp)
+                values = np.fromiter(map(_parse_numeric, repeat(processor.column), filter(None, cells)), np.float64)
+            elif processor.kind == CATEGORICAL_FIELD:  # the empty cell's code is -1
+                codes = np.fromiter(map(table.__getitem__, cells), np.intp, n)
+                rows = np.flatnonzero(codes >= 0)
+                codes, values = codes.take(rows), np.ones(len(rows))
             else:
-                for token in _TOKEN.findall(cell.lower()):
-                    name = prefix + token
-                    merged[name] = get(name, 0.0) + 1.0
-        output = self._output(row)
-        if not merged:
-            raise EmptyExample("an example needs at least one feature")
-        names = sorted(merged)
-        if not self._checked.issuperset(names):
-            for name in names:
-                if name not in self._checked:
-                    check_feature_name(name)
-                    self._checked.add(name)
-        return names, [merged[name] for name in names], output
+                tokens = list(map(_tokens, cells))
+                rows = np.arange(n).repeat(np.fromiter(map(len, tokens), np.intp, n))
+                codes = np.fromiter(map(table.__getitem__, chain.from_iterable(tokens)), np.intp, len(rows))
+                values = np.ones(len(rows))
+            parts.append((rows, codes, values))
+        rows, codes, values = map(np.concatenate, zip(*parts))
+        outputs = self._outputs(responses, n)
 
-    def _output(self, row: Mapping[str, str]) -> Output:
-        """A missing response *key* means unlabelled; an empty response *cell* is an error."""
-        schema = self.schema
-        if schema.response_column not in row:
-            return UNKNOWN
-        cell = row[schema.response_column]
-        if cell == "":
-            raise MissingResponse(f"empty response cell in column {schema.response_column!r}")
-        if schema.response_type == CATEGORICAL:
-            return CategoricalOutput(cell)
-        return RealOutput(_parse_numeric(schema.response_column, cell))
+        names = list(self._codes)  # by code
+        vocabulary = sorted([names[code] for code in np.flatnonzero(np.bincount(codes, minlength=len(names))).tolist()])
+        vocabulary_codes = np.fromiter(map(self._codes.__getitem__, vocabulary), np.intp, len(vocabulary))
+        rank = np.zeros(len(names), np.intp)
+        rank[vocabulary_codes] = np.arange(len(vocabulary))
+        width = max(len(vocabulary), 1)
+        keys, entry = np.unique(rows * width + rank.take(codes), return_inverse=True)
+        ids, totals = (keys % width).astype(np.int32), np.bincount(keys // width, minlength=n)
+        if not totals.all():
+            raise EmptyExample("an example needs at least one feature")
+        checked = self.schema.checked_names
+        for name in compress(vocabulary, vocabulary_codes >= known):  # the names new to this pass
+            if name not in checked:
+                check_feature_name(name)
+                checked.add(name)
+        # No sum overflows: parsed numbers are finite, no two numeric columns
+        # share a name, and the largest float plus a token count rounds to itself.
+        summed = np.bincount(entry, weights=values, minlength=len(keys))
+        return Block(vocabulary, vocabulary_codes, ids, summed, totals.tolist(), outputs)
+
+    def _outputs(self, responses: Sequence[str] | None, n: int) -> list[Output]:
+        if responses is None:
+            return [UNKNOWN] * n
+        column = self.schema.response_column
+        if "" in responses:
+            raise MissingResponse(f"empty response cell in column {column!r}")
+        if self.schema.response_type == CATEGORICAL:
+            return list(map(CategoricalOutput, responses))
+        return list(map(RealOutput, map(_parse_numeric, repeat(column), responses)))
+
+
+_TOKEN_BYTES = bytes(b if 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256))
+
+
+def _tokens(cell: str) -> list[str]:
+    """``re.findall("[a-z0-9]+", cell.lower())`` in one C-level pass: any other
+    character, a non-ASCII one as ``?``, becomes a space, and spaces split."""
+    return cell.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 def featurize_row(schema: ColumnarSchema, row: Mapping[str, str]) -> Example:
-    """Convert one row of strings into an example.
-
-    Empty feature cells are skipped.  A missing response *key* yields an
-    unlabelled example (prediction-time data); an empty response *cell* on
-    data that carries the column is an error.
-    """
-    names, values, output = schema.featurizer.merge(row)
-    _check_finite(names, values)
-    return checked_example(names, values, output)
-
-
-def _check_finite(names: Sequence[str], values: Sequence[float]) -> None:
-    """Raise :class:`NonFiniteFeature` for the first non-finite value of ``values``."""
-    if not all(map(math.isfinite, values)):
-        name, value = next((n, v) for n, v in zip(names, values) if not math.isfinite(v))
-        raise NonFiniteFeature(f"feature {name!r} has non-finite value {value!r}")
+    """One row of strings as an example: its block alone.  Raises, in this order, for
+    the first bad numeric cell in column order, a bad response cell, a row without
+    features (:class:`EmptyExample`) and the first bad name in name order.  Empty
+    feature cells are skipped; a missing response *key* means unlabelled."""
+    responses = [row[schema.response_column]] if schema.response_column in row else None
+    block = BlockFeaturizer(schema).block([[row.get(column, "")] for column in schema.columns()], responses, 1)
+    return checked_example(block.vocabulary, block.values.tolist(), block.outputs[0])
 
 
 def _parse_numeric(column: str, cell: str) -> float:
@@ -258,18 +312,23 @@ def _parse_numeric(column: str, cell: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _examples_fingerprint(examples: Sequence[Example]) -> str:
-    """Content hash of an in-memory example list via the canonical encoding."""
-    items = []
+    """Content hash of an in-memory example list: the SHA-256 of the canonical
+    encoding of the list of ``[features, output, weight]``, where ``features``
+    lists ``[name, value]`` pairs and an unlabelled output is ``"?"``.  The
+    bytes stream into the hash; no provenance value is built."""
+    pair, triple = _TAG_LIST + struct.pack(">I", 2), _TAG_LIST + struct.pack(">I", 3)
+    digest = hashlib.sha256(_TAG_LIST + struct.pack(">I", len(examples)))
     for ex in examples:
-        features = PList(tuple(PList((PStr(f.name), PFlt(f.value))) for f in ex.features))
-        if isinstance(ex.output, CategoricalOutput):
-            out: object = PStr(ex.output.label)
-        elif isinstance(ex.output, RealOutput):
-            out = PFlt(ex.output.value)
+        chunk = [triple, _TAG_LIST, struct.pack(">I", len(ex.features))]
+        for f in ex.features:
+            chunk += (pair, _TAG_STR, _raw_str(f.name), _TAG_FLT, struct.pack(">d", f.value))
+        if isinstance(ex.output, RealOutput):
+            chunk += (_TAG_FLT, struct.pack(">d", ex.output.value))
         else:
-            out = PStr("?")
-        items.append(PList((features, out, PFlt(ex.weight))))
-    return sha256_hex(canonical_encode(PList(tuple(items))))
+            chunk += (_TAG_STR, _raw_str(ex.output.label if isinstance(ex.output, CategoricalOutput) else "?"))
+        chunk += (_TAG_FLT, struct.pack(">d", ex.weight))
+        digest.update(b"".join(chunk))
+    return digest.hexdigest()
 
 
 class InMemoryDataSource:
@@ -312,7 +371,7 @@ class CsvDataSource:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CsvParseError(f"not valid UTF-8: {exc}") from exc
-        self._rows = self._parse(text)
+        self._header, self._rows = self._parse(text)
         self.provenance = object_provenance(
             CSV_SOURCE_CLASS,
             config={
@@ -327,7 +386,7 @@ class CsvDataSource:
             },
         )
 
-    def _parse(self, text: str) -> list[dict[str, str]]:
+    def _parse(self, text: str) -> tuple[list[str], list[list[str]]]:
         reader = csv.reader(io.StringIO(text, newline=""), delimiter=",", quotechar='"')
         try:
             header = next(reader, None)
@@ -348,54 +407,44 @@ class CsvDataSource:
                     raise CsvParseError(
                         f"expected {len(header)} fields, found {len(row)}", line=reader.line_num
                     )
-                rows.append(dict(zip(header, row)))
+                rows.append(row)
         except csv.Error as exc:
             raise CsvParseError(str(exc), line=reader.line_num) from exc
-        return rows
+        return header, rows
 
     def __iter__(self) -> Iterator[Example]:
         for row in self._rows:
-            yield featurize_row(self.schema, row)
+            yield featurize_row(self.schema, dict(zip(self._header, row)))
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def merged(
-        self, rows_per_chunk: int = BATCH_ROWS
-    ) -> Iterator[tuple[list[str], list[float], list[int], list[Output]]]:
-        """The rows through :meth:`RowFeaturizer.merge`, ``rows_per_chunk`` at a
-        time: each chunk's feature names and values, flat and in row order,
-        and each row's feature count and output.  A row that
-        :func:`featurize_row` rejects raises the same error here."""
-        featurizer = self.schema.featurizer
+    def blocks(self, rows_per_chunk: int = BATCH_ROWS) -> Iterator[Block]:
+        """The rows, ``rows_per_chunk`` at a time, each chunk a :class:`Block` of one
+        :class:`BlockFeaturizer`; a row that :func:`featurize_row` rejects raises the same error."""
+        featurizer, where = BlockFeaturizer(self.schema), {column: i for i, column in enumerate(self._header)}
+        features, response = [where[c] for c in self.schema.columns()], where.get(self.schema.response_column)
         for start in range(0, len(self._rows), rows_per_chunk):
-            names: list[str] = []
-            values: list[float] = []
-            totals: list[int] = []
-            outputs: list[Output] = []
-            for row in self._rows[start:start + rows_per_chunk]:
-                row_names, row_values, output = featurizer.merge(row)
-                names += row_names
-                values += row_values
-                totals.append(len(row_names))
-                outputs.append(output)
-            _check_finite(names, values)
-            yield names, values, totals, outputs
+            rows = self._rows[start:start + rows_per_chunk]
+            cells = list(zip(*rows))  # the block's columns
+            responses = None if response is None else cells[response]
+            yield featurizer.block([cells[i] for i in features], responses, len(rows))
 
-    def compiled(
-        self, model: Model, seen: set[str] | None = None
-    ) -> Iterator[tuple[Columns, list[int], list[Output]]]:
-        """The rows in ``model``'s space, :data:`~pvml.core.BATCH_ROWS` at a
-        time, for :meth:`~pvml.core.Model.predict_compiled`: each chunk's
-        :func:`_compiled` columns, each row's feature count and each row's
-        output.  Every feature name met is added to ``seen`` when it is given,
-        so that after the last chunk it holds the names a dataset of the file
-        would have in its domain."""
+    def compiled(self, model: Model, seen: set[str] | None = None) -> Iterator[tuple[Columns, list[int], list[Output]]]:
+        """The rows in ``model``'s space, block by block, for :meth:`~pvml.core.Model.predict_compiled`:
+        each block's :func:`_compiled` columns and each row's feature count and output.  Only
+        names first met in a block are looked up in the model's domain.  ``seen``, when given,
+        gains each block's vocabulary, so it ends with the names a dataset of the file would have."""
         domain, pipeline = model.feature_domain, recorded_pipeline(model)
-        for names, values, totals, outputs in self.merged():
+        model_ids = np.empty(0, dtype=np.int32)  # by intern code: the model's feature id, or -1
+        for block in self.blocks():
             if seen is not None:
-                seen.update(names)
-            yield _compiled(domain, pipeline, names, np.array(values, dtype=np.float64), totals), totals, outputs
+                seen.update(block.vocabulary)
+            new = np.flatnonzero(block.codes >= len(model_ids))  # the names first met in this block
+            model_ids = np.concatenate((model_ids, np.empty(len(new), dtype=np.int32)))
+            model_ids[block.codes.take(new)] = feature_ids(domain.ids, [block.vocabulary[i] for i in new.tolist()])
+            ids = model_ids.take(block.codes).take(block.ids)
+            yield _compiled(domain, pipeline, ids, block.values, block.totals), block.totals, block.outputs
 
 
 def load_csv(path: str, schema: ColumnarSchema) -> CsvDataSource:
@@ -599,11 +648,12 @@ def pipeline_provenance(model: Model) -> tuple[PObj, ...]:
     return _transformations(data)
 
 
-def _compiled(domain: FeatureDomain, pipeline: Sequence[TransformerMap], names, values, totals) -> Columns:
-    """Raw rows given flat, as :func:`~pvml.core.compile_features` takes them, in
-    the space of a model of ``domain`` and ``pipeline``: the columns that
-    ``compile_examples(..., targets=False)`` makes of their examples, rescaled."""
-    indptr, ids, array = compile_features(names, values, totals, domain.ids)
+def _compiled(domain: FeatureDomain, pipeline: Sequence[TransformerMap], ids, values, totals) -> Columns:
+    """Raw rows given flat, as :func:`~pvml.core.compile_features` takes them, with
+    ids in ``domain``, in the space of a model of ``domain`` and ``pipeline``: the
+    columns that ``compile_examples(..., targets=False)`` makes of their examples,
+    rescaled."""
+    indptr, ids, array = compile_features(ids, values, totals)
     columns = Columns(indptr, ids, array, np.empty(0), np.ones(len(totals)))
     for transformer in pipeline:
         columns = transformer.rescale(domain, columns)
@@ -624,10 +674,10 @@ def in_model_space(model: Model, dataset: Dataset) -> tuple[Columns, list[int], 
         provenance = with_instance_entry(provenance, "transformations", recorded)
     else:
         raise PipelineMismatch("the dataset records transformations other than the model's pipeline")
-    names, columns = dataset.feature_domain.names(), dataset.columns
+    columns = dataset.columns
     totals = np.diff(columns.indptr).tolist()
-    flat = [names[i] for i in columns.feature_ids.tolist()]
-    return _compiled(model.feature_domain, pipeline, flat, columns.values, totals), totals, provenance
+    ids = feature_ids(model.feature_domain.ids, dataset.feature_domain.names()).take(columns.feature_ids)
+    return _compiled(model.feature_domain, pipeline, ids, columns.values, totals), totals, provenance
 
 
 def _recorded_map(tprov: PObj) -> TransformerMap:

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import uuid
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -33,6 +33,7 @@ from .core import (
     OutputDomain,
     RealDomain,
     check_feature_names,
+    feature_ids,
 )
 from .ensemble import ENSEMBLE_MODEL_CLASS, EnsembleModel
 from .errors import FormatError, InvalidFeatureName, NonFiniteStatistic, TaskMismatch, UnknownModelClass
@@ -138,7 +139,7 @@ def _member_domain_from_json(node: dict, ensemble: FeatureDomain) -> FeatureDoma
     :class:`FormatError`."""
     try:
         names, _ = _feature_entries(node)
-        ids = np.fromiter(map(ensemble.ids.get, names, repeat(-1)), dtype=np.intp, count=len(names))
+        ids = feature_ids(ensemble.ids, names)
         if (ids < 0).any():
             raise FormatError("an ensemble member's feature domain names a feature outside the ensemble's")
         return ensemble.subset(ids)

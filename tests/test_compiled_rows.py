@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from pvml import CATEGORICAL, CategoricalOutput, InMemoryDataSource, build_dataset, make_example
 from pvml.core import BATCH_ROWS, compile_examples
 from pvml.core import UNKNOWN
-from pvml.data import ColumnarSchema, CsvDataSource, FieldProcessor, _parse_numeric, featurize_row
+from pvml.data import ColumnarSchema, CsvDataSource, FieldProcessor, _parse_numeric, _tokens, featurize_row
 from pvml.errors import InvalidFeatureName, MissingResponse, PvmlError
 from pvml.optimize import AdaGrad, train_linear_sgd
 from pvml.trees import TreeConfig, train_cart
@@ -67,7 +67,10 @@ CATEGORICAL_CELLS = st.one_of(
     st.sampled_from(["", "r", "red", "b", "x y", "am\x01ber", "\x7f"]),
     st.text(alphabet="abr@ ,\"", max_size=4),
 )
-TEXT_CELLS = st.lists(st.sampled_from(["b", "B", "c", "zz", "b", "9", ",", "!", "Q@b", ""]), max_size=6).map(" ".join)
+# the Kelvin sign lowercases to "k"; "\u00df" is no token and splits "stra\u00dfe"
+TEXT_CELLS = st.lists(
+    st.sampled_from(["b", "B", "c", "zz", "b", "9", ",", "!", "Q@b", "", "\u212aB", "stra\u00dfe\u0130b"]), max_size=6
+).map(" ".join)
 CELLS = {"numeric": NUMERIC_CELLS, "categorical": CATEGORICAL_CELLS, "text": TEXT_CELLS}
 RESPONSES = st.sampled_from(["p", "q", "unseen", ""])
 
@@ -207,6 +210,42 @@ class TestFeaturizeRow:
         )
 
 
+class TestTokens:
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.text())
+    @example(text="\u212a")  # the Kelvin sign lowercases to "k"
+    @example(text="\u0130x")  # lowercases to "i" and a combining dot
+    @example(text="a\x00b")
+    @example(text="\u00df")
+    @example(text="\U0001F600z")
+    def test_equal_the_regular_expression(self, text):
+        assert _tokens(text) == re.findall("[a-z0-9]+", text.lower())
+
+    def test_a_lone_surrogate_through_featurize_row(self):
+        schema = ColumnarSchema("y", CATEGORICAL, (PROCESSORS[4],))
+        row = {"a": "x\ud800Y \udfff"}
+        assert _example_bits(lambda: featurize_row(schema, row)) == _example_bits(
+            lambda: _pairs_then_make_example(schema, row)
+        )
+        assert [f.name for f in featurize_row(schema, row).features] == ["a@x", "a@y"]
+
+
+class TestFirstBadRow:
+    @pytest.mark.parametrize("cells", [("x", "red", "b"), ("", "", ""), ("1", "am\x01ber", "")])
+    def test_a_large_file_raises_the_error_of_its_first_bad_row(self, tmp_path, cells):
+        """Row 300 of three blocks is bad, and so are rows 301 and 510: building
+        and scoring raise what ``featurize_row`` raises for row 300 alone."""
+        header, processors = ["n", "c", "a"], [PROCESSORS[0], PROCESSORS[3], PROCESSORS[4]]
+        rows = [(str(i % 5), "red", "b zz") for i in range(2 * BATCH_ROWS + 5)]
+        rows[300], rows[301], rows[510] = cells, ("y", "", ""), ("", "", "")
+        path = _write_csv(tmp_path, header, rows)
+        with pytest.raises(PvmlError) as want:
+            featurize_row(ColumnarSchema("y", CATEGORICAL, tuple(processors)), dict(zip(header, cells)))
+        for run in (build_dataset, lambda source: list(source.compiled(MODELS["cart"]))):
+            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+                run(_source(path, processors))
+
+
 class TestNamesCheckedOnce:
     def test_each_distinct_name_once_per_featurizer(self, monkeypatch, tmp_path):
         import pvml.data
@@ -219,6 +258,38 @@ class TestNamesCheckedOnce:
         list(source)
         list(source.compiled(MODELS["cart"]))
         assert sorted(seen) == ["a@b", "a@zz", "c@r", "c@red"]
+
+    def test_the_intern_table_carries_across_blocks(self, monkeypatch, tmp_path):
+        """Names repeat across three blocks: each is checked once, keeps its
+        code, and every block compiles as its rows' examples do."""
+        import pvml.data
+
+        rows = [
+            ("" if i % 13 == 0 else str(i % 7 - 3), ("red", "r", "blue")[i % 3], f"b zz t{i % 11} B")
+            for i in range(2 * BATCH_ROWS + 5)
+        ]
+        processors = [PROCESSORS[0], PROCESSORS[3], PROCESSORS[4]]
+        path = _write_csv(tmp_path, ["n", "c", "a"], rows)
+        examples = list(_source(path, processors))
+        model = MODELS["linear"]
+
+        seen = []
+        check = pvml.data.check_feature_name
+        monkeypatch.setattr(pvml.data, "check_feature_name", lambda name: seen.append(name) or check(name))
+        source = _source(path, processors)
+        chunks = list(source.compiled(model))
+        assert sorted(seen) == sorted({f.name for ex in examples for f in ex.features})
+
+        assert [len(totals) for _, totals, _ in chunks] == [BATCH_ROWS, BATCH_ROWS, 5]
+        for k, (columns, totals, outputs) in enumerate(chunks):
+            rows_of_block = examples[k * BATCH_ROWS:(k + 1) * BATCH_ROWS]
+            assert _arrays(columns) == _arrays(compile_examples(rows_of_block, model.feature_domain, targets=False))
+            assert totals == [len(ex.features) for ex in rows_of_block]
+
+        codes = {}
+        for block in source.blocks():
+            for name, code in zip(block.vocabulary, block.codes.tolist()):
+                assert codes.setdefault(name, code) == code
 
     def test_a_bad_name_is_never_taken_as_checked(self, tmp_path):
         path = _write_csv(tmp_path, ["c"], [("am\x01ber",), ("red",)])

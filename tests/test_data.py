@@ -4,10 +4,11 @@ import hashlib
 
 import pytest
 
-from pvml.core import CATEGORICAL, REAL, UNKNOWN, CategoricalOutput, build_dataset
+from pvml.core import CATEGORICAL, REAL, UNKNOWN, CategoricalOutput, RealOutput, build_dataset, make_example
 from pvml.data import (
     ColumnarSchema,
     FieldProcessor,
+    InMemoryDataSource,
     TransformSpec,
     apply_transformers,
     featurize_row,
@@ -94,6 +95,36 @@ class TestFeaturizeRow:
         row = {"age": "2.0", "color": "red", "msg": "x y", "label": "y"}
         assert featurize_row(mixed_schema, dict(row)) == featurize_row(
             mixed_schema, dict(reversed(list(row.items())))
+        )
+
+
+class TestInMemoryFingerprint:
+    """The data hash of an in-memory source is pinned: it is part of every
+    provenance hash of a model trained on one."""
+
+    def test_classification_digest(self):
+        source = InMemoryDataSource(
+            [
+                make_example([("a", 1.0), ("b@x", -0.0)], CategoricalOutput("yes")),
+                make_example([("caf\u00e9", 1e308), ("a", 2.5)], CategoricalOutput("n\u00f6"), 0.25),
+                make_example([("z", -3.0)], UNKNOWN),
+            ],
+            "clf",
+        )
+        assert instance_section(source.provenance)["data-hash"] == PHash(
+            "SHA-256", "227483f5f5a7cd5df1ff106a3e38bfc7af6a1d71405409faf249d35a14cab9d1"
+        )
+
+    def test_regression_digest(self):
+        source = InMemoryDataSource(
+            [
+                make_example([("x", 0.1), ("y", 5e-324)], RealOutput(-1.5)),
+                make_example([("x", -2.0)], RealOutput(0.0), 3.0),
+            ],
+            "reg",
+        )
+        assert instance_section(source.provenance)["data-hash"] == PHash(
+            "SHA-256", "27c48ef32d0dfbb9a56a4835b588ef881ffeca79992e0ae5fb4e37ad2917fb3e"
         )
 
 
