@@ -236,11 +236,25 @@ class FeatureDomain:
     def observed(cls, names: Sequence[str], ids: np.ndarray, values: np.ndarray) -> "FeatureDomain":
         """The domain of the features ``names``, each of which ``values`` holds,
         with feature ids ``ids``: one :class:`_RunningStats` per feature over its
-        values in order, grouped by a stable sort on id."""
-        grouped = values.take(np.argsort(ids, kind="stable")).tolist()
-        ends = np.cumsum(np.bincount(ids, minlength=len(names))).tolist()
-        stats = [_RunningStats(grouped[start:end]) for start, end in zip([0, *ends], ends)]
-        return cls(names, *([getattr(s, key) for s in stats] for key in ("count", *cls.STATISTICS)))
+        values in order, grouped by a stable sort on id.  A feature whose values
+        all have the same bits ``v`` takes Welford's result in closed form:
+        ``min = max = v``, ``mean = v + 0.0`` (its first step turns ``-0.0``
+        into ``0.0``) and variance 0.0."""
+        order = np.argsort(ids, kind="stable")
+        grouped, grouped_ids = values.take(order), ids.take(order)
+        count = np.bincount(ids, minlength=len(names))
+        ends = np.cumsum(count)
+        starts = ends - count
+        bits, same_feature = grouped.view(np.int64), grouped_ids[1:] == grouped_ids[:-1]
+        varies = np.bincount(grouped_ids[1:][same_feature & (bits[1:] != bits[:-1])], minlength=len(names))
+        constant = (count > 0) & (varies == 0)
+        lo = np.zeros(len(names))
+        lo[constant] = grouped[starts[constant]]
+        hi, mean, variance = lo.copy(), lo + 0.0, np.zeros(len(names))
+        for f in np.flatnonzero(~constant).tolist():
+            s = _RunningStats(grouped[starts[f]:ends[f]].tolist())
+            lo[f], hi[f], mean[f], variance[f] = s.min, s.max, s.mean, s.variance
+        return cls(names, count, lo, hi, mean, variance)
 
     def subset(self, ids: np.ndarray) -> "FeatureDomain":
         """The features with the ascending ids ``ids``, with these statistics."""

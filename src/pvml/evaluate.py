@@ -8,6 +8,7 @@ at evaluation time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import (
@@ -193,13 +194,13 @@ def evaluate_regression(model: Model, data: Dataset | CsvDataSource) -> Regressi
     n = len(residuals)
     ss_res = _fold(r * r for r in residuals)
     mean_y = _fold(targets) / n
-    ss_tot = _fold((y - mean_y) ** 2 for y in targets)
+    ss_tot = _fold((y - mean_y) * (y - mean_y) for y in targets)
     if ss_tot > 0:
         r2 = 1.0 - ss_res / ss_tot
     else:
         r2 = 1.0 if ss_res == 0 else 0.0
     return RegressionEvaluation(
-        rmse=(ss_res / n) ** 0.5,
+        rmse=math.sqrt(ss_res / n),
         mae=_fold(abs(r) for r in residuals) / n,
         r2=r2,
         num_examples=n,

@@ -140,9 +140,8 @@ def optimizer_step(
         if state is not None and state.acc.shape != params.shape:
             raise ShapeMismatch("optimizer state shape does not match parameters")
         acc = (state.acc if state is not None else np.zeros_like(params)) + grads * grads
-        step = np.zeros_like(params)
-        nonzero = acc > 0
-        step[nonzero] = cfg.lr * grads[nonzero] / (np.sqrt(acc[nonzero]) + cfg.eps)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 where eps is 0 is masked out
+            step = np.where(acc > 0, cfg.lr * grads / (np.sqrt(acc) + cfg.eps), 0.0)
         return AdaGradState(acc), params - step
 
     if isinstance(cfg, Adam):

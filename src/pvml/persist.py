@@ -21,6 +21,7 @@ import math
 import os
 import uuid
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -68,17 +69,15 @@ def _check_finite(domain: FeatureDomain, error: type[Exception]) -> None:
         raise error(f"feature {domain.names()[bad[0]]!r} has a non-finite statistic")
 
 
-def feature_domain_to_json(domain: FeatureDomain) -> dict:
-    """The domain as JSON; a statistic that is not finite, such as a mean
-    whose running sum overflowed, raises :class:`NonFiniteStatistic`."""
+def _feature_domain_text(domain: FeatureDomain) -> str:
+    """The domain as compact JSON with sorted keys, one format per feature;
+    a statistic that is not finite, such as a mean whose running sum
+    overflowed, raises :class:`NonFiniteStatistic`."""
     _check_finite(domain, NonFiniteStatistic)
-    stats = ([_f2s(v) for v in getattr(domain, key).tolist()] for key in FeatureDomain.STATISTICS)
-    return {
-        "features": {
-            name: {"id": fid, "count": count, "min": lo, "max": hi, "mean": mean, "variance": variance}
-            for fid, (name, count, lo, hi, mean, variance) in enumerate(zip(domain.names(), domain.count.tolist(), *stats))
-        }
-    }
+    entry = '%s:{"count":%d,"id":%d,"max":"%r","mean":"%r","min":"%r","variance":"%r"}'
+    stats = (getattr(domain, key).tolist() for key in ("max", "mean", "min", "variance"))
+    rows = zip(map(encode_basestring_ascii, domain.names()), domain.count.tolist(), range(len(domain)), *stats)
+    return '{"features":{%s}}' % ",".join([entry % row for row in rows])
 
 
 def _floats(rows: list) -> np.ndarray:
@@ -112,7 +111,7 @@ def _feature_entries(node: dict) -> tuple[list[str], list[dict]]:
 
 
 def feature_domain_from_json(node: dict) -> FeatureDomain:
-    """The domain :func:`feature_domain_to_json` wrote; bad names or ids (see
+    """The domain :func:`_feature_domain_text` wrote; bad names or ids (see
     :func:`_feature_entries`), counts other than non-negative integers and
     statistics other than finite float literals raise :class:`FormatError`."""
     try:
@@ -183,7 +182,7 @@ def output_domain_from_json(node: dict) -> OutputDomain:
 # ---------------------------------------------------------------------------
 
 def _linear_params(model: LinearSgdModel) -> dict:
-    return {"weights": [[repr(v) for v in row] for row in model.weights.tolist()]}
+    return {"weights": [list(map(repr, row)) for row in model.weights.tolist()]}
 
 
 def _linear_restore(container: dict, name, prov, fd, od) -> LinearSgdModel:
@@ -256,7 +255,8 @@ def _ensemble_params(model: EnsembleModel) -> dict:
         raise FormatError("the ensemble provenance does not record its members' provenance in order")
     return {
         "members": [
-            _container(m, i, _member_domain_to_json(m.feature_domain)) for i, m in enumerate(model.members)
+            {**_container(m, i), "featureDomain": _member_domain_to_json(m.feature_domain)}
+            for i, m in enumerate(model.members)
         ],
         "memberWeights": [_f2s(w) for w in model.member_weights],
     }
@@ -300,10 +300,13 @@ def register_model_class(class_name: str, to_params: Callable[[Model], dict], re
 # ---------------------------------------------------------------------------
 
 def model_to_container(model: Model) -> dict:
-    return _container(model, to_json_value(model.provenance), feature_domain_to_json(model.feature_domain))
+    """The container :func:`save_model` writes, its feature domain read back from the text written."""
+    domain = _feature_domain_text(model.feature_domain)
+    return {**_container(model, to_json_value(model.provenance)), "featureDomain": json.loads(domain)}
 
 
-def _container(model: Model, provenance, feature_domain: dict) -> dict:
+def _container(model: Model, provenance) -> dict:
+    """The container without its ``featureDomain``."""
     to_params = _TO_PARAMS.get(model.model_class)
     if to_params is None:
         raise UnknownModelClass(f"no serializer registered for {model.model_class!r}")
@@ -313,7 +316,6 @@ def _container(model: Model, provenance, feature_domain: dict) -> dict:
         "modelClass": model.model_class,
         "name": model.name,
         "provenance": provenance,
-        "featureDomain": feature_domain,
         "outputDomain": output_domain_to_json(model.output_domain),
         "parameters": to_params(model),
     }
@@ -369,11 +371,13 @@ def write_atomically(path: str, text: str) -> None:
 
 def save_model(model: Model, path: str) -> None:
     """Write the model container, byte-deterministic; one nested too deeply to encode raises :class:`FormatError`."""
+    domain = _feature_domain_text(model.feature_domain)
     try:
-        text = json.dumps(model_to_container(model), sort_keys=True, separators=(",", ":"))
+        rest = json.dumps(_container(model, to_json_value(model.provenance)), sort_keys=True, separators=(",", ":"))
     except RecursionError as exc:
         raise FormatError(f"the model is nested too deeply to write: {exc}") from exc
-    write_atomically(path, text + "\n")
+    # "featureDomain" sorts first among the container's keys, so its text goes first
+    write_atomically(path, '{"featureDomain":' + domain + "," + rest[1:] + "\n")
 
 
 def load_model(path: str, expected_task: str | None = None) -> Model:

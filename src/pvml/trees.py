@@ -86,7 +86,7 @@ def weighted_variance(values: Sequence[float], weights: Sequence[float]) -> floa
     if total <= 0:
         raise EmptyNode("impurity of a node with no weight")
     mean = _fold(v * w for v, w in zip(values, weights)) / total
-    return _fold(w * (v - mean) ** 2 for v, w in zip(values, weights)) / total
+    return _fold(w * ((v - mean) * (v - mean)) for v, w in zip(values, weights)) / total
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from pvml.core import (
     check_feature_name,
     check_feature_names,
     make_example,
+    _RunningStats,
 )
 from pvml.data import InMemoryDataSource
 from pvml.errors import (
@@ -126,6 +127,35 @@ class TestFeatureDomain:
         assert sub.bounds == ([0.0, -2.0], [1.0, 5.0]) and type(sub.bounds[0][0]) is float
         with pytest.raises(ValueError):
             domain.subset(np.array([2, 0]))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EXTREME = st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1e308, 5e-324, -5e-324, 2.2250738585072014e-308])
+# the groups of values one feature can have: Welford's recurrence or its closed form
+_GROUPS = st.one_of(
+    st.tuples(_FINITE, st.integers(1, 6)).map(lambda vk: [vk[0]] * vk[1]),  # constant
+    st.integers(1, 6).map(lambda k: [-0.0] * k),  # constant at -0.0
+    st.lists(st.sampled_from([0.0, -0.0]), max_size=4).flatmap(lambda extra: st.permutations([0.0, -0.0, *extra])),
+    _FINITE.map(lambda v: [v]),  # a single value
+    st.lists(st.one_of(_EXTREME, _FINITE), min_size=1, max_size=8),  # very large and very small magnitudes
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=st.lists(_GROUPS, min_size=1, max_size=6), data=st.data())
+def test_observed_is_one_running_stats_per_feature_bit_for_bit(groups, data):
+    """The closed form of a constant feature gives the bits Welford gives, at
+    ``-0.0`` too; a mix of ``0.0`` and ``-0.0`` has two bit patterns, so it
+    runs the recurrence."""
+    pairs = data.draw(st.permutations([(fid, v) for fid, group in enumerate(groups) for v in group]))
+    ids = np.array([fid for fid, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.float64)
+    domain = FeatureDomain.observed([f"f{i}" for i in range(len(groups))], ids, values)
+    for fid in range(len(groups)):
+        stats = _RunningStats(values[ids == fid].tolist())
+        assert domain.count[fid] == stats.count
+        for key in FeatureDomain.STATISTICS:
+            assert np.float64(getattr(domain, key)[fid]).tobytes() == np.float64(getattr(stats, key)).tobytes(), key
 
 
 def test_check_feature_names_refuses_what_check_feature_name_refuses():

@@ -12,7 +12,11 @@ numpy picks its loops by the host's CPU features too.  A tree and a forest
 train with ``NPY_DISABLE_CPU_FEATURES`` unset and set to the AVX-512 groups,
 and the parameter blocks must be equal.  The linear trainer is left out:
 numpy's ``exp`` and ``log`` round differently under AVX-512 and AVX2, so a
-logistic model's last bits follow the host.
+logistic model's last bits follow the host.  glibc picks the variant of its
+libm functions, ``pow`` among them, by the CPU too: a regression tree and a
+regression forest, whose variance squares each deviation, train with
+``GLIBC_TUNABLES`` unset and set to hide FMA and AVX2, and the parameter
+blocks must be equal.
 """
 
 import json
@@ -50,17 +54,19 @@ COLORS = ["red", "green", "blue", "cyan", "amber", "violet"]
 WORDS = ["fox", "dog", "owl", "cat", "elk", "yak", "emu", "ant"]
 
 
-def _write_inputs(directory: Path, trainer) -> list[str]:
-    """A CSV of numeric, categorical and text columns, its schema and the
-    trainer config; returns the arguments of ``pvml train`` without the output."""
+def _write_inputs(directory: Path, trainer, response: str = "categorical") -> list[str]:
+    """A CSV of numeric, categorical and text columns with a ``response``
+    label, its schema and the trainer config; returns the arguments of
+    ``pvml train`` without the output."""
     rows = ["f1,color,words,label"]
     for i in range(24):
         words = " ".join(WORDS[(i * k) % len(WORDS)] for k in (1, 3, 5))
-        rows.append(f"{(i * 7) % 11 / 4},{COLORS[i % len(COLORS)]},{words},{'abc'[(i * 5) % 3]}")
+        label = "abc"[(i * 5) % 3] if response == "categorical" else repr((i * 37) % 17 / 3.7 - 1.1)
+        rows.append(f"{(i * 7) % 11 / 4},{COLORS[i % len(COLORS)]},{words},{label}")
     (directory / "train.csv").write_text("\n".join(rows) + "\n")
     schema = ColumnarSchema(
         "label",
-        "categorical",
+        response,
         (FieldProcessor("f1", "numeric"), FieldProcessor("color", "categorical"), FieldProcessor("words", "text")),
     )
     (directory / "schema.json").write_text(config_to_json(extract_configuration(schema.provenance())))
@@ -72,11 +78,12 @@ def _train(directory: Path, argv: list[str], hash_seed: str, **settings: str | N
     """The parameter block and provenance hash of one ``pvml train`` process.
 
     ``settings`` sets environment variables, or unsets them where None.
-    ``OPENBLAS_CORETYPE`` and ``NPY_DISABLE_CPU_FEATURES`` are unset unless
-    set there, so OpenBLAS and numpy pick the host's own kernels and loops.
+    ``OPENBLAS_CORETYPE``, ``NPY_DISABLE_CPU_FEATURES`` and ``GLIBC_TUNABLES``
+    are unset unless set there, so OpenBLAS, numpy and glibc pick the host's
+    own kernels, loops and libm variants.
     """
     output = "model.pvml"
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_CORETYPE": None, "NPY_DISABLE_CPU_FEATURES": None}
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_CORETYPE": None, "NPY_DISABLE_CPU_FEATURES": None, "GLIBC_TUNABLES": None}
     env = {name: value for name, value in {**env, **settings}.items() if value is not None}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -110,5 +117,15 @@ def test_trees_are_the_same_under_every_numpy_dispatch(tmp_path, name):
     blocks = [
         _train(tmp_path, argv, "0", NPY_DISABLE_CPU_FEATURES=disabled)[0]
         for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR")
+    ]
+    assert blocks[0] == blocks[1]
+
+
+@pytest.mark.parametrize("name", ["random-forest", "tree"])
+def test_regression_trees_are_the_same_under_every_libm_variant(tmp_path, name):
+    argv = _write_inputs(tmp_path, TRAINERS[name], "real")
+    blocks = [
+        _train(tmp_path, argv, "0", GLIBC_TUNABLES=tunables)[0]
+        for tunables in (None, "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX2_Usable,-FMA_Usable,-FMA4")
     ]
     assert blocks[0] == blocks[1]

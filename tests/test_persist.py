@@ -9,8 +9,8 @@ import pytest
 from pvml.core import CATEGORICAL, REAL, CategoricalOutput, FeatureDomain, build_dataset, make_example
 from pvml.data import InMemoryDataSource, load_csv
 from pvml.ensemble import ADABOOST, BAGGING, EnsembleConfig, EnsembleModel, train_ensemble
-from pvml.errors import FormatError, TaskMismatch, UnknownModelClass
-from pvml.optimize import AdaGrad, train_linear_sgd
+from pvml.errors import FormatError, NonFiniteStatistic, TaskMismatch, UnknownModelClass
+from pvml.optimize import AdaGrad, LinearSgdModel, train_linear_sgd
 from pvml.persist import load_model, model_to_container, save_model, write_atomically
 from pvml.provenance import PList, instance_section, provenance_hash, with_instance_entry
 from pvml.rng import Xoshiro256StarStar
@@ -583,6 +583,63 @@ def test_linear_weights_are_written_as_shortest_round_trip_strings(tmp_path, tra
     save_model(model, str(path))
     weights = json.loads(path.read_text())["parameters"]["weights"]
     assert weights == [[repr(float(v)) for v in row] for row in model.weights]
+
+
+# names that need JSON escapes, and statistics whose shortest repr takes each form
+_ESCAPED_NAMES = ['back\\slash', "color@café", 'q"uote']
+_EDGE_STATISTICS = ([-0.0, 5e-324, 1e-05], [1e16, 1.7976931348623157e308, 1e-05], [-0.0, 1e16, 5e-324], [5e-324, 1.7976931348623157e308, 0.0])
+
+
+def _over_escaped_names():
+    """A linear model, a tree and an ensemble trained on features named :data:`_ESCAPED_NAMES`."""
+    rng = Xoshiro256StarStar(4)
+    examples = [
+        make_example([(name, rng.next_float()) for name in _ESCAPED_NAMES], CategoricalOutput("ab"[i % 2]))
+        for i in range(24)
+    ]
+    ds = build_dataset(InMemoryDataSource(examples, "escaped"))
+    return {
+        "linear": train_linear_sgd(ds, "logistic", AdaGrad(0.3), epochs=2, batch_size=4, shuffle_seed=1),
+        "tree": train_cart(ds, TreeConfig(max_depth=2, seed=1)),
+        "ensemble": train_ensemble(ds, EnsembleConfig(CartTrainer(TreeConfig(max_depth=2, seed=1)), 3, seed=2, variant=BAGGING)),
+    }
+
+
+def _with_domain(model, domain):
+    if isinstance(model, LinearSgdModel):
+        return LinearSgdModel(model.name, model.provenance, domain, model.output_domain, model.weights)
+    if isinstance(model, TreeModel):
+        return TreeModel(model.name, model.provenance, domain, model.output_domain, model.nodes, model.leaves)
+    return EnsembleModel(model.name, model.provenance, domain, model.output_domain, model.members, model.member_weights)
+
+
+class TestFeatureDomainText:
+    """``save_model`` writes the feature domain as text in one pass, in front
+    of the rest of the container: the bytes are those of ``json.dumps`` of the
+    whole container."""
+
+    @pytest.mark.parametrize("name", ["linear", "tree", "ensemble"])
+    def test_saved_bytes_are_json_dumps_of_the_container(self, tmp_path, name):
+        domain = FeatureDomain(_ESCAPED_NAMES, [1, 7, 123456789012], *_EDGE_STATISTICS)
+        model = _with_domain(_over_escaped_names()[name], domain)
+        path = tmp_path / "m.pvml"
+        save_model(model, str(path))
+        text = json.dumps(model_to_container(model), sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == text.encode("ascii")
+        assert '"back\\\\slash"' in text and '"color@caf\\u00e9"' in text and '"q\\"uote"' in text
+        loaded = load_model(str(path)).feature_domain
+        assert loaded.names() == tuple(_ESCAPED_NAMES) and loaded.count.tolist() == [1, 7, 123456789012]
+        for key, column in zip(FeatureDomain.STATISTICS, _EDGE_STATISTICS):
+            assert getattr(loaded, key).tobytes() == np.array(column).tobytes(), key
+
+    @pytest.mark.parametrize("name", ["linear", "tree", "ensemble"])
+    def test_a_statistic_that_is_not_finite_writes_no_file(self, tmp_path, name):
+        mean = [0.0, math.inf, 0.0]
+        domain = FeatureDomain(_ESCAPED_NAMES, [1, 1, 1], [0.0] * 3, [0.0] * 3, mean, [0.0] * 3)
+        model = _with_domain(_over_escaped_names()[name], domain)
+        with pytest.raises(NonFiniteStatistic, match="caf"):
+            save_model(model, str(tmp_path / "m.pvml"))
+        assert list(tmp_path.iterdir()) == []
 
 
 def _output_domains(container):

@@ -46,6 +46,17 @@ class TestImpurity:
     def test_variance_of_two_targets(self):
         assert weighted_variance([1.0, 3.0], [1.0, 1.0]) == 1.0
 
+    def test_variance_squares_by_product_not_pow(self):
+        """libm's ``pow``, and so ``x ** 2``, can round otherwise than ``x * x``,
+        and glibc picks its variant by the CPU; the variance uses the product."""
+        rng = Xoshiro256StarStar(7)
+        sample = (1e3 * (2.0 * rng.next_float() - 1.0) for _ in range(20_000))
+        x = next((x for x in sample if x**2 != x * x), None)
+        if x is None:
+            pytest.skip("this platform's pow squares every sampled value as the product does")
+        # the mean is 0.0, so each deviation is exactly x or -x
+        assert weighted_variance([x, -x], [1.0, 1.0]) == x * x
+
     def test_empty_node_rejected(self):
         with pytest.raises(EmptyNode):
             gini_impurity({})
