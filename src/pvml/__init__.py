@@ -60,9 +60,7 @@ from .optimize import (
     LinearSgdModel,
     LinearSgdTrainer,
     Sgd,
-    logistic_objective,
     optimizer_step,
-    squared_objective,
     train_linear_sgd,
 )
 from .persist import load_model, register_model_class, save_model

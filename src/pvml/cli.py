@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from .core import CATEGORICAL, build_dataset
 from .data import (
@@ -168,6 +169,7 @@ def _cmd_diff(args) -> int:
     return 0
 
 
+@cache  # built once per process: every command parses with the same parser
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pvml", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

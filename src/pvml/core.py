@@ -799,6 +799,15 @@ class Trainer(ABC):
     ) -> Model:
         """Train a model as invocation ``count``; pure given its arguments."""
 
+    def train_many(
+        self, datasets: Iterable[Dataset], counts: Iterable[int], user_info: Mapping[str, str] | None = None
+    ) -> list[Model]:
+        """One model per dataset, dataset ``i`` trained as invocation
+        ``counts[i]``: each the model ``train_with_count`` gives it alone.
+        Here one after another, each dataset taken as it is trained; a
+        trainer may train some together."""
+        return [self.train_with_count(d, c, user_info=user_info) for d, c in zip(datasets, counts)]
+
     def provenance_with_count(self, count: int, nested_count: int | None = None) -> PObj:
         """Trainer provenance: the fields of ``self.cfg``, nested trainers at
         ``nested_count`` (or their own count), and invocation ``count``."""

@@ -102,7 +102,7 @@ def bootstrap_sample(
         raise EmptySource(f"a {fraction} sample of {n_total} examples would be empty")
     rng = Xoshiro256StarStar(member_seed)
     if with_replacement:
-        indices = [rng.next_below(n_total) for _ in range(n_draw)]
+        indices = [(u * n_total) >> 64 for u in rng.u64s(n_draw)]
     elif n_draw == n_total:
         indices = list(range(n_total))
     else:
@@ -348,13 +348,14 @@ class EnsembleTrainer(Trainer):
         )
 
     def _bag(self, dataset: Dataset, base_count: int) -> list[Model]:
+        """The members, trained by the base trainer from bootstrap samples
+        drawn one by one as it takes them."""
         cfg = self.cfg
-        members = []
-        for i in range(cfg.num_members):
-            member_seed = splitmix64((self.seed + i) & MASK64)
-            sample = bootstrap_sample(dataset, cfg.sample_fraction, cfg.with_replacement, member_seed)
-            members.append(cfg.base_trainer.train_with_count(sample, base_count + i))
-        return members
+        samples = (
+            bootstrap_sample(dataset, cfg.sample_fraction, cfg.with_replacement, splitmix64((self.seed + i) & MASK64))
+            for i in range(cfg.num_members)
+        )
+        return cfg.base_trainer.train_many(samples, range(base_count, base_count + cfg.num_members))
 
     def _boost(self, dataset: Dataset, base_count: int) -> tuple[list[Model], list[float]]:
         """SAMME: reweight the rows through their weight column, weight
@@ -405,7 +406,10 @@ class EnsembleTrainer(Trainer):
 def train_ensemble(dataset: Dataset, cfg: EnsembleConfig, user_info=None) -> EnsembleModel:
     """Train an ensemble with a fresh :class:`EnsembleTrainer`.
 
-    Bagging and random-forest members are trained one after another; each
+    Bagging and random-forest members are handed to the base trainer
+    through :meth:`Trainer.train_many`, their bootstrap samples drawn as it
+    takes them: a tree trainer grows runs of them in lockstep, within a
+    memory bound, any other trains them one after another.  Each
     depends only on its member seed and invocation count, so the result is
     the same in any order.  AdaBoost is inherently sequential.
     """

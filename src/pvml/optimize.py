@@ -9,8 +9,8 @@ new (state, params), which keeps training deterministic and easy to test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -20,16 +20,13 @@ from .core import (
     CategoricalOutput,
     Columns,
     Dataset,
-    Example,
-    FeatureDomain,
     Model,
     Output,
     RealOutput,
     Trainer,
-    compile_examples,
     model_provenance,
 )
-from .errors import NonFiniteGradient, NonFiniteScore, ShapeMismatch, TaskMismatch, UnlabelledExample
+from .errors import NonFiniteGradient, NonFiniteScore, ShapeMismatch, TaskMismatch
 from .rng import Xoshiro256StarStar
 
 LOGISTIC = "logistic"
@@ -208,51 +205,6 @@ def _squared_loss(params: np.ndarray, batch: Columns) -> tuple[float, np.ndarray
     resid = _scores(params, batch.indptr[:-1], batch.feature_ids, batch.values)[:, 0] - y
     loss = float(np.sum(w * 0.5 * resid * resid) / n)
     return loss, _gradient(params, batch, (resid * w / n)[:, None])
-
-
-def _objective_columns(examples: Sequence[Example], domain: FeatureDomain, labels=None) -> Columns:
-    """The examples compiled against ``domain``, where a row none of whose
-    features ``domain`` knows gets one 0.0 entry at id 0: it still adds its
-    bias-only term, and training, whose rows all hold an entry, pays nothing."""
-    columns = compile_examples(examples, domain, labels)
-    empty = np.diff(columns.indptr) == 0
-    if not empty.any():
-        return columns
-    at = columns.indptr[:-1][empty]
-    ids, values = np.insert(columns.feature_ids, at, 0), np.insert(columns.values, at, 0.0)
-    return replace(columns, indptr=columns.indptr + np.append(0, np.cumsum(empty)), feature_ids=ids, values=values)
-
-
-def logistic_objective(
-    params: np.ndarray,
-    examples: Sequence[Example],
-    domain: FeatureDomain,
-    labels: Sequence[str],
-) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy loss and its exact gradient.
-
-    Loss is the mean over the batch of each example's weighted negative
-    log-probability of its true label, so doubling a weight doubles that
-    example's contribution.
-    """
-    if not examples:
-        raise ValueError("empty batch")
-    if not all(isinstance(ex.output, CategoricalOutput) for ex in examples):
-        raise UnlabelledExample("logistic objective needs categorical ground truth")
-    return _logistic_loss(params, _objective_columns(examples, domain, labels))
-
-
-def squared_objective(
-    params: np.ndarray,
-    examples: Sequence[Example],
-    domain: FeatureDomain,
-) -> tuple[float, np.ndarray]:
-    """Half squared error (weighted, mean over the batch) and its gradient."""
-    if not examples:
-        raise ValueError("empty batch")
-    if not all(isinstance(ex.output, RealOutput) for ex in examples):
-        raise UnlabelledExample("squared objective needs real-valued ground truth")
-    return _squared_loss(params, _objective_columns(examples, domain))
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,6 @@ def to_unsigned64(x: int) -> int:
     return x & MASK64
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
-
-
 class Xoshiro256StarStar:
     """xoshiro256** generator with splitmix64 seed expansion."""
 
@@ -61,16 +57,18 @@ class Xoshiro256StarStar:
         self._s = state
 
     def next_u64(self) -> int:
+        """The next output: one step of :meth:`u64s`, without its list."""
         s = self._s
-        result = (_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
-        t = (s[1] << 17) & MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        s0, s1, s2, s3 = s
+        r = (s1 * 5) & MASK64
+        t = (s1 << 17) & MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s[2] = s2 ^ t
+        s[1] = s1 ^ s2
+        s[0] = s0 ^ s3
+        s[3] = ((s3 << 45) | (s3 >> 19)) & MASK64
+        return (((r << 7) | (r >> 57)) & MASK64) * 9 & MASK64
 
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via the multiply-shift reduction."""
@@ -82,10 +80,30 @@ class Xoshiro256StarStar:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
+    def u64s(self, count: int) -> list[int]:
+        """The next ``count`` outputs, drawn in one loop over the four state
+        words held in locals: ``rotl(s1 * 5, 7) * 9`` of each state, then
+        the xoshiro256 step, all modulo 2**64."""
+        s0, s1, s2, s3 = self._s
+        out = []
+        append = out.append
+        for _ in range(count):
+            r = (s1 * 5) & MASK64
+            append((((r << 7) | (r >> 57)) & MASK64) * 9 & MASK64)
+            t = (s1 << 17) & MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
+        self._s[:] = (s0, s1, s2, s3)
+        return out
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, consuming len(items) - 1 draws."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        for i, u in zip(range(len(items) - 1, 0, -1), self.u64s(len(items) - 1)):
+            j = (u * (i + 1)) >> 64
             items[i], items[j] = items[j], items[i]
 
     def sample_prefix(self, n: int, k: int) -> list[int]:
@@ -97,7 +115,7 @@ class Xoshiro256StarStar:
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
         pool = list(range(n))
-        for i in range(k):
-            j = i + self.next_below(n - i)
+        for i, u in enumerate(self.u64s(k)):
+            j = i + ((u * (n - i)) >> 64)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]

@@ -33,8 +33,6 @@ from pvml.optimize import (
     Adam,
     AdaGrad,
     LinearSgdTrainer,
-    logistic_objective,
-    squared_objective,
     train_linear_sgd,
 )
 from pvml.persist import load_model, save_model
@@ -58,6 +56,7 @@ from pvml.rng import Xoshiro256StarStar
 from pvml.trees import CartTrainer, TreeConfig, _Row, best_split, train_cart
 
 from test_ensemble import assert_members_trained_alone, ensemble_bytes
+from test_optimize import logistic_loss, squared_loss
 from test_provenance import _model_fixture
 from test_trees import _brute_force_split
 
@@ -295,14 +294,14 @@ def test_criterion_3_gradient_checks():
                 [[rng.next_float() - 0.5 for _ in range(k)] for _ in range(len(domain) + 1)]
             )
             if classification:
-                _, analytic = logistic_objective(params, examples, domain, labels)
+                _, analytic = logistic_loss(params, examples, domain, labels)
                 numeric = _finite_difference(
-                    lambda p: logistic_objective(p, examples, domain, labels)[0], params
+                    lambda p: logistic_loss(p, examples, domain, labels)[0], params
                 )
             else:
-                _, analytic = squared_objective(params, examples, domain)
+                _, analytic = squared_loss(params, examples, domain)
                 numeric = _finite_difference(
-                    lambda p: squared_objective(p, examples, domain)[0], params
+                    lambda p: squared_loss(p, examples, domain)[0], params
                 )
             scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
             assert np.all(np.abs(analytic - numeric) / scale < 1e-6)

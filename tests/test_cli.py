@@ -155,6 +155,17 @@ class TestExitCodes:
     def test_unknown_subcommand_is_1(self):
         assert main(["frobnicate"]) == 1
 
+    def test_the_one_parser_serves_command_after_command(self, workspace, capsys):
+        # the parser is built once per process: a usage error after a
+        # successful command is still one, and the next command still runs
+        assert _train(workspace) == 0
+        assert main(["train", "--data", workspace["data"]]) == 1
+        assert "required" in capsys.readouterr().err
+        assert main(["inspect", "--model", workspace["model"]]) == 0
+        assert main(["inspect"]) == 1
+        assert _train(workspace, "tree_trainer") == 0
+        assert main(["inspect", "--model", workspace["model"], "--redact"]) == 0
+
     def test_missing_data_file_is_2(self, workspace):
         rc = main(
             ["train", "--data", str(workspace["dir"] / "nope.csv"), "--schema", workspace["schema"],

@@ -35,7 +35,7 @@ from pvml.provenance import (
     strip_volatile,
 )
 from pvml.rng import MASK64, splitmix64
-from pvml.trees import CartTrainer, TreeConfig, train_cart
+from pvml.trees import RANDOM_THRESHOLD, CartTrainer, TreeConfig, train_cart
 
 
 def assert_members_trained_alone(dataset, cfg, model):
@@ -181,6 +181,18 @@ class TestTrainEnsemble:
 
         assert_members_trained_alone(ds, *run())
         assert ensemble_bytes(run()[1]) == ensemble_bytes(run()[1])
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_random_threshold_members_grown_together_equal_each_grown_alone(self, clf_csv, reg_csv, task):
+        # each member draws its candidates and thresholds in growth order
+        # from its own stream, whichever members grow beside it
+        path, schema = clf_csv if task == "classification" else reg_csv
+        ds = build_dataset(load_csv(str(path), schema))
+        base = CartTrainer(
+            TreeConfig(max_depth=4, feature_subsampling_fraction=0.5, split_kind=RANDOM_THRESHOLD, seed=6)
+        )
+        cfg = EnsembleConfig(base, num_members=5, seed=21, variant=RANDOM_FOREST)
+        assert_members_trained_alone(ds, cfg, train_ensemble(ds, cfg))
 
     def test_random_forest_requires_subsampled_trees(self):
         with pytest.raises(ValueError):

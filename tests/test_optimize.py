@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pvml.core import CategoricalOutput, RealOutput, build_dataset, make_example
+from pvml.core import CategoricalOutput, RealOutput, build_dataset, compile_examples, make_example
 from pvml.data import InMemoryDataSource
 from pvml.errors import NonFiniteGradient, ShapeMismatch, TaskMismatch
 from pvml.optimize import (
@@ -15,10 +15,10 @@ from pvml.optimize import (
     AdaGrad,
     LinearSgdTrainer,
     Sgd,
+    _logistic_loss,
+    _squared_loss,
     init_state,
-    logistic_objective,
     optimizer_step,
-    squared_objective,
     train_linear_sgd,
 )
 from pvml.persist import model_to_container
@@ -124,6 +124,16 @@ def _assert_close_to_fd(analytic, numeric, tol=1e-6):
     assert np.all(np.abs(analytic - numeric) / scale < tol)
 
 
+def logistic_loss(params, examples, domain, labels):
+    """Softmax cross-entropy of the examples compiled against ``domain``, and its gradient."""
+    return _logistic_loss(params, compile_examples(examples, domain, labels))
+
+
+def squared_loss(params, examples, domain):
+    """Half squared error of the examples compiled against ``domain``, and its gradient."""
+    return _squared_loss(params, compile_examples(examples, domain))
+
+
 class TestLogisticObjective:
     def test_uniform_softmax_loss_is_ln2(self):
         examples = [
@@ -132,7 +142,7 @@ class TestLogisticObjective:
         ]
         domain = _domain_for(examples)
         params = np.zeros((len(domain) + 1, 2))
-        loss, _ = logistic_objective(params, examples, domain, ("x", "y"))
+        loss, _ = logistic_loss(params, examples, domain, ("x", "y"))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -143,9 +153,9 @@ class TestLogisticObjective:
         params = np.array(
             [[rng.next_float() - 0.5 for _ in labels] for _ in range(len(domain) + 1)]
         )
-        _, analytic = logistic_objective(params, examples, domain, labels)
+        _, analytic = logistic_loss(params, examples, domain, labels)
         numeric = _finite_difference(
-            lambda p: logistic_objective(p, examples, domain, labels)[0], params
+            lambda p: logistic_loss(p, examples, domain, labels)[0], params
         )
         _assert_close_to_fd(analytic, numeric)
 
@@ -155,14 +165,14 @@ class TestLogisticObjective:
         params = np.array([[0.3, -0.1], [0.0, 0.2]])
         single = make_example([("a", 1.0)], CategoricalOutput("x"), 1.0)
         double = make_example([("a", 1.0)], CategoricalOutput("x"), 2.0)
-        loss1, _ = logistic_objective(params, [single], domain, ("x", "y"))
-        loss2, _ = logistic_objective(params, [double], domain, ("x", "y"))
+        loss1, _ = logistic_loss(params, [single], domain, ("x", "y"))
+        loss2, _ = logistic_loss(params, [double], domain, ("x", "y"))
         assert loss2 == pytest.approx(2 * loss1, rel=1e-12)
 
 
     def test_features_outside_the_domain_are_ignored(self):
-        # the last example of ``extra`` has no feature in the domain: it
-        # still adds its bias-only term, as a feature of value 0.0 does
+        # compiling drops the names outside the domain; the last example
+        # of ``extra`` keeps only its 0.0, so it adds its bias-only term
         known = [
             make_example([("a", 1.0), ("b", 2.0)], CategoricalOutput("x")),
             make_example([("a", -1.0)], CategoricalOutput("y"), 2.0),
@@ -172,11 +182,11 @@ class TestLogisticObjective:
         extra = [
             make_example([("a", 1.0), ("b", 2.0), ("zz", 5.0)], CategoricalOutput("x")),
             make_example([("_", 3.0), ("a", -1.0)], CategoricalOutput("y"), 2.0),
-            make_example([("zz", 4.0)], CategoricalOutput("y"), 1.5),
+            make_example([("a", 0.0), ("zz", 4.0)], CategoricalOutput("y"), 1.5),
         ]
         params = np.array([[0.3, -0.1], [0.2, 0.4], [0.0, 0.2]])
-        loss, grads = logistic_objective(params, known, domain, ("x", "y"))
-        loss_extra, grads_extra = logistic_objective(params, extra, domain, ("x", "y"))
+        loss, grads = logistic_loss(params, known, domain, ("x", "y"))
+        loss_extra, grads_extra = logistic_loss(params, extra, domain, ("x", "y"))
         assert loss_extra == loss
         assert np.array_equal(grads_extra, grads)
 
@@ -186,21 +196,22 @@ class TestSquaredObjective:
         examples = [make_example([("a", 2.0)], RealOutput(0.0))]
         domain = _domain_for(examples)
         params = np.zeros((2, 1))
-        loss, grads = squared_objective(params, examples, domain)
+        loss, grads = squared_loss(params, examples, domain)
         assert loss == 0.0
         assert np.all(grads == 0.0)
 
     def test_single_example_half_square(self):
         examples = [make_example([("f", 1.0)], RealOutput(1.0))]
         domain = _domain_for(examples)
-        loss, _ = squared_objective(np.zeros((2, 1)), examples, domain)
+        loss, _ = squared_loss(np.zeros((2, 1)), examples, domain)
         assert loss == 0.5
 
     def test_a_row_outside_the_domain_adds_its_bias_term(self):
+        # "zz" is dropped and "a" is 0.0, so only the bias scores the row
         domain = _domain_for([make_example([("a", 1.0)], RealOutput(0.0))])
         params = np.array([[0.5], [2.0]])
-        outside = make_example([("zz", 3.0)], RealOutput(1.0), 2.0)
-        loss, grads = squared_objective(params, [outside], domain)
+        outside = make_example([("a", 0.0), ("zz", 3.0)], RealOutput(1.0), 2.0)
+        loss, grads = squared_loss(params, [outside], domain)
         assert loss == 0.5 * 2.0 * (2.0 - 1.0) ** 2
         assert grads.tolist() == [[0.0], [2.0]]
 
@@ -209,9 +220,9 @@ class TestSquaredObjective:
         examples = _batch(rng, 8, ("f1", "f2"))
         domain = _domain_for(examples)
         params = np.array([[rng.next_float() - 0.5] for _ in range(len(domain) + 1)])
-        _, analytic = squared_objective(params, examples, domain)
+        _, analytic = squared_loss(params, examples, domain)
         numeric = _finite_difference(
-            lambda p: squared_objective(p, examples, domain)[0], params
+            lambda p: squared_loss(p, examples, domain)[0], params
         )
         _assert_close_to_fd(analytic, numeric)
 
@@ -252,7 +263,7 @@ class TestTrainLinearSgd:
             model = train_linear_sgd(
                 regression_dataset, "squared", Sgd(1e-3), epochs, len(regression_dataset), 11
             )
-            loss, _ = squared_objective(
+            loss, _ = squared_loss(
                 model.weights, regression_dataset.examples, regression_dataset.feature_domain
             )
             losses.append(loss)
@@ -339,7 +350,7 @@ class TestSparseProduct:
         np.testing.assert_allclose(scores, probs, rtol=1e-12, atol=1e-15)
         n, targets, weights = len(examples), dataset.columns.targets, dataset.columns.weights
         probs[np.arange(n), targets] -= 1.0
-        _, grads = logistic_objective(model.weights, examples, domain, labels)
+        _, grads = logistic_loss(model.weights, examples, domain, labels)
         np.testing.assert_allclose(grads, x.T @ (probs * (weights / n)[:, None]), rtol=1e-9, atol=1e-15)
 
 

@@ -1,7 +1,6 @@
 """CART: impurity, split search against brute force, growth invariants."""
 
 import builtins
-import copy
 import hashlib
 import json
 import math
@@ -25,7 +24,9 @@ from pvml.trees import (
     TreeModel,
     TreeConfig,
     _Row,
+    _node_of_rows,
     best_split,
+    best_splits,
     gini_impurity,
     train_cart,
     weighted_variance,
@@ -62,6 +63,28 @@ class TestImpurity:
             gini_impurity({})
         with pytest.raises(EmptyNode):
             weighted_variance([], [])
+
+    @pytest.mark.parametrize("task", [CATEGORICAL, REAL])
+    def test_a_node_s_impurity_is_the_formula_s_to_the_bit(self, task):
+        # the search adds each node's rows as tables; it must round as these formulas do
+        rng = Xoshiro256StarStar(8)
+        for _ in range(200):
+            rows = [
+                _Row(
+                    {0: 1.0},
+                    "abc"[rng.next_below(3)] if task == CATEGORICAL else 1e3 * rng.next_float() - 500.0,
+                    0.1 + 3.0 * rng.next_float(),
+                )
+                for _ in range(1 + rng.next_below(30))
+            ]
+            if task == CATEGORICAL:
+                per_label = {}
+                for r in rows:
+                    per_label[r.target] = per_label.get(r.target, 0.0) + r.weight
+                expected = gini_impurity(per_label)
+            else:
+                expected = weighted_variance([r.target for r in rows], [r.weight for r in rows])
+            assert _node_of_rows(rows, [0], task).impurity.hex() == expected.hex()
 
 
 def _rows(points):
@@ -181,6 +204,14 @@ class TestBestSplit:
             else:
                 assert (actual.feature_id, actual.threshold) == expected[:2]
                 assert abs(actual.impurity_decrease - expected[2]) <= 1e-12
+
+    @pytest.mark.parametrize("split_kind", [EXHAUSTIVE, RANDOM_THRESHOLD])
+    @pytest.mark.parametrize("task", [CATEGORICAL, REAL])
+    def test_no_rows_is_an_empty_node(self, task, split_kind):
+        cfg = TreeConfig(max_depth=3, split_kind=split_kind)
+        for candidates in ([0], []):
+            with pytest.raises(EmptyNode):
+                best_split([], candidates, cfg, task, Xoshiro256StarStar(1))
 
     def test_random_threshold_draws_in_range(self):
         rows = _rows([({0: float(i)}, "a" if i < 5 else "b", 1.0) for i in range(10)])
@@ -463,26 +494,36 @@ def _split_bits(split):
     return split.feature_id, split.threshold.hex(), split.impurity_decrease.hex()
 
 
+class _Replay:
+    """A random stream that yields recorded threshold draws, in order."""
+
+    def __init__(self, draws):
+        self.draws = [] if draws is None else draws.tolist()
+
+    def next_float(self):
+        return self.draws.pop(0)
+
+
+def _searched(monkeypatch):
+    """Record every ``(node, candidates, draws)`` tree growth searches, with its split."""
+    search, seen = pvml.trees.best_splits, []
+
+    def keep(searches, cfg):
+        splits = search(searches, cfg)
+        seen.extend((*s, cfg, split) for s, split in zip(searches, splits))
+        return splits
+
+    monkeypatch.setattr(pvml.trees, "best_splits", keep)
+    return seen
+
+
 class TestNodeView:
     """Tree growth passes node views; a list of the same rows must search alike."""
 
     @pytest.mark.parametrize("split_kind", [EXHAUSTIVE, RANDOM_THRESHOLD])
     @pytest.mark.parametrize("task", [CATEGORICAL, REAL])
     def test_view_and_row_list_give_the_same_split(self, monkeypatch, task, split_kind):
-        search = pvml.trees.best_split
-        splits = []
-
-        def both(node, candidates, cfg, node_task, rng=None):
-            rows = list(node)
-            assert len(rows) == len(node)
-            replay = copy.deepcopy(rng)
-            split = search(node, candidates, cfg, node_task, rng)
-            assert _split_bits(search(rows, candidates, cfg, node_task, replay)) == _split_bits(split)
-            assert replay._s == rng._s
-            splits.append(split)
-            return split
-
-        monkeypatch.setattr(pvml.trees, "best_split", both)
+        seen = _searched(monkeypatch)
         base = CartTrainer(
             TreeConfig(
                 max_depth=5,
@@ -494,6 +535,15 @@ class TestNodeView:
         )
         cfg = EnsembleConfig(base_trainer=base, num_members=2, seed=20, variant=RANDOM_FOREST)
         train_ensemble(_golden_dataset(task, 16), cfg)
+        monkeypatch.undo()
+        splits = []
+        for node, candidates, draws, node_cfg, split in seen:
+            rows = list(node)
+            assert len(rows) == len(node)
+            replay = _Replay(draws)
+            assert _split_bits(best_split(rows, candidates, node_cfg, task, replay)) == _split_bits(split)
+            assert replay.draws == []  # the row list drew what growth drew for the node
+            splits.append(split)
         assert len(splits) > 10 and any(s is not None for s in splits)
 
     def test_root_view_yields_the_dataset_rows(self, monkeypatch):
@@ -503,34 +553,126 @@ class TestNodeView:
             _Row({domain.ids[f.name]: f.value for f in ex.features}, ex.output.label, ex.weight)
             for ex in dataset.examples
         ]
-        seen = []
-        search = pvml.trees.best_split
-
-        def keep(node, *args):
-            seen.append(list(node))
-            return search(node, *args)
-
-        monkeypatch.setattr(pvml.trees, "best_split", keep)
+        seen = _searched(monkeypatch)
         train_cart(dataset, TreeConfig(max_depth=2))
-        assert seen[0] == expected
+        assert list(seen[0][0]) == expected
 
     @pytest.mark.parametrize("split_kind", [EXHAUSTIVE, RANDOM_THRESHOLD])
     def test_a_node_searches_alike_after_growth(self, monkeypatch, split_kind):
-        search = pvml.trees.best_split
-        calls = []
-
-        def keep(node, candidates, cfg, task, rng=None):
-            replay = copy.deepcopy(rng)
-            split = search(node, candidates, cfg, task, rng)
-            calls.append((node, candidates, cfg, task, replay, split))
-            return split
-
-        monkeypatch.setattr(pvml.trees, "best_split", keep)
+        calls = _searched(monkeypatch)
         cfg = TreeConfig(max_depth=4, min_examples_per_leaf=2, split_kind=split_kind, seed=3)
         train_cart(_golden_dataset(CATEGORICAL, 11), cfg)
+        monkeypatch.undo()
         assert len(calls) > 10
-        for node, candidates, node_cfg, task, rng, split in calls:
-            assert _split_bits(search(node, candidates, node_cfg, task, rng)) == _split_bits(split)
+        for node, candidates, draws, node_cfg, split in calls:
+            assert _split_bits(best_splits([(node, candidates, draws)], node_cfg)[0]) == _split_bits(split)
+
+
+def _bagged_gini():
+    base = CartTrainer(TreeConfig(max_depth=4, seed=15))
+    return EnsembleConfig(base_trainer=base, num_members=3, seed=16, variant=BAGGING)
+
+
+def _forest(split_kind, fraction=0.5):
+    base = CartTrainer(
+        TreeConfig(max_depth=5, min_examples_per_leaf=2, feature_subsampling_fraction=fraction, split_kind=split_kind, seed=5)
+    )
+    return EnsembleConfig(base_trainer=base, num_members=4, seed=7, variant=RANDOM_FOREST)
+
+
+GROWTHS = {
+    "single-cart": (CATEGORICAL, lambda dataset: train_cart(dataset, TreeConfig(max_depth=5, seed=3))),
+    "bagged-gini": (CATEGORICAL, lambda dataset: train_ensemble(dataset, _bagged_gini())),
+    "forest-exhaustive": (REAL, lambda dataset: train_ensemble(dataset, _forest(EXHAUSTIVE))),
+    "forest-random-threshold": (REAL, lambda dataset: train_ensemble(dataset, _forest(RANDOM_THRESHOLD))),
+    # one candidate a node against three labels, so the label tables bound a pass
+    "forest-gini-one-candidate": (CATEGORICAL, lambda dataset: train_ensemble(dataset, _forest(EXHAUSTIVE, 0.1))),
+}
+
+
+class TestBatchedSearch:
+    """Trees grown together offer their next nodes to one search; each
+    node's split must be the one the search gives that node alone."""
+
+    @pytest.mark.parametrize("growth", sorted(GROWTHS))
+    def test_each_node_splits_as_alone(self, monkeypatch, growth):
+        task, train = GROWTHS[growth]
+        seen = _searched(monkeypatch)
+        train(_golden_dataset(task, 18))
+        monkeypatch.undo()
+        assert len(seen) > 10 and any(split is not None for *_, split in seen)
+        for node, candidates, draws, cfg, split in seen:
+            alone = best_split(node, candidates, cfg, task, _Replay(draws))
+            assert _split_bits(alone) == _split_bits(split)
+
+    @pytest.mark.parametrize("growth", sorted(GROWTHS))
+    def test_no_table_outgrows_the_largest_tree_sample(self, monkeypatch, growth):
+        task, train = GROWTHS[growth]
+        search, sums, two_pass = pvml.trees._search_pass, pvml.trees._running_sums, pvml.trees._two_pass
+        passes, tables = [], []
+
+        def keep(searches, cfg):
+            sample = searches[0][0].sample
+            labels = 1 if sample.labels is None else len(sample.labels)
+            width = max(len(node) for node, _, _ in searches)
+            block = max(sum(len(c) for _, c, _ in searches), labels * len(searches)) * width
+            passes.append((len(searches), block, sample.cells))
+            return search(searches, cfg)
+
+        monkeypatch.setattr(pvml.trees, "_search_pass", keep)
+        monkeypatch.setattr(pvml.trees, "_running_sums", lambda q, cells, *a: tables.append(cells.size) or sums(q, cells, *a))
+        monkeypatch.setattr(pvml.trees, "_two_pass", lambda w, y, keep: tables.append(y.size) or two_pass(w, y, keep))
+        dataset = _golden_dataset(task, 18)
+        train(dataset)
+        # the largest x of one tree: a bootstrap sample's domain is the part of the dataset's it draws
+        assert all(cells <= bound <= len(dataset) * len(dataset.feature_domain) for _, cells, bound in passes)
+        # every swept column and every impurity table, a classification one holding a row per label
+        assert tables and max(tables) <= min(bound for _, _, bound in passes)
+        if growth != "single-cart":
+            assert max(nodes for nodes, _, _ in passes) > 1  # some pass searches several trees' nodes
+
+    def test_rescoring_many_tied_thresholds_stays_within_the_bound(self, monkeypatch):
+        # six copies of one column tie at every threshold, so the best is rescored once per copy
+        rows = [_Row({f: float(i % 7) for f in range(6)}, "abc"[i % 3], 1.0) for i in range(60)]
+        node = _node_of_rows(rows, range(6), CATEGORICAL)
+        two_pass, tables = pvml.trees._two_pass, []
+        monkeypatch.setattr(pvml.trees, "_two_pass", lambda w, y, keep: tables.append(y.size) or two_pass(w, y, keep))
+        split = best_split(node, range(6), TreeConfig(max_depth=3), CATEGORICAL)
+        assert split.feature_id == 0 and len(tables) > 2  # each copy rescored, the first kept
+        assert max(tables) <= node.sample.cells == 6 * 60
+
+    def test_a_forest_grows_in_groups_within_the_lockstep_bound(self, monkeypatch):
+        dataset = _golden_dataset(REAL, 18)
+
+        def forest():  # a fresh base trainer, so both trainings count invocations alike
+            base = CartTrainer(TreeConfig(max_depth=4, feature_subsampling_fraction=0.5, seed=5))
+            return EnsembleConfig(base_trainer=base, num_members=12, seed=7, variant=RANDOM_FOREST)
+
+        expected = _parameter_sha256(train_ensemble(dataset, forest()))
+        one_tree = len(dataset) * len(dataset.feature_domain)  # any one member's x, but for its padding row
+        monkeypatch.setattr(pvml.trees, "LOCKSTEP_CELLS", 3 * one_tree)
+        draw, stack, events = pvml.ensemble.bootstrap_sample, pvml.trees._Sample, []
+        monkeypatch.setattr(pvml.ensemble, "bootstrap_sample", lambda *a, **k: events.append(None) or draw(*a, **k))
+
+        def stacked(trees, labels):
+            sample = stack(trees, labels)
+            events.append((len(trees), sample.x.size))
+            return sample
+
+        monkeypatch.setattr(pvml.trees, "_Sample", stacked)
+        assert _parameter_sha256(train_ensemble(dataset, forest())) == expected
+        groups = [event for event in events if event is not None]
+        assert sum(n for n, _ in groups) == 12 and len(groups) >= 3 and max(n for n, _ in groups) > 1
+        assert all(n == 1 or cells <= 3 * one_tree for n, cells in groups)
+        # a group is grown before more than the one sample that did not join it is drawn
+        drawn = grown = 0
+        for event in events:
+            if event is None:
+                drawn += 1
+            else:
+                grown += event[0]
+                assert drawn <= grown + 1
+        assert drawn == grown
 
 
 # Recorded with the search that rescanned every row for every threshold.  The
