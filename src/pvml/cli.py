@@ -15,6 +15,8 @@ import json
 import sys
 from functools import cache
 
+import numpy as np
+
 from .core import CATEGORICAL, build_dataset
 from .data import (
     ColumnarSchema,
@@ -87,24 +89,32 @@ def _cmd_predict(args) -> int:
     schema = _load_schema(args.schema)
     model = load_model(args.model, expected_task=schema.response_type)
     source = load_csv(args.data, schema)
-    labels = model.output_domain.labels() if model.task == CATEGORICAL else ()
-    buffer = io.StringIO()  # written only once every row has been scored
-    writer = csv.writer(buffer)
-    writer.writerow(["row", "prediction", *labels])
-    predictions = (
-        prediction
-        for columns, totals, _ in source.compiled(model)
-        for prediction in model.predict_compiled(columns, totals)
-    )
-    for i, pred in enumerate(predictions):
-        if model.task == CATEGORICAL:
-            scores = [repr(pred.scores.get(label, 0.0)) for label in labels]
-            writer.writerow([i, pred.output.label, *scores])
-        else:
-            writer.writerow([i, repr(pred.output.value)])
-    write_atomically(args.out, buffer.getvalue())
+    write_atomically(args.out, _predictions_csv(model, source))
     print(f"wrote {len(source)} predictions to {args.out}")
     return 0
+
+
+def _predictions_csv(model, source) -> str:
+    """The predictions CSV of ``source``'s rows: each row's index, output and,
+    for classification, score of each label, written from the rows' score
+    tables once every row has been scored."""
+    labels = model.output_domain.labels() if model.task == CATEGORICAL else ()
+    tables = [model.score_compiled(columns) for columns, _, _ in source.compiled(model)]
+    scores = np.concatenate([t.scores for t in tables]) if tables else np.empty((0, len(labels)) if labels else 0)
+    outputs = [[output.label for t in tables for output in t.outputs]] if labels else []
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["row", "prediction", *labels])
+    writer.writerows(zip(range(len(scores)), *outputs, *map(_reprs, scores.T if labels else [scores])))
+    return buffer.getvalue()
+
+
+def _reprs(column: np.ndarray) -> list[str]:
+    """``repr`` of each float of ``column``, made once per distinct bit pattern,
+    as a tree's rows repeat their leaf's scores."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def _cmd_evaluate(args) -> int:

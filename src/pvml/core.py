@@ -18,7 +18,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property, reduce
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -692,23 +692,28 @@ class Model(ABC):
 
     def predict_compiled(self, columns: Columns, features_total: Sequence[int]) -> list[Prediction]:
         """Score rows already compiled against the model's domain, as
-        :meth:`predict_batch` scores the examples they were compiled from.
-
-        ``features_total`` holds each row's feature count before names
-        outside the domain were dropped.  :class:`NoFeatureOverlap` is as in
-        :meth:`predict_batch`.
+        :meth:`predict_batch` scores the examples they were compiled from,
+        through :meth:`score_compiled`.  ``features_total`` holds each row's
+        feature count before names outside the domain were dropped.
         """
-        used = np.diff(columns.indptr)
-        if not used.all():
-            raise NoFeatureOverlap("an example shares no features with the model's training domain")
-        scored = self._score_compiled(columns)
-        if None in scored:
-            raise NoFeatureOverlap("no part of the model overlaps an example's features")
-        warnings = self._range_warnings(columns)
+        scored, warnings = self.score_compiled(columns), self._range_warnings(columns)
+        maps = scored.score_maps(self.output_domain.labels() if self.task == CATEGORICAL else ())
+        used = np.diff(columns.indptr).tolist()
         return [
             Prediction(output, scores, n_used, n_total, warnings.get(i, ()))
-            for i, ((output, scores), n_used, n_total) in enumerate(zip(scored, used.tolist(), features_total))
+            for i, (output, scores, n_used, n_total) in enumerate(zip(scored.outputs, maps, used, features_total))
         ]
+
+    def score_compiled(self, columns: Columns) -> ScoreTable:
+        """The :class:`ScoreTable` of rows compiled against the model's domain.
+        A row that shares no feature with the model, or that the model
+        rejects, raises :class:`NoFeatureOverlap` for the whole batch."""
+        if not np.diff(columns.indptr).all():
+            raise NoFeatureOverlap("an example shares no features with the model's training domain")
+        scored = self._score_compiled(columns)
+        if None in scored.outputs:
+            raise NoFeatureOverlap("no part of the model overlaps an example's features")
+        return scored
 
     def _range_warnings(self, columns: Columns) -> dict[int, tuple[str, ...]]:
         """``out-of-range:<name>`` warnings of each compiled row that has any, in name order."""
@@ -720,27 +725,57 @@ class Model(ABC):
             warnings.setdefault(row, []).append(f"out-of-range:{domain.names()[fid]}")
         return {row: tuple(found) for row, found in warnings.items()}
 
-    def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]] | None]:
-        """Score each row compiled against the model's domain; None rejects a row as no overlap.
+    def _score_compiled(self, columns: Columns) -> ScoreTable:
+        """Score each row compiled against the model's domain; an output of None rejects a row as no overlap.
 
         This default passes each row's ``{id: value}`` to
         :meth:`_predict_intersected`.  Subclasses may override it with array
         kernels.
         """
         ids, values, bounds = columns.feature_ids.tolist(), columns.values.tolist(), columns.indptr.tolist()
-        out: list[tuple[Output, dict[str, float]] | None] = []
+        results: list[tuple[Output | None, dict[str, float]]] = []
         for start, end in zip(bounds, bounds[1:]):
             try:
-                out.append(self._predict_intersected(dict(zip(ids[start:end], values[start:end]))))
+                results.append(self._predict_intersected(dict(zip(ids[start:end], values[start:end]))))
             except NoFeatureOverlap:
-                out.append(None)
-        return out
+                results.append((None, {}))
+        return self._table(results)
+
+    def _table(self, results: Sequence[tuple[Output | None, dict[str, float]]]) -> ScoreTable:
+        """The table of rows scored one by one, as ``(output, scores)``, which
+        keeps their maps: a label a map lacks reads 0.0, a rejected row's value NaN."""
+        outputs, maps = [output for output, _ in results], [scores for _, scores in results]
+        if self.task == CATEGORICAL:
+            labels = self.output_domain.labels()
+            scores = np.array([[row.get(label, 0.0) for label in labels] for row in maps], dtype=np.float64)
+            return ScoreTable(outputs, scores.reshape(len(maps), len(labels)), maps)
+        return ScoreTable(outputs, np.array([math.nan if o is None else o.value for o in outputs], dtype=np.float64), maps)
 
     @abstractmethod
     def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
         """Score one example's intersected sparse vector, ``{feature id: value}``
         over ids the model's domain knows; absent ids mean 0.0.  Raising
         :class:`NoFeatureOverlap` rejects the example."""
+
+
+class ScoreTable(NamedTuple):
+    """Rows scored as one table: each row's output, None where the model
+    rejects the row, and its ``scores``, one column per label in label order
+    (a label a row's map lacks reads 0.0), or for regression its value.
+    ``maps`` keeps each row's score map where a kernel's maps are not the
+    rows of ``scores`` in label order: :func:`~pvml.ensemble.combine` orders
+    its keys by the members that score a row, and a kernel from outside the
+    library returns maps of its own."""
+
+    outputs: list[Output | None]
+    scores: np.ndarray
+    maps: list[dict[str, float]] | None = None
+
+    def score_maps(self, labels: Sequence[str]) -> list[dict[str, float]]:
+        """:attr:`maps`, or each row of :attr:`scores` as a map in ``labels`` order; a regression's are empty."""
+        if self.maps is not None:
+            return self.maps
+        return [dict(zip(labels, row)) for row in self.scores.tolist()] if labels else [{} for _ in self.outputs]
 
 
 BATCH_ROWS = 256

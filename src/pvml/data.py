@@ -16,7 +16,7 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -233,7 +233,7 @@ class BlockFeaturizer:
             if processor.kind == NUMERIC:  # a numeric cell's name is its column
                 rows = np.fromiter(compress(range(n), cells), np.intp)
                 codes = np.full(len(rows), self._codes[processor.column] if len(rows) else -1, np.intp)
-                values = np.fromiter(map(_parse_numeric, repeat(processor.column), filter(None, cells)), np.float64)
+                values = _numeric_cells(processor.column, cells)
             elif processor.kind == CATEGORICAL_FIELD:  # the empty cell's code is -1
                 codes = np.fromiter(map(table.__getitem__, cells), np.intp, n)
                 rows = np.flatnonzero(codes >= 0)
@@ -295,6 +295,18 @@ def featurize_row(schema: ColumnarSchema, row: Mapping[str, str]) -> Example:
     responses = [row[schema.response_column]] if schema.response_column in row else None
     block = BlockFeaturizer(schema).block([[row.get(column, "")] for column in schema.columns()], responses, 1)
     return checked_example(block.vocabulary, block.values.tolist(), block.outputs[0])
+
+
+def _numeric_cells(column: str, cells: Sequence[str]) -> np.ndarray:
+    """The non-empty ``cells`` parsed in one pass; on a bad cell, :func:`_parse_numeric`
+    runs over them, accepting the cells ``float`` accepts, so that the first bad cell raises."""
+    try:
+        values = np.fromiter(map(float, filter(None, cells)), np.float64)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.fromiter(map(_parse_numeric, repeat(column), filter(None, cells)), np.float64)
 
 
 def _parse_numeric(column: str, cell: str) -> float:
@@ -413,8 +425,13 @@ class CsvDataSource:
         return header, rows
 
     def __iter__(self) -> Iterator[Example]:
-        for row in self._rows:
-            yield featurize_row(self.schema, dict(zip(self._header, row)))
+        """The rows as examples, built from the columns of :meth:`blocks`: a
+        bad row raises its error once the blocks before its own are yielded."""
+        for block in self.blocks():
+            names, values = [block.vocabulary[i] for i in block.ids.tolist()], block.values.tolist()
+            bounds = [0, *accumulate(block.totals)]
+            for a, b, output in zip(bounds, bounds[1:], block.outputs):
+                yield checked_example(names[a:b], values[a:b], output)
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -28,6 +29,7 @@ from .core import (
     Output,
     Prediction,
     RealOutput,
+    ScoreTable,
     Trainer,
     _fold,
     argmax_label,
@@ -41,8 +43,8 @@ from .provenance import (
     PFlt,
     PHash,
     PInt,
-    PList,
-    canonical_encode,
+    _TAG_INT,
+    _TAG_LIST,
     object_provenance,
     sha256_hex,
 )
@@ -108,7 +110,8 @@ def bootstrap_sample(
     else:
         indices = rng.sample_prefix(n_total, n_draw)
 
-    indices_hash = sha256_hex(canonical_encode(PList(tuple(PInt(i) for i in indices))))
+    rows = np.array(indices, dtype=np.intp)
+    indices_hash = sha256_hex(_index_list_encoding(rows))
     source = object_provenance(
         BOOTSTRAP_SOURCE_CLASS,
         config={
@@ -121,11 +124,18 @@ def bootstrap_sample(
             "base": dataset.provenance,
         },
     )
-    sample = dataset.columns.take(np.array(indices, dtype=np.intp))
+    sample = dataset.columns.take(rows)
     present, local = np.unique(sample.feature_ids, return_inverse=True)
     labels = dataset.output_domain.labels() if dataset.task == CATEGORICAL else None
     columns = replace(sample, feature_ids=local.astype(np.int32))
     return dataset_from_columns(dataset.feature_domain.subset(present), columns, labels, source)
+
+
+def _index_list_encoding(indices: np.ndarray) -> bytes:
+    """``canonical_encode(PList(tuple(PInt(i) for i in indices)))``, with no PInt built."""
+    cells = np.empty(len(indices), dtype=[("tag", "u1"), ("value", ">i8")])  # packed, as an encoded PInt
+    cells["tag"], cells["value"] = _TAG_INT[0], indices
+    return _TAG_LIST + struct.pack(">I", len(indices)) + cells.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +188,8 @@ class _Forest:
             self.nodes += [LEAF if a < 0 else (ids[f], t, base + a, base + b) for f, t, a, b in member.nodes]
             self.outputs.update((base + i, out) for i, out in member.leaf_outputs.items())
         self.arrays = tuple(map(np.array, zip(*self.nodes)))
-        self.values = None
-        if all(member.task == REAL for member in members):
-            self.values = [self.outputs[i][0].value if i in self.outputs else 0.0 for i in range(len(self.nodes))]
+        regression = all(member.task == REAL for member in members)
+        self.values = np.concatenate([member.leaf_table.scores for member in members]).tolist() if regression else None
 
 
 class EnsembleModel(Model):
@@ -243,7 +252,7 @@ class EnsembleModel(Model):
             views.append(ids)
         return views
 
-    def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]] | None]:
+    def _score_compiled(self, columns: Columns) -> ScoreTable:
         """When every member regresses, the weighted values add up as arrays in member order, as
         :func:`combine` adds them, so the means are equal bit for bit; otherwise through :func:`combine`."""
         n = len(columns.indptr) - 1
@@ -257,19 +266,19 @@ class EnsembleModel(Model):
                 used[at] = True
                 continue
             for r, result in zip(at.tolist(), results):
-                if result is not None:
-                    per_row[r].append((result, weight))
+                per_row[r].append((result, weight))
         if regression:
             with np.errstate(all="ignore"):
-                means = (acc / total).tolist()
-            return [(RealOutput(v), {}) if u else None for v, u in zip(means, used.tolist())]
-        return [_merged(*zip(*row)) if row else None for row in per_row]
+                means = acc / total
+            return ScoreTable([RealOutput(v) if u else None for v, u in zip(means.tolist(), used.tolist())], means)
+        return self._table([_merged(*zip(*row)) if row else (None, {}) for row in per_row])
 
     def _member_results(self, columns: Columns, regression: bool):
         """Per member, in order: its weight, the rows it scores and its
-        results there, an array of values when every member regresses.  The
-        forest table descends all (member, row) pairs at once, on these
-        columns; any other ensemble hands each member a view in its ids."""
+        results there, an array of values when every member regresses, else
+        ``(output, scores)`` pairs.  The forest table descends all (member,
+        row) pairs at once, on these columns; any other ensemble hands each
+        member a view in its ids."""
         n = len(columns.indptr) - 1
         rows = np.repeat(np.arange(n), np.diff(columns.indptr))
         forest = self._forest
@@ -291,11 +300,13 @@ class EnsembleModel(Model):
             indptr = np.zeros(len(overlap) + 1, dtype=np.int64)
             np.cumsum(counts[overlap], out=indptr[1:])
             view = Columns(indptr, member_ids[keep], columns.values[keep], columns.targets, columns.weights[overlap])
-            results = member._score_compiled(view)
-            if regression:  # a row a nested ensemble rejects is no row of the member's
-                ok = [i for i, result in enumerate(results) if result is not None]
-                overlap, results = overlap.take(ok), np.array([results[i][0].value for i in ok])
-            yield weight, overlap, results
+            scored = member._score_compiled(view)
+            ok = [i for i, output in enumerate(scored.outputs) if output is not None]  # a nested ensemble may reject a row
+            if regression:
+                yield weight, overlap.take(ok), scored.scores.take(ok)
+            else:
+                maps = scored.score_maps(member.output_domain.labels())
+                yield weight, overlap.take(ok), [(scored.outputs[i], maps[i]) for i in ok]
 
 
 def _merged(results: list[tuple[Output, dict[str, float]]], weights: list[float]) -> tuple[Output, dict[str, float]]:
@@ -372,7 +383,6 @@ class EnsembleTrainer(Trainer):
         k = len(labels)
         log_k1 = math.log(k - 1) if k > 1 else 0.0
         truths = [labels[t] for t in columns.targets.tolist()]
-        totals = np.diff(columns.indptr).tolist()
         weights = [1.0 / n] * n
         members: list[Model] = []
         alphas: list[float] = []
@@ -380,8 +390,8 @@ class EnsembleTrainer(Trainer):
         for i in range(cfg.num_members):
             weighted = replace(dataset, columns=replace(columns, weights=np.array(weights)))
             member = cfg.base_trainer.train_with_count(weighted, base_count + i)
-            predictions = member.predict_compiled(columns, totals)
-            missed = [p.output.label != truth for p, truth in zip(predictions, truths)]
+            outputs = member.score_compiled(columns).outputs
+            missed = [output.label != truth for output, truth in zip(outputs, truths)]
             err = _fold(w for w, m in zip(weights, missed) if m)
 
             if err >= 1 - 1 / k:

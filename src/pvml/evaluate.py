@@ -18,7 +18,6 @@ from .core import (
     Dataset,
     Model,
     Output,
-    Prediction,
     _fold,
     build_dataset,
     data_provenance,
@@ -108,8 +107,8 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def _scored(model: Model, data: Dataset | CsvDataSource, task: str) -> tuple[list[Output], list[Prediction], PObj]:
-    """The truths, the predictions and the test-data provenance of ``data``,
+def _scored(model: Model, data: Dataset | CsvDataSource, task: str) -> tuple[list[Output], list[Output], PObj]:
+    """The truths, the model's outputs and the test-data provenance of ``data``,
     scored as columns in the model's space: a dataset's through
     :func:`~pvml.data.in_model_space`, a CSV source's chunk by chunk, with the
     provenance and the first error of that route for ``build_dataset(data)``.
@@ -121,8 +120,8 @@ def _scored(model: Model, data: Dataset | CsvDataSource, task: str) -> tuple[lis
     if (data.task if isinstance(data, Dataset) else data.schema.response_type) != task:
         raise TaskMismatch(f"dataset does not carry {name} ground truth")
     if isinstance(data, Dataset):
-        columns, totals, provenance = in_model_space(model, data)
-        return data.outputs(), model.predict_compiled(columns, totals), provenance
+        columns, _, provenance = in_model_space(model, data)
+        return data.outputs(), model.score_compiled(columns).outputs, provenance
 
     names: set[str] = set()
     try:
@@ -137,16 +136,16 @@ def _scored(model: Model, data: Dataset | CsvDataSource, task: str) -> tuple[lis
         raise UnlabelledExample("datasets require ground truth on every example")
     if task == REAL:
         real_domain(output.value for output in truths)
-    preds = [p for columns, totals, _ in chunks for p in model.predict_compiled(columns, totals)]
-    return truths, preds, data_provenance(len(truths), len(names), pipeline_provenance(model), data.provenance)
+    scored = [output for columns, _, _ in chunks for output in model.score_compiled(columns).outputs]
+    return truths, scored, data_provenance(len(truths), len(names), pipeline_provenance(model), data.provenance)
 
 
 def evaluate_classification(model: Model, data: Dataset | CsvDataSource) -> ClassificationEvaluation:
     """Score ``data``, a dataset or a labelled CSV source, in batches, in the
     model's space: raw data goes through the model's recorded pipeline."""
-    outputs, predictions, test_data = _scored(model, data, CATEGORICAL)
+    outputs, scored, test_data = _scored(model, data, CATEGORICAL)
     truths = [output.label for output in outputs]
-    preds = [p.output.label for p in predictions]
+    preds = [output.label for output in scored]
 
     labels = sorted(set(model.output_domain.labels()) | set(truths))
     confusion: dict[str, dict[str, int]] = {t: {} for t in labels}
@@ -187,9 +186,9 @@ def evaluate_classification(model: Model, data: Dataset | CsvDataSource) -> Clas
 def evaluate_regression(model: Model, data: Dataset | CsvDataSource) -> RegressionEvaluation:
     """Score ``data``, a dataset or a labelled CSV source, in batches, in the
     model's space: raw data goes through the model's recorded pipeline."""
-    outputs, predictions, test_data = _scored(model, data, REAL)
+    outputs, scored, test_data = _scored(model, data, REAL)
     targets = [output.value for output in outputs]
-    residuals = [p.output.value - y for p, y in zip(predictions, targets)]
+    residuals = [output.value - y for output, y in zip(scored, targets)]
 
     n = len(residuals)
     ss_res = _fold(r * r for r in residuals)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -23,6 +24,7 @@ from .core import (
     Model,
     Output,
     RealOutput,
+    ScoreTable,
     Trainer,
     model_provenance,
 )
@@ -229,14 +231,15 @@ class LinearSgdModel(Model):
     def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
         ids = np.fromiter(sparse, dtype=np.intp, count=len(sparse))
         values = np.fromiter(sparse.values(), dtype=np.float64, count=len(sparse))
-        return self._outputs_of(_scores(self.weights, _ONE_ROW, ids, values))[0]
+        outputs, scores = self._scored(_scores(self.weights, _ONE_ROW, ids, values))
+        return outputs[0], ({} if self.task == REAL else dict(zip(self.output_domain.labels(), scores[0].tolist())))
 
-    def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]]]:
+    def _score_compiled(self, columns: Columns) -> ScoreTable:
         """Every row through :func:`_scores` at once, as :meth:`_predict_intersected` scores one."""
-        return self._outputs_of(_scores(self.weights, columns.indptr[:-1], columns.feature_ids, columns.values))
+        return ScoreTable(*self._scored(_scores(self.weights, columns.indptr[:-1], columns.feature_ids, columns.values)))
 
-    def _outputs_of(self, z: np.ndarray) -> list[tuple[Output, dict[str, float]]]:
-        """The predictions for the linear scores ``z``, one row per example.
+    def _scored(self, z: np.ndarray) -> tuple[list[Output], np.ndarray]:
+        """The outputs and the score table of the linear scores ``z``, one row per example.
 
         The softmax works row by row, so a row's scores are the same bits
         alone or stacked; the first maximum goes to the smallest label, as
@@ -246,13 +249,14 @@ class LinearSgdModel(Model):
         if not all(map(math.isfinite, values)):  # in Python: cheaper than numpy for one row
             raise NonFiniteScore("the linear score of an example overflowed to a non-finite value")
         if self.task == REAL:  # one column, so the values are the rows' outputs
-            return [(RealOutput(value), {}) for value in values]
-        labels = self.output_domain.labels()
+            return list(map(RealOutput, values)), z[:, 0]
         probs = _softmax(z)
-        return [
-            (CategoricalOutput(labels[best]), dict(zip(labels, row)))
-            for best, row in zip(probs.argmax(axis=1).tolist(), probs.tolist())
-        ]
+        return list(map(self._label_outputs.__getitem__, probs.argmax(axis=1).tolist())), probs
+
+    @cached_property
+    def _label_outputs(self) -> tuple[CategoricalOutput, ...]:
+        """The output of each label, by label index, built once."""
+        return tuple(map(CategoricalOutput, self.output_domain.labels()))
 
 
 class LinearSgdTrainer(Trainer):

@@ -26,6 +26,7 @@ from .core import (
     Model,
     Output,
     RealOutput,
+    ScoreTable,
     Trainer,
     _fold,
     argmax_label,
@@ -602,9 +603,20 @@ class TreeModel(Model):
         n = len(columns.indptr) - 1
         return descend(self.node_arrays, columns, len(self.feature_domain), np.zeros(n, dtype=np.intp), np.arange(n))
 
-    def _score_compiled(self, columns: Columns) -> list[tuple[Output, dict[str, float]]]:
-        outputs = self.leaf_outputs
-        return [(outputs[i][0], dict(outputs[i][1])) for i in self.leaves_of(columns).tolist()]
+    @cached_property
+    def leaf_table(self) -> ScoreTable:
+        """The :class:`~pvml.core.ScoreTable` of the node rows, built once from
+        :attr:`leaf_outputs`: None and zeros at a split."""
+        outputs, labels = [None] * len(self.nodes), self.output_domain.labels() if self.task == CATEGORICAL else ()
+        scores = np.zeros((len(self.nodes), len(labels)) if labels else len(self.nodes))
+        for i, (output, leaf_scores) in self.leaf_outputs.items():
+            outputs[i], scores[i] = output, [leaf_scores[label] for label in labels] if labels else output.value
+        return ScoreTable(outputs, scores)
+
+    def _score_compiled(self, columns: Columns) -> ScoreTable:
+        """The rows of :attr:`leaf_table` that the rows reach."""
+        leaves, (outputs, scores, _) = self.leaves_of(columns), self.leaf_table
+        return ScoreTable(list(map(outputs.__getitem__, leaves.tolist())), scores.take(leaves, axis=0))
 
 
 class _Growth:

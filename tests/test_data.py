@@ -1,6 +1,7 @@
 """Columnar featurization, CSV loading, and fitted transformations."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -269,3 +270,87 @@ class TestApplyTransformers:
         t = fit_transformers(regression_dataset, TransformSpec("zscore"))
         out = apply_transformers(regression_dataset, t)
         assert provenance_hash(out.provenance) != provenance_hash(regression_dataset.provenance)
+
+
+def _first_bad_numeric(column, cells):
+    """The error of the cell-by-cell parse: the first cell ``float`` rejects
+    or reads as non-finite, empty cells skipped; None when every cell parses."""
+    for cell in filter(None, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            return UnparseableNumeric(column, cell)
+        if not math.isfinite(value):
+            return UnparseableNumeric(column, cell)
+    return None
+
+
+class TestNumericCellsInOnePass:
+    """A numeric column parses in one pass; a bad cell raises the error of
+    the cell-by-cell parse, naming the same first cell."""
+
+    CELLS = ["abc", "nan", "inf", "-1e999", " 2.5 ", "1_0", ""]
+    SCHEMA = ColumnarSchema("label", CATEGORICAL, (FieldProcessor("n", "numeric"), FieldProcessor("m", "numeric")))
+
+    def _load(self, tmp_path, rows):
+        path = tmp_path / "cells.csv"
+        path.write_text("n,m,label\n" + "".join(f"{n},{m},a\n" for n, m in rows), encoding="utf-8")
+        return load_csv(str(path), self.SCHEMA)
+
+    def _outcome(self, source, rows_per_chunk):
+        try:
+            return [block.values.tolist() for block in source.blocks(rows_per_chunk)]
+        except UnparseableNumeric as exc:
+            return (exc.column, exc.value, str(exc))
+
+    @pytest.mark.parametrize("cell", CELLS)
+    @pytest.mark.parametrize("at", [0, 3, 7])  # the first, a middle and the last row of a block
+    def test_a_cell_in_a_block(self, tmp_path, cell, at):
+        rows = [("1.5", "2")] * 8
+        rows[at] = (cell, "3") if cell else ("", "3")
+        rows[5] = ("-4", "1e2")
+        expected = _first_bad_numeric("n", [n for n, _ in rows])
+        got = self._outcome(self._load(tmp_path, rows), 8)
+        if expected is None:
+            values = [float(v) for n, m in rows for v in (m, n) if v]  # a row's features in name order
+            assert got == [values]
+        else:
+            assert got == (expected.column, expected.value, str(expected))
+
+    @pytest.mark.parametrize("cell", ["abc", "nan", "-1e999"])
+    def test_a_bad_cell_only_in_the_second_block(self, tmp_path, cell):
+        rows = [("1", "2")] * 6 + [("3", cell), ("nan", "4")]
+        assert self._outcome(self._load(tmp_path, rows), 4) == ("m", cell, str(UnparseableNumeric("m", cell)))
+
+    def test_the_first_bad_row_raises_before_a_later_column(self, tmp_path):
+        rows = [("1", "2"), ("2", "x"), ("y", "3")]
+        assert self._outcome(self._load(tmp_path, rows), 3)[:2] == ("m", "x")
+
+
+class TestIterationFromBlocks:
+    """``iter(source)`` builds each example from a block's columns, as
+    :func:`featurize_row` builds it from the row alone."""
+
+    def test_examples_equal_featurize_row(self, tmp_path, mixed_schema):
+        path = tmp_path / "mixed.csv"
+        rows = [(str(i % 7 - 3) if i % 5 else "", "red" if i % 3 else "", f"go Go {i % 4} go" if i % 2 else "x", "ab"[i % 2]) for i in range(600)]
+        path.write_text("age,color,msg,label\n" + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+        header = ["age", "color", "msg", "label"]
+        expected = [featurize_row(mixed_schema, dict(zip(header, r))) for r in rows]
+        got = list(load_csv(str(path), mixed_schema))
+        assert got == expected
+        assert [[math.copysign(1.0, f.value) for f in x.features] for x in got] == [[math.copysign(1.0, f.value) for f in x.features] for x in expected]
+
+    def test_the_first_error_is_the_same(self, tmp_path, mixed_schema):
+        path = tmp_path / "bad.csv"
+        rows = [("1", "red", "hi", "a")] * 300 + [("2", "", "", "b"), ("abc", "", "x", "a")]
+        path.write_text("age,color,msg,label\n" + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+        header = ["age", "color", "msg", "label"]
+        with pytest.raises(Exception) as expected:
+            for r in rows:
+                featurize_row(mixed_schema, dict(zip(header, r)))
+        seen = []
+        with pytest.raises(type(expected.value)) as got:
+            seen.extend(load_csv(str(path), mixed_schema))
+        assert str(got.value) == str(expected.value)
+        assert len(seen) == 256  # the rows of the blocks before the bad row's block

@@ -3,6 +3,8 @@
 import json
 import math
 
+import numpy as np
+
 import pytest
 
 from pvml.core import (
@@ -19,6 +21,7 @@ from pvml.ensemble import (
     RANDOM_FOREST,
     EnsembleConfig,
     EnsembleModel,
+    _index_list_encoding,
     bootstrap_sample,
     combine,
     train_ensemble,
@@ -28,13 +31,15 @@ from pvml.optimize import LinearSgdTrainer, Sgd
 from pvml.persist import model_to_container
 from pvml.provenance import (
     PInt,
+    PList,
     canonical_encode,
     config_section,
     instance_section,
     provenance_hash,
+    sha256_hex,
     strip_volatile,
 )
-from pvml.rng import MASK64, splitmix64
+from pvml.rng import MASK64, Xoshiro256StarStar, splitmix64
 from pvml.trees import RANDOM_THRESHOLD, CartTrainer, TreeConfig, train_cart
 
 
@@ -87,6 +92,39 @@ class TestBootstrapSample:
         assert inst["member-seed"] == PInt(33)
         assert inst["indices-hash"].algorithm == "SHA-256"
         assert inst["base"] == interleaved_dataset.provenance
+
+
+class TestIndexListEncoding:
+    """The bootstrap's index hash covers the bytes of ``canonical_encode``
+    of a ``PList`` of ``PInt``s, written without building them."""
+
+    @staticmethod
+    def _old(indices):
+        return canonical_encode(PList(tuple(PInt(i) for i in indices)))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[], [0], [7], [3, 1, 3, 0, 2, 2], [2**31 - 1, 2**31, 2**32 + 5, 2**62 + 3, 2**63 - 1], list(range(300))],
+    )
+    def test_bytes_equal_the_encoding(self, indices):
+        assert _index_list_encoding(np.array(indices, dtype=np.int64)) == self._old(indices)
+
+    @pytest.mark.parametrize("with_replacement", [True, False])
+    def test_a_sample_records_the_hash_of_its_indices(self, interleaved_dataset, with_replacement):
+        sample = bootstrap_sample(interleaved_dataset, 0.6, with_replacement, member_seed=21)
+        recorded = instance_section(instance_section(sample.provenance)["source"])["indices-hash"].digest
+        indices = _drawn_indices(len(interleaved_dataset), 0.6, with_replacement, 21)
+        assert recorded == sha256_hex(self._old(indices))
+        assert sample.examples == tuple(interleaved_dataset.examples[i] for i in indices)
+
+
+def _drawn_indices(n_total, fraction, with_replacement, seed):
+    """The indices a bootstrap draws, by the stream ``bootstrap_sample`` reads."""
+    n_draw = int(math.floor(fraction * n_total + 0.5))
+    rng = Xoshiro256StarStar(seed)
+    if with_replacement:
+        return [(u * n_total) >> 64 for u in rng.u64s(n_draw)]
+    return rng.sample_prefix(n_total, n_draw)
 
 
 class TestCombine:
