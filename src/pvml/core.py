@@ -17,7 +17,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property, reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -329,8 +329,12 @@ class CategoricalDomain:
     def task(self) -> str:
         return CATEGORICAL
 
+    def __post_init__(self):
+        object.__setattr__(self, "_labels", tuple(sorted(self.counts)))
+
     def labels(self) -> tuple[str, ...]:
-        return tuple(sorted(self.counts))
+        """The labels in sorted order, sorted once: the domain is frozen."""
+        return self._labels
 
 
 @dataclass(frozen=True)
@@ -383,12 +387,9 @@ class Dataset:
     @cached_property
     def examples(self) -> tuple[Example, ...]:
         """The rows as examples, built from the columns on first use."""
-        names, columns = self.feature_domain.names(), self.columns
-        ids, values, bounds = columns.feature_ids.tolist(), columns.values.tolist(), columns.indptr.tolist()
-        return tuple(
-            checked_example([names[i] for i in ids[a:b]], values[a:b], output, weight)
-            for a, b, output, weight in zip(bounds, bounds[1:], self.outputs(), columns.weights.tolist())
-        )
+        c = self.columns
+        block = Block(self.feature_domain.names(), c.feature_ids, c.values, np.diff(c.indptr).tolist(), self.outputs(), c.weights)
+        return tuple(block.examples())
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,15 +419,33 @@ class Columns:
         return Columns(indptr, self.feature_ids.take(flat), self.values.take(flat), targets, weights)
 
 
-def _flatten(examples: Sequence[Example]) -> tuple[list[str], np.ndarray, list[int], list[Output], np.ndarray]:
-    """The examples' feature names and values, flat, and each one's feature count, output and weight."""
-    return (
-        [f.name for ex in examples for f in ex.features],
-        np.array([f.value for ex in examples for f in ex.features], dtype=np.float64),
-        [len(ex.features) for ex in examples],
-        [ex.output for ex in examples],
-        np.array([ex.weight for ex in examples], dtype=np.float64),
-    )
+class Block(NamedTuple):
+    """Rows given flat: row ``i`` holds the next ``totals[i]`` of ``ids`` and
+    ``values``, in name order, with output ``outputs[i]`` and weight
+    ``weights[i]``.  ``ids`` index ``vocabulary``, the sorted names the rows hold."""
+
+    vocabulary: list[str]
+    ids: np.ndarray
+    values: np.ndarray
+    totals: list[int]
+    outputs: list[Output]
+    weights: np.ndarray
+
+    def examples(self) -> list[Example]:
+        """The rows as examples, their names checked already."""
+        names, values, bounds = [self.vocabulary[i] for i in self.ids.tolist()], self.values.tolist(), [0, *accumulate(self.totals)]
+        rows = zip(bounds, bounds[1:], self.outputs, self.weights.tolist())
+        return [checked_example(names[a:b], values[a:b], output, weight) for a, b, output, weight in rows]
+
+
+def examples_block(examples: Sequence[Example]) -> Block:
+    """The examples as one :class:`Block`."""
+    names = [f.name for ex in examples for f in ex.features]
+    vocabulary = sorted(set(names))
+    ids = feature_ids(dict(zip(vocabulary, range(len(vocabulary)))), names)
+    values = np.array([f.value for ex in examples for f in ex.features], dtype=np.float64)
+    weights = np.array([ex.weight for ex in examples], dtype=np.float64)
+    return Block(vocabulary, ids, values, [len(ex.features) for ex in examples], [ex.output for ex in examples], weights)
 
 
 def _targets(outputs: Sequence[Output], labels: Sequence[str] | None) -> np.ndarray:
@@ -450,9 +469,9 @@ def compile_examples(
     outputs are not read, so unlabelled examples compile, and ``targets``
     is empty.
     """
-    names, values, lengths, outputs, weights = _flatten(examples)
-    indptr, ids, values = compile_features(feature_ids(domain.ids, names), values, lengths)
-    return Columns(indptr, ids, values, _targets(outputs, labels) if targets else np.empty(0), weights)
+    block = examples_block(examples)
+    indptr, ids, values = compile_features(feature_ids(domain.ids, block.vocabulary).take(block.ids), block.values, block.totals)
+    return Columns(indptr, ids, values, _targets(block.outputs, labels) if targets else np.empty(0), block.weights)
 
 
 def feature_ids(index: Mapping[str, int], names: Sequence[str]) -> np.ndarray:
@@ -534,32 +553,24 @@ def real_domain(targets: Iterable[float]) -> RealDomain:
 def build_dataset(source) -> Dataset:
     """Materialize a data source into a dataset with fresh provenance.
 
-    The source has a ``provenance`` attribute.  One with a ``blocks`` method,
+    The source has a ``provenance`` attribute.  One with a ``block`` method,
     a :class:`~pvml.data.CsvDataSource`, hands over its rows as one
-    :class:`~pvml.data.Block`, whose sorted vocabulary becomes the feature
-    names, and builds no example; any other is an iterable of examples.
-    Statistics use population variance (divisor = count).
+    :class:`Block` and builds no example; any other is an iterable of
+    examples, taken as their :func:`examples_block`.  Statistics use
+    population variance (divisor = count).
     """
-    blocks = getattr(source, "blocks", None)
-    if blocks is None:
-        names, values, lengths, outputs, weights = _flatten(tuple(source))
-        vocabulary = sorted(set(names))
-        ids = feature_ids(dict(zip(vocabulary, range(len(vocabulary)))), names)
-    else:
-        # every row in one block; an empty file gives none
-        vocabulary, _, ids, values, lengths, outputs = next(blocks(len(source) or 1), ((), None, None, None, [], []))
-        weights = np.ones(len(lengths))
-    if not lengths:
+    block = source.block() if hasattr(source, "block") else examples_block(tuple(source))
+    if not block.totals:
         raise EmptySource("data source yielded no examples")
-    tasks = set(map(output_task, outputs))
+    tasks = set(map(output_task, block.outputs))
     if None in tasks:
         raise UnlabelledExample("datasets require ground truth on every example")
     if len(tasks) != 1:
         raise MixedOutputTypes("source mixes categorical and real outputs")
-    labels = sorted({output.label for output in outputs}) if tasks.pop() == CATEGORICAL else None
-    indptr, ids, values = compile_features(ids, values, lengths)
-    columns = Columns(indptr, ids, values, _targets(outputs, labels), weights)
-    domain = FeatureDomain.observed(vocabulary, ids, values)
+    labels = sorted({output.label for output in block.outputs}) if tasks.pop() == CATEGORICAL else None
+    indptr, ids, values = compile_features(block.ids, block.values, block.totals)
+    columns = Columns(indptr, ids, values, _targets(block.outputs, labels), block.weights)
+    domain = FeatureDomain.observed(block.vocabulary, ids, values)
     return dataset_from_columns(domain, columns, labels, source.provenance)
 
 
@@ -778,7 +789,7 @@ class ScoreTable(NamedTuple):
         return [dict(zip(labels, row)) for row in self.scores.tolist()] if labels else [{} for _ in self.outputs]
 
 
-BATCH_ROWS = 256
+BATCH_ROWS = 2048
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from itertools import chain, compress, repeat
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .core import (
     BATCH_ROWS,
     CATEGORICAL,
     REAL,
+    Block,
     Columns,
     Dataset,
     Example,
@@ -35,7 +36,7 @@ from .core import (
     CategoricalOutput,
     UNKNOWN,
     check_feature_name,
-    checked_example,
+    check_feature_names,
     compile_features,
     feature_ids,
 )
@@ -118,12 +119,6 @@ class ColumnarSchema:
     def columns(self) -> tuple[str, ...]:
         return tuple(p.column for p in self.processors)
 
-    @cached_property
-    def checked_names(self) -> set[str]:
-        """The feature names of this schema's rows that have passed
-        :func:`~pvml.core.check_feature_name`, so that each is checked once."""
-        return set()
-
     def provenance(self) -> PObj:
         return object_provenance(
             SCHEMA_CLASS,
@@ -167,115 +162,81 @@ def _text(v: ProvValue) -> str:
     return v.value
 
 
-class Block(NamedTuple):
-    """Rows featurized together: row ``i`` holds the next ``totals[i]`` of
-    ``ids`` and ``values``, in name order.  ``ids`` index ``vocabulary``, the
-    sorted names the rows hold, and ``codes`` gives each one's intern code."""
-
-    vocabulary: list[str]
-    codes: np.ndarray
-    ids: np.ndarray
-    values: np.ndarray
-    totals: list[int]
-    outputs: list[Output]
-
-
 class _Codes(dict):
-    """A code per key, made by ``make(key)`` when the key is first met."""
+    """A code per key, given when it is first met: ``make(key)`` or, by default, the number
+    of keys before it (a ``make`` that read the table would tie it in a reference cycle)."""
 
-    def __init__(self, make, known=()):
-        super().__init__(known)
+    def __init__(self, make=None):
         self._make = make
 
     def __missing__(self, key):
-        code = self[key] = self._make(key)
+        code = self[key] = len(self) if self._make is None else self._make(key)
         return code
 
 
-class BlockFeaturizer:
-    """Featurizes blocks of rows of one schema column by column, in one pass over a file.
+def featurize(schema: ColumnarSchema, columns: Sequence[Sequence[str]], responses: Sequence[str] | None, n: int) -> Block:
+    """The :class:`~pvml.core.Block` of the ``n`` rows whose cells ``columns`` holds, one
+    sequence per processor of ``schema``, and whose response cells ``responses`` holds
+    (``None`` for unlabelled rows), made on its own.  One row raises, in this order, for
+    its first bad numeric cell in column order, a bad response cell, no features
+    (:class:`EmptyExample`) and its first bad name in name order.  A larger block that
+    fails featurizes its halves apart, so its first bad row raises."""
+    try:
+        return _featurize(schema, columns, responses, n)
+    except PvmlError:
+        if n == 1:
+            raise
+    for part in (slice(0, n // 2), slice(n // 2, n)):
+        featurize(schema, [column[part] for column in columns], None if responses is None else responses[part], len(range(n)[part]))
+    raise AssertionError("a block that fails has a half that fails")
 
-    Numeric columns parse through :func:`_parse_numeric`, categorical columns
-    binarize as ``column@value`` and text columns become ``column@token``
-    counts.  The intern table codes each name in order of first sight, and each
-    column's values and tokens by their name's code, so a name is built once per
-    pass and keeps its code from block to block.  A name met twice in a row sums
-    its values in column order from 0.0, as :func:`~pvml.core.make_example`
-    merges pairs: one sort of (row, name) keys groups them and ``np.bincount``
-    adds each group in entry order."""
 
-    def __init__(self, schema: ColumnarSchema):
-        self.schema = schema
-        self._codes = _Codes(lambda name: len(self._codes))
-        self._cells = [_Codes(lambda cell, at=f"{p.column}@": self._codes[at + cell], {"": -1}) for p in schema.processors]
+def _featurize(schema: ColumnarSchema, columns: Sequence[Sequence[str]], responses: Sequence[str] | None, n: int) -> Block:
+    """:func:`featurize` in one pass.  Numeric columns parse through :func:`_parse_numeric`,
+    categorical columns binarize as ``column@value`` and text columns become ``column@token``
+    counts, each name coded once, in order of first sight.  A name met twice in a row sums
+    its values in column order from 0.0, as :func:`~pvml.core.make_example` merges pairs:
+    one sort of (row, name) keys groups them and ``np.bincount`` adds each group in order."""
+    intern = _Codes()
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    for processor, cells in zip(schema.processors, columns):
+        table = _Codes(lambda cell, at=f"{processor.column}@": intern[at + cell] if cell else -1)
+        if processor.kind == NUMERIC:  # a numeric cell's name is its column
+            rows = np.fromiter(compress(range(n), cells), np.intp)
+            codes = np.full(len(rows), intern[processor.column] if len(rows) else -1, np.intp)
+            values = _numeric_cells(processor.column, cells)
+        elif processor.kind == CATEGORICAL_FIELD:  # the empty cell's code is -1
+            codes = np.fromiter(map(table.__getitem__, cells), np.intp, n)
+            rows = np.flatnonzero(codes >= 0)
+            codes, values = codes.take(rows), np.ones(len(rows))
+        else:
+            tokens = list(map(_tokens, cells))
+            rows = np.arange(n).repeat(np.fromiter(map(len, tokens), np.intp, n))
+            codes = np.fromiter(map(table.__getitem__, chain.from_iterable(tokens)), np.intp, len(rows))
+            values = np.ones(len(rows))
+        parts.append((rows, codes, values))
+    rows, codes, values = map(np.concatenate, zip(*parts))
+    if responses is None:
+        outputs = [UNKNOWN] * n
+    elif "" in responses:
+        raise MissingResponse(f"empty response cell in column {schema.response_column!r}")
+    elif schema.response_type == CATEGORICAL:
+        outputs = list(map(CategoricalOutput, responses))
+    else:
+        outputs = list(map(RealOutput, map(_parse_numeric, repeat(schema.response_column), responses)))
 
-    def block(self, columns: Sequence[Sequence[str]], responses: Sequence[str] | None, n: int) -> Block:
-        """The ``n`` rows whose cells ``columns`` holds, one sequence per
-        processor, with the response cells ``responses`` (``None`` for
-        unlabelled rows).  One row raises, in this order, for its first bad
-        numeric cell in column order, a bad response cell, no features
-        (:class:`EmptyExample`) and its first bad name in name order.  A larger
-        block that fails featurizes its halves apart, so its first bad row raises."""
-        try:
-            return self._block(columns, responses, n)
-        except PvmlError:
-            if n == 1:
-                raise
-        for part in (slice(0, n // 2), slice(n // 2, n)):
-            cells = [column[part] for column in columns]
-            BlockFeaturizer(self.schema).block(cells, None if responses is None else responses[part], len(range(n)[part]))
-        raise AssertionError("a block that fails has a half that fails")
-
-    def _block(self, columns: Sequence[Sequence[str]], responses: Sequence[str] | None, n: int) -> Block:
-        known = len(self._codes)
-        parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-        for processor, cells, table in zip(self.schema.processors, columns, self._cells):
-            if processor.kind == NUMERIC:  # a numeric cell's name is its column
-                rows = np.fromiter(compress(range(n), cells), np.intp)
-                codes = np.full(len(rows), self._codes[processor.column] if len(rows) else -1, np.intp)
-                values = _numeric_cells(processor.column, cells)
-            elif processor.kind == CATEGORICAL_FIELD:  # the empty cell's code is -1
-                codes = np.fromiter(map(table.__getitem__, cells), np.intp, n)
-                rows = np.flatnonzero(codes >= 0)
-                codes, values = codes.take(rows), np.ones(len(rows))
-            else:
-                tokens = list(map(_tokens, cells))
-                rows = np.arange(n).repeat(np.fromiter(map(len, tokens), np.intp, n))
-                codes = np.fromiter(map(table.__getitem__, chain.from_iterable(tokens)), np.intp, len(rows))
-                values = np.ones(len(rows))
-            parts.append((rows, codes, values))
-        rows, codes, values = map(np.concatenate, zip(*parts))
-        outputs = self._outputs(responses, n)
-
-        names = list(self._codes)  # by code
-        vocabulary = sorted([names[code] for code in np.flatnonzero(np.bincount(codes, minlength=len(names))).tolist()])
-        vocabulary_codes = np.fromiter(map(self._codes.__getitem__, vocabulary), np.intp, len(vocabulary))
-        rank = np.zeros(len(names), np.intp)
-        rank[vocabulary_codes] = np.arange(len(vocabulary))
-        width = max(len(vocabulary), 1)
-        keys, entry = np.unique(rows * width + rank.take(codes), return_inverse=True)
-        ids, totals = (keys % width).astype(np.int32), np.bincount(keys // width, minlength=n)
-        if not totals.all():
-            raise EmptyExample("an example needs at least one feature")
-        checked = self.schema.checked_names
-        for name in compress(vocabulary, vocabulary_codes >= known):  # the names new to this pass
-            if name not in checked:
-                check_feature_name(name)
-                checked.add(name)
-        # No sum overflows: parsed numbers are finite, no two numeric columns
-        # share a name, and the largest float plus a token count rounds to itself.
-        summed = np.bincount(entry, weights=values, minlength=len(keys))
-        return Block(vocabulary, vocabulary_codes, ids, summed, totals.tolist(), outputs)
-
-    def _outputs(self, responses: Sequence[str] | None, n: int) -> list[Output]:
-        if responses is None:
-            return [UNKNOWN] * n
-        column = self.schema.response_column
-        if "" in responses:
-            raise MissingResponse(f"empty response cell in column {column!r}")
-        if self.schema.response_type == CATEGORICAL:
-            return list(map(CategoricalOutput, responses))
-        return list(map(RealOutput, map(_parse_numeric, repeat(column), responses)))
+    vocabulary = sorted(intern)  # every name interned is met in a row
+    rank = np.argsort(np.fromiter(map(intern.__getitem__, vocabulary), np.intp, len(vocabulary)))  # each code's place
+    width = max(len(vocabulary), 1)
+    keys, entry = np.unique(rows * width + rank.take(codes), return_inverse=True)
+    ids, totals = (keys % width).astype(np.int32), np.bincount(keys // width, minlength=n)
+    if not totals.all():
+        raise EmptyExample("an example needs at least one feature")
+    check_feature_names(vocabulary)
+    # No sum overflows: parsed numbers are finite, no two numeric columns
+    # share a name, and the largest float plus a token count rounds to itself.
+    summed = np.bincount(entry, weights=values, minlength=len(keys))
+    return Block(vocabulary, ids, summed, totals.tolist(), outputs, np.ones(n))
 
 
 _TOKEN_BYTES = bytes(b if 48 <= b <= 57 or 97 <= b <= 122 else 32 for b in range(256))
@@ -288,13 +249,10 @@ def _tokens(cell: str) -> list[str]:
 
 
 def featurize_row(schema: ColumnarSchema, row: Mapping[str, str]) -> Example:
-    """One row of strings as an example: its block alone.  Raises, in this order, for
-    the first bad numeric cell in column order, a bad response cell, a row without
-    features (:class:`EmptyExample`) and the first bad name in name order.  Empty
-    feature cells are skipped; a missing response *key* means unlabelled."""
+    """One row of strings as an example: its block alone, raising what :func:`featurize`
+    raises.  Empty feature cells are skipped; a missing response *key* means unlabelled."""
     responses = [row[schema.response_column]] if schema.response_column in row else None
-    block = BlockFeaturizer(schema).block([[row.get(column, "")] for column in schema.columns()], responses, 1)
-    return checked_example(block.vocabulary, block.values.tolist(), block.outputs[0])
+    return featurize(schema, [[row.get(column, "")] for column in schema.columns()], responses, 1).examples()[0]
 
 
 def _numeric_cells(column: str, cells: Sequence[str]) -> np.ndarray:
@@ -428,40 +386,34 @@ class CsvDataSource:
         """The rows as examples, built from the columns of :meth:`blocks`: a
         bad row raises its error once the blocks before its own are yielded."""
         for block in self.blocks():
-            names, values = [block.vocabulary[i] for i in block.ids.tolist()], block.values.tolist()
-            bounds = [0, *accumulate(block.totals)]
-            for a, b, output in zip(bounds, bounds[1:], block.outputs):
-                yield checked_example(names[a:b], values[a:b], output)
+            yield from block.examples()
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def blocks(self, rows_per_chunk: int = BATCH_ROWS) -> Iterator[Block]:
-        """The rows, ``rows_per_chunk`` at a time, each chunk a :class:`Block` of one
-        :class:`BlockFeaturizer`; a row that :func:`featurize_row` rejects raises the same error."""
-        featurizer, where = BlockFeaturizer(self.schema), {column: i for i, column in enumerate(self._header)}
-        features, response = [where[c] for c in self.schema.columns()], where.get(self.schema.response_column)
-        for start in range(0, len(self._rows), rows_per_chunk):
-            rows = self._rows[start:start + rows_per_chunk]
-            cells = list(zip(*rows))  # the block's columns
-            responses = None if response is None else cells[response]
-            yield featurizer.block([cells[i] for i in features], responses, len(rows))
+    def blocks(self) -> Iterator[Block]:
+        """Each :data:`~pvml.core.BATCH_ROWS` rows as a block that :func:`featurize` makes on
+        its own; a row that :func:`featurize_row` rejects raises the same error."""
+        for start in range(0, len(self._rows), BATCH_ROWS):
+            yield self._featurized(self._rows[start:start + BATCH_ROWS])
+
+    def block(self) -> Block:
+        """Every row as one block, for :func:`~pvml.core.build_dataset`."""
+        return self._featurized(self._rows)
+
+    def _featurized(self, rows: Sequence[list[str]]) -> Block:
+        cells = dict(zip(self._header, list(zip(*rows)) or repeat(())))  # each column's cells
+        return featurize(self.schema, [cells[c] for c in self.schema.columns()], cells.get(self.schema.response_column), len(rows))
 
     def compiled(self, model: Model, seen: set[str] | None = None) -> Iterator[tuple[Columns, list[int], list[Output]]]:
         """The rows in ``model``'s space, block by block, for :meth:`~pvml.core.Model.predict_compiled`:
-        each block's :func:`_compiled` columns and each row's feature count and output.  Only
-        names first met in a block are looked up in the model's domain.  ``seen``, when given,
-        gains each block's vocabulary, so it ends with the names a dataset of the file would have."""
+        each block's :func:`_compiled` columns and each row's feature count and output.  ``seen``, when
+        given, gains each block's vocabulary: the names a dataset of the file would have."""
         domain, pipeline = model.feature_domain, recorded_pipeline(model)
-        model_ids = np.empty(0, dtype=np.int32)  # by intern code: the model's feature id, or -1
         for block in self.blocks():
             if seen is not None:
                 seen.update(block.vocabulary)
-            new = np.flatnonzero(block.codes >= len(model_ids))  # the names first met in this block
-            model_ids = np.concatenate((model_ids, np.empty(len(new), dtype=np.int32)))
-            model_ids[block.codes.take(new)] = feature_ids(domain.ids, [block.vocabulary[i] for i in new.tolist()])
-            ids = model_ids.take(block.codes).take(block.ids)
-            yield _compiled(domain, pipeline, ids, block.values, block.totals), block.totals, block.outputs
+            yield _compiled(domain, pipeline, block.vocabulary, block.ids, block.values, block.totals), block.totals, block.outputs
 
 
 def load_csv(path: str, schema: ColumnarSchema) -> CsvDataSource:
@@ -665,12 +617,12 @@ def pipeline_provenance(model: Model) -> tuple[PObj, ...]:
     return _transformations(data)
 
 
-def _compiled(domain: FeatureDomain, pipeline: Sequence[TransformerMap], ids, values, totals) -> Columns:
-    """Raw rows given flat, as :func:`~pvml.core.compile_features` takes them, with
-    ids in ``domain``, in the space of a model of ``domain`` and ``pipeline``: the
+def _compiled(domain: FeatureDomain, pipeline: Sequence[TransformerMap], vocabulary, ids, values, totals) -> Columns:
+    """Raw rows given flat, as a :class:`~pvml.core.Block` holds them, with ids into
+    ``vocabulary``, in the space of a model of ``domain`` and ``pipeline``: the
     columns that ``compile_examples(..., targets=False)`` makes of their examples,
     rescaled."""
-    indptr, ids, array = compile_features(ids, values, totals)
+    indptr, ids, array = compile_features(feature_ids(domain.ids, vocabulary).take(ids), values, totals)
     columns = Columns(indptr, ids, array, np.empty(0), np.ones(len(totals)))
     for transformer in pipeline:
         columns = transformer.rescale(domain, columns)
@@ -693,8 +645,8 @@ def in_model_space(model: Model, dataset: Dataset) -> tuple[Columns, list[int], 
         raise PipelineMismatch("the dataset records transformations other than the model's pipeline")
     columns = dataset.columns
     totals = np.diff(columns.indptr).tolist()
-    ids = feature_ids(model.feature_domain.ids, dataset.feature_domain.names()).take(columns.feature_ids)
-    return _compiled(model.feature_domain, pipeline, ids, columns.values, totals), totals, provenance
+    names = dataset.feature_domain.names()
+    return _compiled(model.feature_domain, pipeline, names, columns.feature_ids, columns.values, totals), totals, provenance
 
 
 def _recorded_map(tprov: PObj) -> TransformerMap:

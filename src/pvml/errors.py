@@ -124,7 +124,7 @@ class CsvParseError(PvmlError):
 # --- provenance serialization -------------------------------------------------
 
 class ParseError(PvmlError):
-    """Malformed provenance or configuration text."""
+    """Malformed provenance or configuration text, or a provenance value nested too deeply."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         if line is not None and column is not None:

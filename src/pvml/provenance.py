@@ -24,6 +24,8 @@ from .errors import ParseError, UnknownTag
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
+MAX_DEPTH = 256  # the nesting of lists, maps and objects the recursive walks below fit; real provenance nests 15-25
+
 REDACTED = "<REDACTED>"
 REDACTED_VOLATILE = "<REDACTED-VOLATILE>"
 
@@ -125,12 +127,25 @@ class PHash:
             raise ValueError("hash needs an algorithm and a digest")
 
 
+def _set_depth(node, children) -> None:
+    """Record ``node``'s depth, one more than its deepest child's (a leaf's is 0): above :data:`MAX_DEPTH`, raise."""
+    deepest = 0
+    for child in children:  # a loop, not max(): this runs for every list, map and object built
+        depth = getattr(child, "_depth", 0)
+        if depth > deepest:
+            deepest = depth
+    if deepest >= MAX_DEPTH:
+        raise ParseError(f"provenance nests deeper than {MAX_DEPTH} levels")
+    object.__setattr__(node, "_depth", deepest + 1)
+
+
 @dataclass(frozen=True)
 class PList:
     items: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
+        _set_depth(self, self.items)
 
     def __iter__(self) -> Iterator:
         return iter(self.items)
@@ -159,6 +174,7 @@ class PMap:
         object.__setattr__(self, "entries", tuple(sorted(pairs, key=lambda kv: kv[0])))
         # a lookup index, not a field, so equality, repr and encoding ignore it
         object.__setattr__(self, "_index", dict(pairs))
+        _set_depth(self, self._index.values())
 
     def keys(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.entries)
@@ -203,6 +219,7 @@ class PObj:
             raise ValueError("object class name must be non-empty")
         if not isinstance(self.fields, PMap):
             object.__setattr__(self, "fields", PMap(self.fields))
+        _set_depth(self, (self.fields,))
 
 
 ProvValue = Union[PStr, PInt, PFlt, PBool, PTimestamp, PHash, PList, PMap, PObj]

@@ -7,20 +7,25 @@ same exception class.
 """
 
 import csv
+import gc
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pvml import CATEGORICAL, CategoricalOutput, InMemoryDataSource, build_dataset, make_example
+from pvml.cli import main
 from pvml.core import BATCH_ROWS, compile_examples
 from pvml.core import UNKNOWN
-from pvml.data import ColumnarSchema, CsvDataSource, FieldProcessor, _parse_numeric, _tokens, featurize_row
-from pvml.errors import InvalidFeatureName, MissingResponse, PvmlError
+from pvml.data import ColumnarSchema, CsvDataSource, FieldProcessor, _parse_numeric, _tokens, featurize, featurize_row
+from pvml.errors import EmptySource, InvalidFeatureName, MissingResponse, PvmlError
 from pvml.optimize import AdaGrad, train_linear_sgd
+from pvml.persist import save_model
+from pvml.provenance import config_to_json, extract_configuration
 from pvml.trees import TreeConfig, train_cart
 
 from test_batch import _bits
@@ -102,8 +107,7 @@ def _write_csv(directory, header, rows):
 
 
 def _source(path, processors):
-    """A source over its own schema object, so no name checked by one path is
-    taken as checked by the other."""
+    """A CSV source of ``processors``, with the response column ``y``."""
     return CsvDataSource(path, ColumnarSchema("y", CATEGORICAL, tuple(processors)))
 
 
@@ -230,66 +234,61 @@ class TestTokens:
         assert [f.name for f in featurize_row(schema, row).features] == ["a@x", "a@y"]
 
 
+def _model_files(directory, processors, model):
+    """A schema file of ``processors`` and ``model``'s file, for the CLI."""
+    schema_path, model_path = os.path.join(directory, "schema.json"), os.path.join(directory, "model.pvml")
+    with open(schema_path, "w", encoding="utf-8") as fh:
+        fh.write(config_to_json(extract_configuration(ColumnarSchema("y", CATEGORICAL, tuple(processors)).provenance())))
+    save_model(model, model_path)
+    return schema_path, model_path
+
+
+def _predict(directory, path, processors, model):
+    """``pvml predict``'s exit code and the path of its output file."""
+    schema_path, model_path = _model_files(directory, processors, model)
+    out = os.path.join(directory, "predictions.csv")
+    return main(["predict", "--model", model_path, "--data", path, "--schema", schema_path, "--out", out]), out
+
+
 class TestFirstBadRow:
     @pytest.mark.parametrize("cells", [("x", "red", "b"), ("", "", ""), ("1", "am\x01ber", "")])
     def test_a_large_file_raises_the_error_of_its_first_bad_row(self, tmp_path, cells):
-        """Row 300 of three blocks is bad, and so are rows 301 and 510: building
-        and scoring raise what ``featurize_row`` raises for row 300 alone."""
+        """The second row of the third block is bad, and so are the row after
+        it and the last row: building, scoring and iterating raise what
+        ``featurize_row`` raises for that row alone, iterating once the first
+        two blocks' examples are yielded, and ``pvml predict`` exits 2 and
+        writes no file."""
         header, processors = ["n", "c", "a"], [PROCESSORS[0], PROCESSORS[3], PROCESSORS[4]]
         rows = [(str(i % 5), "red", "b zz") for i in range(2 * BATCH_ROWS + 5)]
-        rows[300], rows[301], rows[510] = cells, ("y", "", ""), ("", "", "")
+        bad = 2 * BATCH_ROWS + 1
+        rows[bad], rows[bad + 1], rows[-1] = cells, ("y", "", ""), ("", "", "")
         path = _write_csv(tmp_path, header, rows)
         with pytest.raises(PvmlError) as want:
             featurize_row(ColumnarSchema("y", CATEGORICAL, tuple(processors)), dict(zip(header, cells)))
         for run in (build_dataset, lambda source: list(source.compiled(MODELS["cart"]))):
             with pytest.raises(type(want.value), match=re.escape(str(want.value))):
                 run(_source(path, processors))
+        seen = []
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            seen.extend(_source(path, processors))
+        assert len(seen) == 2 * BATCH_ROWS
+        code, out = _predict(tmp_path, path, processors, MODELS["cart"])
+        assert code == 2
+        assert not os.path.exists(out)
 
 
 class TestNamesCheckedOnce:
-    def test_each_distinct_name_once_per_featurizer(self, monkeypatch, tmp_path):
+    def test_each_distinct_name_once_per_block(self, monkeypatch, tmp_path):
         import pvml.data
 
         seen = []
-        check = pvml.data.check_feature_name
-        monkeypatch.setattr(pvml.data, "check_feature_name", lambda name: seen.append(name) or check(name))
+        check = pvml.data.check_feature_names
+        monkeypatch.setattr(pvml.data, "check_feature_names", lambda names: seen.append(list(names)) or check(names))
         path = _write_csv(tmp_path, ["a", "c"], [("b b zz", "r"), ("zz b", "r"), ("b", "red")])
         source = _source(path, [PROCESSORS[4], PROCESSORS[3]])
         list(source)
         list(source.compiled(MODELS["cart"]))
-        assert sorted(seen) == ["a@b", "a@zz", "c@r", "c@red"]
-
-    def test_the_intern_table_carries_across_blocks(self, monkeypatch, tmp_path):
-        """Names repeat across three blocks: each is checked once, keeps its
-        code, and every block compiles as its rows' examples do."""
-        import pvml.data
-
-        rows = [
-            ("" if i % 13 == 0 else str(i % 7 - 3), ("red", "r", "blue")[i % 3], f"b zz t{i % 11} B")
-            for i in range(2 * BATCH_ROWS + 5)
-        ]
-        processors = [PROCESSORS[0], PROCESSORS[3], PROCESSORS[4]]
-        path = _write_csv(tmp_path, ["n", "c", "a"], rows)
-        examples = list(_source(path, processors))
-        model = MODELS["linear"]
-
-        seen = []
-        check = pvml.data.check_feature_name
-        monkeypatch.setattr(pvml.data, "check_feature_name", lambda name: seen.append(name) or check(name))
-        source = _source(path, processors)
-        chunks = list(source.compiled(model))
-        assert sorted(seen) == sorted({f.name for ex in examples for f in ex.features})
-
-        assert [len(totals) for _, totals, _ in chunks] == [BATCH_ROWS, BATCH_ROWS, 5]
-        for k, (columns, totals, outputs) in enumerate(chunks):
-            rows_of_block = examples[k * BATCH_ROWS:(k + 1) * BATCH_ROWS]
-            assert _arrays(columns) == _arrays(compile_examples(rows_of_block, model.feature_domain, targets=False))
-            assert totals == [len(ex.features) for ex in rows_of_block]
-
-        codes = {}
-        for block in source.blocks():
-            for name, code in zip(block.vocabulary, block.codes.tolist()):
-                assert codes.setdefault(name, code) == code
+        assert seen == [["a@b", "a@zz", "c@r", "c@red"]] * 2
 
     def test_a_bad_name_is_never_taken_as_checked(self, tmp_path):
         path = _write_csv(tmp_path, ["c"], [("am\x01ber",), ("red",)])
@@ -299,3 +298,92 @@ class TestNamesCheckedOnce:
                 list(source)
             with pytest.raises(InvalidFeatureName):
                 list(source.compiled(MODELS["cart"]))
+
+
+def _block_bytes(block):
+    return block.vocabulary, block.ids.dtype.str, block.ids.tobytes(), block.values.tobytes(), block.totals, block.outputs
+
+
+class TestStandaloneBlocks:
+    def test_each_block_is_its_rows_alone(self, monkeypatch, tmp_path):
+        """Some names repeat across three blocks and some are new in each: every
+        block is ``featurize`` of its rows alone, checks its names in one call
+        and compiles as its rows' examples do."""
+        import pvml.data
+
+        header, processors = ["n", "c", "a", "y"], [PROCESSORS[0], PROCESSORS[3], PROCESSORS[4]]
+        rows = [
+            ("" if i % 13 == 0 else str(i % 7 - 3), ("red", "r", "blue")[i % 3], f"b zz t{i % 11} B u{i // 100}", "pq"[i % 2])
+            for i in range(2 * BATCH_ROWS + 5)
+        ]
+        path = _write_csv(tmp_path, header, rows)
+        schema = ColumnarSchema("y", CATEGORICAL, tuple(processors))
+        seen = []
+        check = pvml.data.check_feature_names
+        monkeypatch.setattr(pvml.data, "check_feature_names", lambda names: seen.append(list(names)) or check(names))
+        blocks = list(CsvDataSource(path, schema).blocks())
+        assert [len(block.totals) for block in blocks] == [BATCH_ROWS, BATCH_ROWS, 5]
+        assert seen == [block.vocabulary for block in blocks]
+        assert blocks[1].vocabulary != blocks[0].vocabulary
+        for k, block in enumerate(blocks):
+            part = rows[k * BATCH_ROWS:(k + 1) * BATCH_ROWS]
+            *cells, responses = zip(*part)
+            assert _block_bytes(block) == _block_bytes(featurize(schema, cells, responses, len(part)))
+            assert block.examples() == [featurize_row(schema, dict(zip(header, row))) for row in part]
+
+        model = MODELS["linear"]
+        examples = list(_source(path, processors))
+        chunks = list(_source(path, processors).compiled(model))
+        for k, (columns, totals, outputs) in enumerate(chunks):
+            rows_of_block = examples[k * BATCH_ROWS:(k + 1) * BATCH_ROWS]
+            assert _arrays(columns) == _arrays(compile_examples(rows_of_block, model.feature_domain, targets=False))
+            assert totals == [len(ex.features) for ex in rows_of_block]
+            assert outputs == [ex.output for ex in rows_of_block]
+
+    def test_scoring_memory_is_bounded_by_the_block(self, tmp_path):
+        """Scoring a file of ten blocks block by block peaks below a quarter of
+        building its dataset, which holds every row at once."""
+        rows = [(f"b zz t{i} u{i % 97} w{i * 7919 % 10007}", "pq"[i % 2]) for i in range(10 * BATCH_ROWS)]
+        path = _write_csv(tmp_path, ["a", "y"], rows)
+        model, source = MODELS["linear"], _source(path, [PROCESSORS[4]])
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        scoring = peak(lambda: [model.score_compiled(columns) for columns, _, _ in source.compiled(model)])
+        assert scoring < peak(lambda: build_dataset(source)) / 4
+
+    def test_a_block_leaves_no_reference_cycle(self):
+        """A block's intern tables are freed when ``featurize`` returns, not
+        later by the cycle collector, so scoring block by block holds one
+        block's names at a time."""
+        schema = ColumnarSchema("y", CATEGORICAL, tuple(PROCESSORS))
+        cells = [["1", "", "2"], ["3", "4", ""], ["", "5", "6"], ["r", "red", ""], ["b zz", "c", "b b 9"]]
+        gc.collect()
+        gc.disable()
+        try:
+            featurize(schema, cells, ["p", "q", "p"], 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_header_only_file(self, tmp_path):
+        """No rows: ``pvml predict`` writes the header alone, while a dataset
+        and ``pvml evaluate`` need at least one row."""
+        processors = [PROCESSORS[4]]
+        path = _write_csv(tmp_path, ["a", "y"], [])
+        code, out = _predict(tmp_path, path, processors, MODELS["linear"])
+        assert code == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            assert fh.read() == "row,prediction,p,q\r\n"
+        with pytest.raises(EmptySource):
+            build_dataset(_source(path, processors))
+        report = str(tmp_path / "report.json")
+        schema_path, model_path = _model_files(tmp_path, processors, MODELS["linear"])
+        assert main(["evaluate", "--model", model_path, "--data", path, "--schema", schema_path, "--report", report]) == 2
+        assert not os.path.exists(report)

@@ -173,6 +173,14 @@ def test_check_feature_names_refuses_what_check_feature_name_refuses():
             check_feature_names(["a", bad])
 
 
+class TestCategoricalDomain:
+    def test_labels_are_sorted_once(self):
+        domain = CategoricalDomain({"q": 1, "b": 2, "p": 3})
+        assert domain.labels() is domain.labels()
+        assert domain.labels() == tuple(sorted(domain.counts)) == ("b", "p", "q")
+        assert domain == CategoricalDomain({"p": 3, "q": 1, "b": 2})
+
+
 class TestBuildDataset:
     def test_ids_assigned_lexicographically(self):
         examples = [

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from pvml.core import CATEGORICAL, REAL, UNKNOWN, CategoricalOutput, RealOutput, build_dataset, make_example
+from pvml.core import BATCH_ROWS, CATEGORICAL, REAL, UNKNOWN, CategoricalOutput, RealOutput, build_dataset, make_example
 from pvml.data import (
     ColumnarSchema,
     FieldProcessor,
@@ -297,20 +297,21 @@ class TestNumericCellsInOnePass:
         path.write_text("n,m,label\n" + "".join(f"{n},{m},a\n" for n, m in rows), encoding="utf-8")
         return load_csv(str(path), self.SCHEMA)
 
-    def _outcome(self, source, rows_per_chunk):
+    def _outcome(self, source):
         try:
-            return [block.values.tolist() for block in source.blocks(rows_per_chunk)]
+            return [block.values.tolist() for block in source.blocks()]
         except UnparseableNumeric as exc:
             return (exc.column, exc.value, str(exc))
 
     @pytest.mark.parametrize("cell", CELLS)
-    @pytest.mark.parametrize("at", [0, 3, 7])  # the first, a middle and the last row of a block
+    # the first, a middle and the last row of a block
+    @pytest.mark.parametrize("at", [0, BATCH_ROWS // 2 - 1, BATCH_ROWS - 1])
     def test_a_cell_in_a_block(self, tmp_path, cell, at):
-        rows = [("1.5", "2")] * 8
+        rows = [("1.5", "2")] * BATCH_ROWS
         rows[at] = (cell, "3") if cell else ("", "3")
         rows[5] = ("-4", "1e2")
         expected = _first_bad_numeric("n", [n for n, _ in rows])
-        got = self._outcome(self._load(tmp_path, rows), 8)
+        got = self._outcome(self._load(tmp_path, rows))
         if expected is None:
             values = [float(v) for n, m in rows for v in (m, n) if v]  # a row's features in name order
             assert got == [values]
@@ -319,12 +320,12 @@ class TestNumericCellsInOnePass:
 
     @pytest.mark.parametrize("cell", ["abc", "nan", "-1e999"])
     def test_a_bad_cell_only_in_the_second_block(self, tmp_path, cell):
-        rows = [("1", "2")] * 6 + [("3", cell), ("nan", "4")]
-        assert self._outcome(self._load(tmp_path, rows), 4) == ("m", cell, str(UnparseableNumeric("m", cell)))
+        rows = [("1", "2")] * (BATCH_ROWS + 2) + [("3", cell), ("nan", "4")]
+        assert self._outcome(self._load(tmp_path, rows)) == ("m", cell, str(UnparseableNumeric("m", cell)))
 
     def test_the_first_bad_row_raises_before_a_later_column(self, tmp_path):
         rows = [("1", "2"), ("2", "x"), ("y", "3")]
-        assert self._outcome(self._load(tmp_path, rows), 3)[:2] == ("m", "x")
+        assert self._outcome(self._load(tmp_path, rows))[:2] == ("m", "x")
 
 
 class TestIterationFromBlocks:
@@ -343,7 +344,7 @@ class TestIterationFromBlocks:
 
     def test_the_first_error_is_the_same(self, tmp_path, mixed_schema):
         path = tmp_path / "bad.csv"
-        rows = [("1", "red", "hi", "a")] * 300 + [("2", "", "", "b"), ("abc", "", "x", "a")]
+        rows = [("1", "red", "hi", "a")] * (2 * BATCH_ROWS + 44) + [("2", "", "", "b"), ("abc", "", "x", "a")]
         path.write_text("age,color,msg,label\n" + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
         header = ["age", "color", "msg", "label"]
         with pytest.raises(Exception) as expected:
@@ -353,4 +354,4 @@ class TestIterationFromBlocks:
         with pytest.raises(type(expected.value)) as got:
             seen.extend(load_csv(str(path), mixed_schema))
         assert str(got.value) == str(expected.value)
-        assert len(seen) == 256  # the rows of the blocks before the bad row's block
+        assert len(seen) == 2 * BATCH_ROWS  # the rows of the blocks before the bad row's block

@@ -211,7 +211,6 @@ def test_cli_evaluate_builds_no_example_and_no_domain(tmp_path, monkeypatch, tas
     def refuse(*args, **kwargs):
         raise AssertionError("pvml evaluate built an example or a dataset domain")
 
-    monkeypatch.setattr(pvml.data, "checked_example", refuse)
     monkeypatch.setattr(pvml.core, "checked_example", refuse)
     monkeypatch.setattr(pvml.core, "dataset_from_columns", refuse)
     monkeypatch.setattr(pvml.core.FeatureDomain, "observed", refuse)

@@ -45,6 +45,8 @@ from test_provenance import _corpus_object, prov_values
 
 DEEP_BRACKETS = "[" * 3000 + "]" * 3000
 DEEP_LISTS = '{"type":"list","value":[' * 600 + '{"type":"int","value":1}' + "]}" * 600
+# deeper than the provenance depth cap, shallower than the recursion limit
+CAPPED_LISTS = '{"type":"list","value":[' * 300 + '{"type":"int","value":1}' + "]}" * 300
 
 
 def _v(kind, value):
@@ -74,6 +76,11 @@ def _ensemble_doc(base_ref):
 
 def _config_with_property(node):
     return '{"config":[{"name":"a","class":"b","properties":{"p":' + node + "}}]}"
+
+
+def _model_with_provenance(node):
+    """A model container that reaches the decoding of its provenance ``node``."""
+    return '{"formatName":"PVML","version":2,"modelClass":"pvml.TreeModel","provenance":' + node + "}"
 
 
 def _section(node, name):
@@ -115,8 +122,8 @@ class TestDeepNesting:
 
     @pytest.mark.parametrize(
         "text",
-        [DEEP_BRACKETS, '{"formatName":"PVML","provenance":' + DEEP_LISTS + "}"],
-        ids=["brackets", "lists"],
+        [DEEP_BRACKETS, '{"formatName":"PVML","provenance":' + DEEP_LISTS + "}", _model_with_provenance(CAPPED_LISTS)],
+        ids=["brackets", "lists", "lists-past-the-cap"],
     )
     def test_load_model(self, tmp_path, text):
         path = tmp_path / "deep.pvml"
@@ -207,11 +214,12 @@ class TestCommandLine:
         [
             DEEP_BRACKETS,
             _config_with_property(DEEP_LISTS),
+            _config_with_property(CAPPED_LISTS),
             '{"config":[{"name":"a","class":"b","properties":[]}]}',
             _config_with_property('{"type":"map","value":[]}'),
             _ensemble_doc("pvml.EnsembleTrainer-0"),
         ],
-        ids=["deep-brackets", "deep-lists", "properties-list", "map-value-list", "self-reference"],
+        ids=["deep-brackets", "deep-lists", "lists-past-the-cap", "properties-list", "map-value-list", "self-reference"],
     )
     def test_bad_trainer_document(self, files, capsys, text):
         assert self._train(files, trainer=self._write(files, "bad.json", text)) == 2

@@ -319,6 +319,54 @@ class TestJsonRoundTrip:
             PObj(5)
 
 
+def _nested(depth, kind, leaf=PStr("leaf")):
+    """``depth`` levels of ``kind`` around ``leaf``: lists, maps, or maps and
+    objects in turn, an object's fields being the map inside it."""
+    wrap = {
+        "list": lambda v: PList((v,)),
+        "map": lambda v: PMap({"k": v}),
+        "object": lambda v: PObj("demo.Node", v) if isinstance(v, PMap) else PMap({"k": v}),
+    }[kind]
+    value = leaf
+    for _ in range(depth):
+        value = wrap(value)
+    return value
+
+
+def _deep_json(depth):
+    return '{"type":"list","value":[' * depth + '{"type":"int","value":1}' + "]}" * depth
+
+
+class TestDepthCap:
+    @pytest.mark.parametrize("kind", ["list", "map", "object"])
+    def test_256_levels_build_hash_and_round_trip(self, kind):
+        value = _nested(256, kind)
+        encoded = canonical_encode(value)
+        assert canonical_encode(parse_provenance(serialize_provenance(value))) == encoded
+        assert provenance_hash(value) == hashlib.sha256(encoded).hexdigest()  # nothing volatile
+
+    @pytest.mark.parametrize("kind", ["list", "map", "object"])
+    def test_257_levels_raise(self, kind):
+        with pytest.raises(ParseError, match="deeper than 256 levels"):
+            _nested(257, kind)
+
+    def test_an_object_around_256_levels_raises(self):
+        with pytest.raises(ParseError, match="deeper than 256 levels"):
+            PObj("demo.Node", _nested(256, "map"))
+
+    def test_a_json_document_within_the_cap(self):
+        assert canonical_encode(parse_provenance(_deep_json(256))) == canonical_encode(_nested(256, "list", PInt(1)))
+
+    @pytest.mark.parametrize(
+        "depth, message", [(257, "deeper than 256 levels"), (300, "deeper than 256 levels"), (1200, "nested too deeply")]
+    )
+    def test_a_json_document_deeper_than_the_cap(self, depth, message):
+        with pytest.raises(ParseError, match=message):
+            parse_provenance(_deep_json(depth))
+        with pytest.raises(ParseError, match=message):
+            config_from_json('{"config":[{"name":"a","class":"b","properties":{"p":' + _deep_json(depth) + "}}]}")
+
+
 # ---------------------------------------------------------------------------
 # Object provenance and extraction
 # ---------------------------------------------------------------------------
