@@ -98,7 +98,7 @@ def _predictions_csv(model, source) -> str:
     """The predictions CSV of ``source``'s rows: each row's index, output and,
     for classification, score of each label, written from the rows' score
     tables once every row has been scored."""
-    labels = model.output_domain.labels() if model.task == CATEGORICAL else ()
+    labels = model.labels
     tables = [model.score_compiled(columns) for columns, _, _ in source.compiled(model)]
     scores = np.concatenate([t.scores for t in tables]) if tables else np.empty((0, len(labels)) if labels else 0)
     outputs = [[output.label for t in tables for output in t.outputs]] if labels else []

@@ -662,6 +662,16 @@ class Model(ABC):
     def task(self) -> str:
         return self.output_domain.task
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The output domain's labels in order, or none for a regression."""
+        return self.output_domain.labels() if self.task == CATEGORICAL else ()
+
+    @cached_property
+    def _label_outputs(self) -> tuple[CategoricalOutput, ...]:
+        """The output of each label, by label index, built once."""
+        return tuple(map(CategoricalOutput, self.labels))
+
     def predict(self, example: Example, expected_task: str | None = None) -> Prediction:
         if expected_task is not None and expected_task != self.task:
             raise OutputTypeMismatch(
@@ -708,7 +718,7 @@ class Model(ABC):
         feature count before names outside the domain were dropped.
         """
         scored, warnings = self.score_compiled(columns), self._range_warnings(columns)
-        maps = scored.score_maps(self.output_domain.labels() if self.task == CATEGORICAL else ())
+        maps = scored.score_maps(self.labels)
         used = np.diff(columns.indptr).tolist()
         return [
             Prediction(output, scores, n_used, n_total, warnings.get(i, ()))
@@ -740,26 +750,22 @@ class Model(ABC):
         """Score each row compiled against the model's domain; an output of None rejects a row as no overlap.
 
         This default passes each row's ``{id: value}`` to
-        :meth:`_predict_intersected`.  Subclasses may override it with array
-        kernels.
+        :meth:`_predict_intersected` and keeps the maps it returns, the one
+        table with ``maps``: a label a map lacks reads 0.0, a rejected row's
+        value NaN.  Every library model overrides it with an array kernel.
         """
         ids, values, bounds = columns.feature_ids.tolist(), columns.values.tolist(), columns.indptr.tolist()
-        results: list[tuple[Output | None, dict[str, float]]] = []
+        outputs, maps = [], []
         for start, end in zip(bounds, bounds[1:]):
             try:
-                results.append(self._predict_intersected(dict(zip(ids[start:end], values[start:end]))))
+                output, scores = self._predict_intersected(dict(zip(ids[start:end], values[start:end])))
             except NoFeatureOverlap:
-                results.append((None, {}))
-        return self._table(results)
-
-    def _table(self, results: Sequence[tuple[Output | None, dict[str, float]]]) -> ScoreTable:
-        """The table of rows scored one by one, as ``(output, scores)``, which
-        keeps their maps: a label a map lacks reads 0.0, a rejected row's value NaN."""
-        outputs, maps = [output for output, _ in results], [scores for _, scores in results]
+                output, scores = None, {}
+            outputs.append(output)
+            maps.append(scores)
         if self.task == CATEGORICAL:
-            labels = self.output_domain.labels()
-            scores = np.array([[row.get(label, 0.0) for label in labels] for row in maps], dtype=np.float64)
-            return ScoreTable(outputs, scores.reshape(len(maps), len(labels)), maps)
+            scores = np.array([[row.get(label, 0.0) for label in self.labels] for row in maps], dtype=np.float64)
+            return ScoreTable(outputs, scores.reshape(len(maps), len(self.labels)), maps)
         return ScoreTable(outputs, np.array([math.nan if o is None else o.value for o in outputs], dtype=np.float64), maps)
 
     @abstractmethod
@@ -773,10 +779,9 @@ class ScoreTable(NamedTuple):
     """Rows scored as one table: each row's output, None where the model
     rejects the row, and its ``scores``, one column per label in label order
     (a label a row's map lacks reads 0.0), or for regression its value.
-    ``maps`` keeps each row's score map where a kernel's maps are not the
-    rows of ``scores`` in label order: :func:`~pvml.ensemble.combine` orders
-    its keys by the members that score a row, and a kernel from outside the
-    library returns maps of its own."""
+    ``maps`` keeps the score maps of a kernel from outside the library,
+    which may lack a label or come in another order; every library model's
+    maps are the rows of ``scores`` in label order, and it keeps none."""
 
     outputs: list[Output | None]
     scores: np.ndarray

@@ -10,7 +10,6 @@ ensemble's restricted to the member's features.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -34,6 +33,7 @@ from .core import (
     _fold,
     argmax_label,
     dataset_from_columns,
+    feature_ids,
     model_provenance,
     output_task,
 )
@@ -147,7 +147,9 @@ def combine(predictions: Sequence[Prediction], weights: Sequence[float]) -> Pred
 
     Classification score vectors are normalized to sum 1 per member before
     averaging so heterogeneous members mix sanely.  Feature-use counters
-    are zeroed; the calling model substitutes its own.
+    are zeroed; the calling model substitutes its own.  The scores hold the
+    labels the members score, in the order they first appear, and so does
+    the argmax; an :class:`EnsembleModel`'s hold every label of its domain.
     """
     if not predictions or len(predictions) != len(weights):
         raise ValueError("need one weight per member prediction")
@@ -174,11 +176,12 @@ def combine(predictions: Sequence[Prediction], weights: Sequence[float]) -> Pred
 class _Forest:
     """The node tables of tree members stacked into one, member by member,
     each split's feature relabelled to the ensemble's ids and each child
-    pointer offset; ``roots`` holds each member's first row.  ``values``
-    holds each row's leaf mean, 0.0 at splits, when every member regresses."""
+    pointer offset; ``roots`` holds each member's first row.  ``table``
+    holds each row's part in the merge, from ``tables``, one per member, and
+    ``rows`` holds it as Python floats."""
 
-    def __init__(self, members: Sequence[TreeModel], index: Mapping[str, int]):
-        self.nodes, self.roots, self.known, self.outputs = [], [], [], {}
+    def __init__(self, members: Sequence[TreeModel], index: Mapping[str, int], tables: Sequence[np.ndarray]):
+        self.nodes, self.roots, self.known = [], [], []
         self.mask = np.zeros((len(members), len(index)), dtype=bool)  # the ids each member knows, as ``known``
         for m, member in enumerate(members):
             ids, base = [index[name] for name in member.feature_domain.names()], len(self.nodes)
@@ -186,112 +189,122 @@ class _Forest:
             self.known.append(frozenset(ids))
             self.mask[m, ids] = True
             self.nodes += [LEAF if a < 0 else (ids[f], t, base + a, base + b) for f, t, a, b in member.nodes]
-            self.outputs.update((base + i, out) for i, out in member.leaf_outputs.items())
         self.arrays = tuple(map(np.array, zip(*self.nodes)))
-        regression = all(member.task == REAL for member in members)
-        self.values = np.concatenate([member.leaf_table.scores for member in members]).tolist() if regression else None
+        self.table = np.concatenate(tables)
+        self.rows = self.table.tolist()
 
 
 class EnsembleModel(Model):
     """Weighted committee of trained members.  An ensemble of trees scores
-    through its forest table, :attr:`_forest`; any other asks each member,
-    through :attr:`_member_ids`.  Either way a member that knows none of a
-    row's features skips the row, and the rest merge as :func:`combine` does."""
+    through its forest table, :attr:`_forest`; any other asks each member
+    for its score table.  Either way a member that knows none of a row's
+    features skips the row, and the rest merge as :func:`combine` does, bit
+    for bit, but into every label in label order, 0.0 where no member scores
+    it: the first maximum wins, so a row of zero shares goes to the smallest."""
 
     model_class = ENSEMBLE_MODEL_CLASS
 
     def __init__(self, name, provenance, feature_domain, output_domain, members: Sequence[Model], member_weights):
         super().__init__(name, provenance, feature_domain, output_domain)
-        if len(members) != len(member_weights):
-            raise ValueError("need one weight per member")
+        if not members or len(members) != len(member_weights):
+            raise ValueError("need at least one member, and one weight per member")
         if not all(0.0 < w < math.inf for w in member_weights):
             raise ValueError("member weights must be finite and greater than 0")
         outside = {name for member in members for name in member.feature_domain.names()}.difference(feature_domain.ids)
         if outside:
             raise ValueError(f"member features {sorted(outside)!r} are outside the ensemble's domain")
+        if any(member.task != self.task for member in members):
+            raise ValueError(f"a member's task differs from the ensemble's, {self.task}")
+        outside = {label for member in members for label in member.labels}.difference(self.labels)
+        if outside:
+            raise ValueError(f"member labels {sorted(outside)!r} are outside the ensemble's output domain")
         self.members = tuple(members)
         self.member_weights = tuple(member_weights)
 
     @cached_property
     def _forest(self) -> _Forest | None:
         """The forest table, built once, or None unless every member is a :class:`TreeModel`."""
-        trees = all(isinstance(member, TreeModel) for member in self.members)
-        return _Forest(self.members, self.feature_domain.ids) if trees else None
+        if not all(isinstance(member, TreeModel) for member in self.members):
+            return None
+        tables = [self._shares(member, member.leaf_table.scores) for member in self.members]
+        return _Forest(self.members, self.feature_domain.ids, tables)
+
+    def _shares(self, member: Model, scores: np.ndarray) -> np.ndarray:
+        """A member's score table as the merge adds it up: a regression's as
+        one column, a classification's placed in the ensemble's label columns
+        and divided by each row's sum, or 0.0 where that sum is not above 0,
+        as :func:`combine` takes each member's share."""
+        if self.task == REAL:
+            return scores.reshape(-1, 1)
+        norm = _fold(scores.T)[:, None]  # column by column, as combine folds: numpy's sum reorders 8 terms or more
+        position = dict(zip(self.labels, range(len(self.labels))))
+        placed = np.zeros((len(scores), len(self.labels)))
+        placed[:, [position[label] for label in member.labels]] = scores
+        return np.divide(placed, norm, out=np.zeros_like(placed), where=norm > 0)
 
     def _predict_intersected(self, sparse: Mapping[int, float]) -> tuple[Output, dict[str, float]]:
         """Walk the forest table from the root of each member that knows a
-        feature of ``sparse``, in member order, or ask each such member
-        through :attr:`_member_ids`.  A forest regression takes the weighted
-        mean of the leaves by :func:`combine`'s float operations."""
-        forest, results, used = self._forest, [], []
+        feature of ``sparse``, in member order, and fold the leaf rows it
+        reaches as :meth:`_score_compiled` adds them up; any other ensemble
+        scores ``sparse`` as one compiled row."""
+        forest, rows, used = self._forest, [], []
         if forest is None:
-            ids = np.fromiter(sparse, dtype=np.intp, count=len(sparse))
-            for member, weight, member_ids in zip(self.members, self.member_weights, self._member_ids):
-                local = {m: v for m, v in zip(member_ids.take(ids).tolist(), sparse.values()) if m >= 0}
-                if not local:
-                    continue  # a member whose bootstrap never saw these features
-                with contextlib.suppress(NoFeatureOverlap):  # a nested ensemble none of whose members overlaps them
-                    results.append(member._predict_intersected(local))
-                    used.append(weight)
-            return _merged(results, used)
+            ids, values = zip(*sorted(sparse.items()))  # in id order, as a compiled row
+            row = Columns(np.array([0, len(ids)]), np.array(ids, dtype=np.int32), np.array(values), np.empty(0), np.ones(1))
+            scored = self._score_compiled(row)
+            if scored.outputs[0] is None:
+                raise NoFeatureOverlap("no ensemble member overlaps the example's features")
+            return scored.outputs[0], scored.score_maps(self.labels)[0]
         for root, known, weight in zip(forest.roots, forest.known, self.member_weights):
             if not known.isdisjoint(sparse):
-                results.append(walk(forest.nodes, sparse, root))  # the leaf row it reaches
+                rows.append(forest.rows[walk(forest.nodes, sparse, root)])
                 used.append(weight)
-        if used and forest.values is not None:
-            return RealOutput(_fold(forest.values[i] * w for i, w in zip(results, used)) / _fold(used)), {}
-        return _merged([forest.outputs[i] for i in results], used)
+        if not used:
+            raise NoFeatureOverlap("no ensemble member overlaps the example's features")
+        total = _fold(used)
+        scores = [_fold(row[j] * w for row, w in zip(rows, used)) / total for j in range(len(rows[0]))]
+        if self.task == REAL:
+            return RealOutput(scores[0]), {}
+        return self._label_outputs[scores.index(max(scores))], dict(zip(self.labels, scores))
 
     @cached_property
     def _member_ids(self) -> list[np.ndarray]:
         """Per member: the member's id of each feature id of the ensemble, or -1."""
-        index, views = self.feature_domain.ids, []
-        for member in self.members:
-            ids = np.full(len(self.feature_domain), -1, dtype=np.int32)
-            ids[[index[name] for name in member.feature_domain.names()]] = np.arange(len(member.feature_domain))
-            views.append(ids)
-        return views
+        return [feature_ids(member.feature_domain.ids, self.feature_domain.names()) for member in self.members]
 
     def _score_compiled(self, columns: Columns) -> ScoreTable:
-        """When every member regresses, the weighted values add up as arrays in member order, as
-        :func:`combine` adds them, so the means are equal bit for bit; otherwise through :func:`combine`."""
+        """Each member's rows of :meth:`_shares` times its weight, added up in
+        member order and divided by the total weight of the members that
+        score each row: :func:`combine`'s float operations, bit for bit."""
         n = len(columns.indptr) - 1
-        regression = all(member.task == REAL for member in self.members)
-        acc, total, used = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-        per_row: list[list[tuple]] = [[] for _ in range(n)]  # (result, weight) of each member that scores a row
-        for weight, at, results in self._member_results(columns, regression):
-            if regression:
-                acc[at] += results * weight
-                total[at] += weight
-                used[at] = True
-                continue
-            for r, result in zip(at.tolist(), results):
-                per_row[r].append((result, weight))
-        if regression:
-            with np.errstate(all="ignore"):
-                means = acc / total
-            return ScoreTable([RealOutput(v) if u else None for v, u in zip(means.tolist(), used.tolist())], means)
-        return self._table([_merged(*zip(*row)) if row else (None, {}) for row in per_row])
+        merged, total = np.zeros((n, max(len(self.labels), 1))), np.zeros(n)  # a regression's one column
+        for weight, at, rows in self._member_results(columns):
+            merged[at] += weight * rows
+            total[at] += weight
+        with np.errstate(invalid="ignore"):  # 0 / 0 in the rows no member scores
+            merged /= total[:, None]
+        scored = (total > 0).tolist()
+        if self.task == REAL:
+            return ScoreTable([RealOutput(v) if s else None for v, s in zip(merged[:, 0].tolist(), scored)], merged[:, 0])
+        best = merged.argmax(axis=1).tolist()
+        return ScoreTable([self._label_outputs[i] if s else None for i, s in zip(best, scored)], merged)
 
-    def _member_results(self, columns: Columns, regression: bool):
-        """Per member, in order: its weight, the rows it scores and its
-        results there, an array of values when every member regresses, else
-        ``(output, scores)`` pairs.  The forest table descends all (member,
+    def _member_results(self, columns: Columns):
+        """Per member, in order: its weight, the rows it scores and its rows
+        of :meth:`_shares` there.  The forest table descends all (member,
         row) pairs at once, on these columns; any other ensemble hands each
         member a view in its ids."""
-        n = len(columns.indptr) - 1
-        rows = np.repeat(np.arange(n), np.diff(columns.indptr))
         forest = self._forest
-        if forest is not None:
-            member, entry = forest.mask[:, columns.feature_ids].nonzero()
-            overlap = np.zeros((len(self.members), n), dtype=bool)
-            overlap[member, rows.take(entry)] = True
+        if forest is not None:  # reduceat needs each row to have an entry, as score_compiled ensures
+            overlap = np.logical_or.reduceat(forest.mask[:, columns.feature_ids], columns.indptr[:-1], axis=1)
             member, at = overlap.nonzero()  # member by member, rows ascending
             leaves = descend(forest.arrays, columns, len(self.feature_domain), np.take(forest.roots, member), at)
-            values, ends = np.array(forest.values or ()), np.cumsum(overlap.sum(axis=1))[:-1]
-            for weight, at, leaves in zip(self.member_weights, np.split(at, ends), np.split(leaves, ends)):
-                yield weight, at, values.take(leaves) if regression else [forest.outputs[i] for i in leaves.tolist()]
+            table, ends = forest.table.take(leaves, axis=0), np.cumsum(overlap.sum(axis=1)).tolist()
+            for weight, start, end in zip(self.member_weights, [0, *ends], ends):
+                yield weight, at[start:end], table[start:end]
             return
+        n = len(columns.indptr) - 1
+        rows = np.repeat(np.arange(n), np.diff(columns.indptr))
         for member, weight, ids in zip(self.members, self.member_weights, self._member_ids):
             member_ids = ids.take(columns.feature_ids)
             keep = member_ids >= 0
@@ -301,20 +314,8 @@ class EnsembleModel(Model):
             np.cumsum(counts[overlap], out=indptr[1:])
             view = Columns(indptr, member_ids[keep], columns.values[keep], columns.targets, columns.weights[overlap])
             scored = member._score_compiled(view)
-            ok = [i for i, output in enumerate(scored.outputs) if output is not None]  # a nested ensemble may reject a row
-            if regression:
-                yield weight, overlap.take(ok), scored.scores.take(ok)
-            else:
-                maps = scored.score_maps(member.output_domain.labels())
-                yield weight, overlap.take(ok), [(scored.outputs[i], maps[i]) for i in ok]
-
-
-def _merged(results: list[tuple[Output, dict[str, float]]], weights: list[float]) -> tuple[Output, dict[str, float]]:
-    """Member results merged through :func:`combine`; none raises :class:`NoFeatureOverlap`."""
-    if not results:
-        raise NoFeatureOverlap("no ensemble member overlaps the example's features")
-    merged = combine([Prediction(*result, 0, 0) for result in results], weights)
-    return merged.output, merged.scores
+            ok = np.flatnonzero([output is not None for output in scored.outputs])  # a nested ensemble may reject a row
+            yield weight, overlap.take(ok), self._shares(member, scored.scores.take(ok, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .core import (
     CATEGORICAL,
     REAL,
-    CategoricalOutput,
     Columns,
     Dataset,
     Model,
@@ -252,11 +250,6 @@ class LinearSgdModel(Model):
             return list(map(RealOutput, values)), z[:, 0]
         probs = _softmax(z)
         return list(map(self._label_outputs.__getitem__, probs.argmax(axis=1).tolist())), probs
-
-    @cached_property
-    def _label_outputs(self) -> tuple[CategoricalOutput, ...]:
-        """The output of each label, by label index, built once."""
-        return tuple(map(CategoricalOutput, self.output_domain.labels()))
 
 
 class LinearSgdTrainer(Trainer):

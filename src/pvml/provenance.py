@@ -24,7 +24,7 @@ from .errors import ParseError, UnknownTag
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
-MAX_DEPTH = 256  # the nesting of lists, maps and objects the recursive walks below fit; real provenance nests 15-25
+MAX_DEPTH = 128  # the nesting of lists, maps and objects that the recursive walks, repr and == fit; real provenance nests 15-25
 
 REDACTED = "<REDACTED>"
 REDACTED_VOLATILE = "<REDACTED-VOLATILE>"

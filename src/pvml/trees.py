@@ -607,7 +607,7 @@ class TreeModel(Model):
     def leaf_table(self) -> ScoreTable:
         """The :class:`~pvml.core.ScoreTable` of the node rows, built once from
         :attr:`leaf_outputs`: None and zeros at a split."""
-        outputs, labels = [None] * len(self.nodes), self.output_domain.labels() if self.task == CATEGORICAL else ()
+        outputs, labels = [None] * len(self.nodes), self.labels
         scores = np.zeros((len(self.nodes), len(labels)) if labels else len(self.nodes))
         for i, (output, leaf_scores) in self.leaf_outputs.items():
             outputs[i], scores[i] = output, [leaf_scores[label] for label in labels] if labels else output.value

@@ -257,10 +257,16 @@ def _round_trip(kind):
         return load_model(path)
 
 
-def _committee(model, example):
+def _labels(model):
+    return model.output_domain.labels() if model.task == "categorical" else ()
+
+
+def _committee(model, example, in_label_order=True):
     """An ensemble's prediction by its definition: each member predicts the
     example restricted to the member's own names, a member that knows none
-    of them is skipped, and the rest merge through ``combine``."""
+    of them is skipped, and the rest merge through ``combine``, whose scores
+    are read into the ensemble's label order, 0.0 for a label they lack.
+    Without ``in_label_order`` every level keeps ``combine``'s own scores."""
     known = [f for f in example.features if f.name in model.feature_domain]
     predictions, weights = [], []
     for member, weight in zip(model.members, model.member_weights):
@@ -268,14 +274,18 @@ def _committee(model, example):
         if not own:
             continue
         try:
-            score = _committee if isinstance(member, EnsembleModel) else type(member).predict
-            predictions.append(score(member, Example(own)))
+            if isinstance(member, EnsembleModel):
+                predictions.append(_committee(member, Example(own), in_label_order))
+            else:
+                predictions.append(type(member).predict(member, Example(own)))
         except NoFeatureOverlap:
             continue  # a nested ensemble none of whose members knows them
         weights.append(weight)
     if not predictions:
         raise NoFeatureOverlap("no member knows the example's features")
     merged = combine(predictions, weights)
+    if in_label_order:
+        merged = Prediction(merged.output, {label: merged.scores.get(label, 0.0) for label in _labels(model)}, 0, 0)
     domain = model.feature_domain
     bounds = [(f.name, f.value, domain.min[domain.ids[f.name]], domain.max[domain.ids[f.name]]) for f in known]
     warnings = tuple(f"out-of-range:{name}" for name, value, lo, hi in bounds if value < lo or value > hi)
@@ -321,6 +331,29 @@ class TestEnsembleDefinition:
             MODELS["bagging-linear"].predict(CLF.examples[0])
         with pytest.raises(MemberIdsUsed):
             MODELS["bagging-linear"].predict_batch(CLF.examples)
+
+
+class TestEveryLabelInLabelOrder:
+    """A classification ensemble scores every label of its domain, in label
+    order, one row or many.  Each score that ``combine`` gives keeps its
+    bits, and a label that no member scores reads 0.0."""
+
+    @pytest.mark.parametrize("kind", ENSEMBLES)
+    def test_training_rows_and_rows_some_member_never_saw(self, kind):
+        model = MODELS[kind]
+        dataset = REG if model.task == "real" else CLF
+        rows, present = [], []
+        for example in [*dataset.examples, *(make_example([(t, 1.0)]) for t in TOKENS)]:
+            try:
+                present.append(_committee(model, example, in_label_order=False).scores)
+            except NoFeatureOverlap:
+                continue
+            rows.append(example)
+        expected = [[(label, scores.get(label, 0.0).hex()) for label in _labels(model)] for scores in present]
+        for predictions in ([model.predict(x) for x in rows], model.predict_batch(rows)):
+            assert [[(label, v.hex()) for label, v in p.scores.items()] for p in predictions] == expected
+        gained = sum(len(scores) < len(_labels(model)) for scores in present)
+        assert gained if kind in ("bagging-clf", "forest-clf", "bagging-linear", "bagging-of-forests") else not gained
 
 
 @cache

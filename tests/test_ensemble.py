@@ -26,9 +26,9 @@ from pvml.ensemble import (
     combine,
     train_ensemble,
 )
-from pvml.errors import AllMembersRejected, EmptySource, InconsistentTask, TaskMismatch
-from pvml.optimize import LinearSgdTrainer, Sgd
-from pvml.persist import model_to_container
+from pvml.errors import AllMembersRejected, EmptySource, FormatError, InconsistentTask, TaskMismatch
+from pvml.optimize import LinearSgdTrainer, Sgd, train_linear_sgd
+from pvml.persist import load_model, model_to_container, save_model
 from pvml.provenance import (
     PInt,
     PList,
@@ -277,6 +277,43 @@ class TestEnsembleModelChecks:
         ])), TreeConfig(max_depth=1))
         with pytest.raises(ValueError, match="'zz'"):
             self._rebuilt(model, members=(*model.members[:-1], stranger))
+
+    def test_no_member(self, interleaved_dataset):
+        model = train_ensemble(interleaved_dataset, EnsembleConfig(CartTrainer(TreeConfig(max_depth=2)), 3, seed=1))
+        with pytest.raises(ValueError, match="at least one member"):
+            self._rebuilt(model, members=(), weights=())
+
+    def test_member_labels_outside_the_output_domain(self, interleaved_dataset):
+        model = train_ensemble(interleaved_dataset, EnsembleConfig(CartTrainer(TreeConfig(max_depth=2)), 3, seed=1))
+        nine = train_linear_sgd(build_dataset(InMemoryDataSource([
+            make_example([("x", float(i))], CategoricalOutput("abcdefghi"[i])) for i in range(9)
+        ])), "logistic", Sgd(0.1), 1, 3, 2)
+        with pytest.raises(ValueError, match=r"member labels \['c', 'd', 'e', 'f', 'g', 'h', 'i'\] are outside"):
+            self._rebuilt(model, members=(*model.members[:-1], nine))
+
+    def test_member_of_another_task(self, interleaved_dataset):
+        model = train_ensemble(interleaved_dataset, EnsembleConfig(CartTrainer(TreeConfig(max_depth=2)), 3, seed=1))
+        regression = train_cart(build_dataset(InMemoryDataSource([
+            make_example([("x", float(i))], RealOutput(0.5 * i)) for i in range(4)
+        ])), TreeConfig(max_depth=1))
+        with pytest.raises(ValueError, match="task differs"):
+            self._rebuilt(model, members=(regression, *model.members[1:]))
+
+    REAL_DOMAIN = {"type": "real", "min": "0.0", "max": "1.0", "mean": "0.5", "variance": "0.25", "count": 4}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["parameters"]["members"][1]["outputDomain"]["counts"].update(zz=1), "outside the ensemble's output domain"),
+        (lambda c: c.update(outputDomain=TestEnsembleModelChecks.REAL_DOMAIN), "task differs"),
+    ], ids=["label", "task"])
+    def test_a_file_with_such_a_member_fails_to_load(self, interleaved_dataset, tmp_path, edit, message):
+        model = train_ensemble(interleaved_dataset, EnsembleConfig(CartTrainer(TreeConfig(max_depth=2)), 3, seed=1))
+        path = tmp_path / "model.pvml"
+        save_model(model, str(path))
+        container = json.loads(path.read_text(encoding="utf-8"))
+        edit(container)
+        path.write_text(json.dumps(container), encoding="utf-8")
+        with pytest.raises(FormatError, match=message):
+            load_model(str(path))
 
 
 class TestRedactionOfEnsembles:

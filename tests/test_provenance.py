@@ -339,26 +339,32 @@ def _deep_json(depth):
 
 class TestDepthCap:
     @pytest.mark.parametrize("kind", ["list", "map", "object"])
-    def test_256_levels_build_hash_and_round_trip(self, kind):
-        value = _nested(256, kind)
+    def test_levels_at_the_cap_build_hash_and_round_trip(self, kind):
+        value = _nested(128, kind)
         encoded = canonical_encode(value)
         assert canonical_encode(parse_provenance(serialize_provenance(value))) == encoded
         assert provenance_hash(value) == hashlib.sha256(encoded).hexdigest()  # nothing volatile
 
     @pytest.mark.parametrize("kind", ["list", "map", "object"])
-    def test_257_levels_raise(self, kind):
-        with pytest.raises(ParseError, match="deeper than 256 levels"):
-            _nested(257, kind)
+    def test_levels_at_the_cap_repr_and_compare(self, kind):
+        value, same, other = _nested(128, kind), _nested(128, kind), _nested(128, kind, PStr("other"))
+        assert repr(value) == repr(same) and repr(value).count("leaf") == 1
+        assert value == same and value != other
 
-    def test_an_object_around_256_levels_raises(self):
-        with pytest.raises(ParseError, match="deeper than 256 levels"):
-            PObj("demo.Node", _nested(256, "map"))
+    @pytest.mark.parametrize("kind", ["list", "map", "object"])
+    def test_one_level_over_the_cap_raises(self, kind):
+        with pytest.raises(ParseError, match="deeper than 128 levels"):
+            _nested(129, kind)
+
+    def test_an_object_around_the_cap_raises(self):
+        with pytest.raises(ParseError, match="deeper than 128 levels"):
+            PObj("demo.Node", _nested(128, "map"))
 
     def test_a_json_document_within_the_cap(self):
-        assert canonical_encode(parse_provenance(_deep_json(256))) == canonical_encode(_nested(256, "list", PInt(1)))
+        assert canonical_encode(parse_provenance(_deep_json(128))) == canonical_encode(_nested(128, "list", PInt(1)))
 
     @pytest.mark.parametrize(
-        "depth, message", [(257, "deeper than 256 levels"), (300, "deeper than 256 levels"), (1200, "nested too deeply")]
+        "depth, message", [(129, "deeper than 128 levels"), (300, "deeper than 128 levels"), (1200, "nested too deeply")]
     )
     def test_a_json_document_deeper_than_the_cap(self, depth, message):
         with pytest.raises(ParseError, match=message):

@@ -20,7 +20,9 @@ import pytest
 from pvml.cli import _predictions_csv, main
 from pvml.core import CATEGORICAL, UNKNOWN, CategoricalOutput, Model, RealOutput, ScoreTable, build_dataset, checked_example
 from pvml.data import CATEGORICAL_FIELD, NUMERIC, ColumnarSchema, FieldProcessor, load_csv
-from pvml.ensemble import ADABOOST, BAGGING, RANDOM_FOREST, EnsembleConfig, EnsembleTrainer, train_ensemble
+from pvml.ensemble import (
+    ADABOOST, BAGGING, RANDOM_FOREST, EnsembleConfig, EnsembleModel, EnsembleTrainer, combine, train_ensemble,
+)
 from pvml.errors import NoFeatureOverlap, NonFiniteScore
 from pvml.evaluate import evaluate_classification, evaluate_regression
 from pvml.optimize import AdaGrad, LinearSgdModel, Sgd, train_linear_sgd
@@ -86,6 +88,17 @@ class _Outside(Model):
         return CategoricalOutput(labels[1]), {labels[2]: low, labels[1]: float(len(sparse)), labels[0]: 5e-324}
 
 
+class _Zero(Model):
+    """A kernel from outside the library that scores ``0.0`` and ``-0.0``
+    and lacks the smallest label, so every share of its rows is 0."""
+
+    model_class = "outside.Zero"
+
+    def _predict_intersected(self, sparse):
+        labels = self.output_domain.labels()
+        return CategoricalOutput(labels[2]), {labels[2]: 0.0, labels[1]: -0.0}
+
+
 def _hand_built(tree):
     """``tree``'s domains and provenance over a table of hand-written leaves
     that score ``-0.0`` beside ``0.0`` and ``5e-324``."""
@@ -119,11 +132,14 @@ def models(files):
         tree = found[f"tree-{task}"]
         found[f"hand-built-{task}"] = _hand_built(tree)
         found[f"outside-{task}"] = _Outside("outside", tree.provenance, tree.feature_domain, tree.output_domain)
+    tree = found["tree-clf"]
+    zero = _Zero("zero", tree.provenance, tree.feature_domain, tree.output_domain)
+    found["zero-shares"] = EnsembleModel("zero", tree.provenance, tree.feature_domain, tree.output_domain, [zero, zero], [0.5, 1.5])
     return found
 
 
 SAVED = ["linear-clf", "linear-reg", "tree-clf", "tree-reg", "forest-clf", "forest-reg", "adaboost", "bagging-of-forests"]
-ALL = [*SAVED, "hand-built-clf", "hand-built-reg", "outside-clf", "outside-reg"]
+ALL = [*SAVED, "hand-built-clf", "hand-built-reg", "outside-clf", "outside-reg", "zero-shares"]
 
 
 def _reference_csv(model, source):
@@ -253,6 +269,23 @@ class TestOutsideKernelLackingALabel:
         assert table.scores[:, 3].tolist() == [0.0] * len(table.outputs)
         rows = list(csv.reader(io.StringIO(_predictions_csv(model, source))))
         assert {row[rows[0].index(missing)] for row in rows[1:]} == {"0.0"}
+
+
+class TestAllZeroShares:
+    """A row whose shares are all 0: an ensemble's argmax ranges over every
+    label of its domain, so the smallest wins, where ``combine``'s ranges
+    over the labels its members score."""
+
+    def test_the_smallest_label_wins(self, models, files):
+        model = models["zero-shares"]
+        labels = model.output_domain.labels()
+        examples = list(load_csv(files["score"], CLF_SCHEMA))
+        one_row = [model.predict(x) for x in examples]
+        assert {p.output.label for p in one_row} == {labels[0]}
+        assert all(list(p.scores.items()) == [(label, 0.0) for label in labels] for p in one_row)
+        assert [_bits(p) for p in model.predict_batch(examples)] == [_bits(p) for p in one_row]
+        member = model.members[0].predict(examples[0])
+        assert combine([member, member], [0.5, 1.5]).output.label == labels[1]
 
 
 def test_regression_table_is_the_output_column(models, files):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pvml import CategoricalOutput, make_example
-from pvml.core import CategoricalDomain, FeatureDomain, Model, compile_examples
+from pvml.core import CategoricalDomain, FeatureDomain, Model, Prediction, compile_examples
 from pvml.ensemble import combine
 from pvml.errors import NoFeatureOverlap, PvmlError
 from pvml.provenance import object_provenance
 
-from test_batch import CLF, EXAMPLES, MODELS, REG, TOKENS, _batched, _bits, _one_by_one
+from test_batch import CLF, EXAMPLES, MODELS, REG, TOKENS, _batched, _bits, _labels, _one_by_one
 
 ENSEMBLES = ["bagging-clf", "bagging-reg", "forest-clf", "forest-reg", "adaboost-tree", "bagging-of-forests"]
 
@@ -23,7 +23,8 @@ def _output_and_scores(prediction):
 
 
 def _committee(model, example):
-    """``combine`` over every member that scores ``example`` on its own."""
+    """``combine`` over every member that scores ``example`` on its own, its
+    scores read into the ensemble's label order, 0.0 for a label they lack."""
     predictions, weights = [], []
     for member, weight in zip(model.members, model.member_weights):
         try:
@@ -33,7 +34,8 @@ def _committee(model, example):
         weights.append(weight)
     if not predictions:
         return NoFeatureOverlap
-    return _output_and_scores(combine(predictions, weights))
+    merged = combine(predictions, weights)
+    return _output_and_scores(Prediction(merged.output, {label: merged.scores.get(label, 0.0) for label in _labels(model)}, 0, 0))
 
 
 def _ensemble(model, example):
