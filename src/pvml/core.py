@@ -17,7 +17,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
@@ -420,9 +420,9 @@ class Columns:
 
 
 class Block(NamedTuple):
-    """Rows given flat: row ``i`` holds the next ``totals[i]`` of ``ids`` and
-    ``values``, in name order, with output ``outputs[i]`` and weight
-    ``weights[i]``.  ``ids`` index ``vocabulary``, the sorted names the rows hold."""
+    """Rows given flat: row ``i`` holds the next ``totals[i]`` of ``ids`` and ``values``, in name
+    order, with output ``outputs[i]`` and weight ``weights[i]``.  ``ids`` index ``vocabulary``,
+    names the rows hold: sorted and distinct in a block that :func:`~pvml.data.featurize` makes."""
 
     vocabulary: list[str]
     ids: np.ndarray
@@ -439,13 +439,11 @@ class Block(NamedTuple):
 
 
 def examples_block(examples: Sequence[Example]) -> Block:
-    """The examples as one :class:`Block`."""
+    """The examples as one :class:`Block` whose vocabulary is each feature's name in turn."""
     names = [f.name for ex in examples for f in ex.features]
-    vocabulary = sorted(set(names))
-    ids = feature_ids(dict(zip(vocabulary, range(len(vocabulary)))), names)
     values = np.array([f.value for ex in examples for f in ex.features], dtype=np.float64)
     weights = np.array([ex.weight for ex in examples], dtype=np.float64)
-    return Block(vocabulary, ids, values, [len(ex.features) for ex in examples], [ex.output for ex in examples], weights)
+    return Block(names, np.arange(len(names)), values, [len(ex.features) for ex in examples], [ex.output for ex in examples], weights)
 
 
 def _targets(outputs: Sequence[Output], labels: Sequence[str] | None) -> np.ndarray:
@@ -553,24 +551,31 @@ def real_domain(targets: Iterable[float]) -> RealDomain:
 def build_dataset(source) -> Dataset:
     """Materialize a data source into a dataset with fresh provenance.
 
-    The source has a ``provenance`` attribute.  One with a ``block`` method,
-    a :class:`~pvml.data.CsvDataSource`, hands over its rows as one
-    :class:`Block` and builds no example; any other is an iterable of
-    examples, taken as their :func:`examples_block`.  Statistics use
-    population variance (divisor = count).
+    The source has a ``provenance`` attribute.  A :class:`~pvml.data.CsvDataSource`
+    hands over its rows as ``blocks()`` and builds no example; any other is an
+    iterable of examples, taken as one :func:`examples_block`.  The blocks join in
+    order over the sorted union of their vocabularies.  Statistics use population
+    variance (divisor = count).
     """
-    block = source.block() if hasattr(source, "block") else examples_block(tuple(source))
-    if not block.totals:
+    blocks = list(source.blocks()) if hasattr(source, "blocks") else [examples_block(tuple(source))]
+    totals = [total for block in blocks for total in block.totals]
+    outputs = [output for block in blocks for output in block.outputs]
+    if not totals:
         raise EmptySource("data source yielded no examples")
-    tasks = set(map(output_task, block.outputs))
+    tasks = set(map(output_task, outputs))
     if None in tasks:
         raise UnlabelledExample("datasets require ground truth on every example")
     if len(tasks) != 1:
         raise MixedOutputTypes("source mixes categorical and real outputs")
-    labels = sorted({output.label for output in block.outputs}) if tasks.pop() == CATEGORICAL else None
-    indptr, ids, values = compile_features(block.ids, block.values, block.totals)
-    columns = Columns(indptr, ids, values, _targets(block.outputs, labels), block.weights)
-    domain = FeatureDomain.observed(block.vocabulary, ids, values)
+    labels = sorted({output.label for output in outputs}) if tasks.pop() == CATEGORICAL else None
+    vocabulary = sorted(dict.fromkeys(chain.from_iterable(block.vocabulary for block in blocks)))  # a block's sorted names sort in one pass
+    index = dict(zip(vocabulary, range(len(vocabulary))))
+    parts = [(feature_ids(index, block.vocabulary).take(block.ids), block.values, block.weights) for block in blocks]
+    ids, values, weights = map(np.concatenate, zip(*parts))
+    del blocks, index, parts  # free each block's arrays and names before the statistics
+    indptr, ids, values = compile_features(ids, values, totals)
+    columns = Columns(indptr, ids, values, _targets(outputs, labels), weights)
+    domain = FeatureDomain.observed(vocabulary, ids, values)
     return dataset_from_columns(domain, columns, labels, source.provenance)
 
 

@@ -368,6 +368,8 @@ class CsvDataSource:
         missing = required - set(header)
         if missing:
             raise HeaderMismatch(sorted(missing))
+        if repeated := sorted(c for c in required | {self.schema.response_column} if header.count(c) > 1):
+            raise CsvParseError(f"header repeats schema columns: {', '.join(repeated)}", line=1)
         rows = []
         try:
             for row in reader:
@@ -383,8 +385,7 @@ class CsvDataSource:
         return header, rows
 
     def __iter__(self) -> Iterator[Example]:
-        """The rows as examples, built from the columns of :meth:`blocks`: a
-        bad row raises its error once the blocks before its own are yielded."""
+        """The rows as examples, built from the columns of :meth:`blocks`."""
         for block in self.blocks():
             yield from block.examples()
 
@@ -392,18 +393,12 @@ class CsvDataSource:
         return len(self._rows)
 
     def blocks(self) -> Iterator[Block]:
-        """Each :data:`~pvml.core.BATCH_ROWS` rows as a block that :func:`featurize` makes on
-        its own; a row that :func:`featurize_row` rejects raises the same error."""
+        """Each :data:`~pvml.core.BATCH_ROWS` rows as a block that :func:`featurize` makes on its own; a row
+        that :func:`featurize_row` rejects raises the same error once the blocks before its own are yielded."""
         for start in range(0, len(self._rows), BATCH_ROWS):
-            yield self._featurized(self._rows[start:start + BATCH_ROWS])
-
-    def block(self) -> Block:
-        """Every row as one block, for :func:`~pvml.core.build_dataset`."""
-        return self._featurized(self._rows)
-
-    def _featurized(self, rows: Sequence[list[str]]) -> Block:
-        cells = dict(zip(self._header, list(zip(*rows)) or repeat(())))  # each column's cells
-        return featurize(self.schema, [cells[c] for c in self.schema.columns()], cells.get(self.schema.response_column), len(rows))
+            rows = self._rows[start:start + BATCH_ROWS]
+            cells = dict(zip(self._header, zip(*rows)))  # each column's cells
+            yield featurize(self.schema, [cells[c] for c in self.schema.columns()], cells.get(self.schema.response_column), len(rows))
 
     def compiled(self, model: Model, seen: set[str] | None = None) -> Iterator[tuple[Columns, list[int], list[Output]]]:
         """The rows in ``model``'s space, block by block, for :meth:`~pvml.core.Model.predict_compiled`:

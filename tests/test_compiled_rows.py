@@ -300,6 +300,16 @@ class TestNamesCheckedOnce:
                 list(source.compiled(MODELS["cart"]))
 
 
+def _peak(run):
+    """The tracemalloc peak, in bytes, of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _block_bytes(block):
     return block.vocabulary, block.ids.dtype.str, block.ids.tobytes(), block.values.tobytes(), block.totals, block.outputs
 
@@ -340,23 +350,27 @@ class TestStandaloneBlocks:
             assert totals == [len(ex.features) for ex in rows_of_block]
             assert outputs == [ex.output for ex in rows_of_block]
 
+    @staticmethod
+    def _ten_blocks(directory):
+        """A text file of ten blocks, its source, and the tracemalloc peak of
+        featurizing all its rows as one block."""
+        rows = [(f"b zz t{i} u{i % 97} w{i * 7919 % 10007}", "pq"[i % 2]) for i in range(10 * BATCH_ROWS)]
+        source = _source(_write_csv(directory, ["a", "y"], rows), [PROCESSORS[4]])
+        *cells, responses = zip(*rows)
+        return source, _peak(lambda: featurize(source.schema, cells, responses, len(rows)))
+
     def test_scoring_memory_is_bounded_by_the_block(self, tmp_path):
         """Scoring a file of ten blocks block by block peaks below a quarter of
-        building its dataset, which holds every row at once."""
-        rows = [(f"b zz t{i} u{i % 97} w{i * 7919 % 10007}", "pq"[i % 2]) for i in range(10 * BATCH_ROWS)]
-        path = _write_csv(tmp_path, ["a", "y"], rows)
-        model, source = MODELS["linear"], _source(path, [PROCESSORS[4]])
+        featurizing its rows as one block, which holds every row's names at once."""
+        source, whole_file = self._ten_blocks(tmp_path)
+        model = MODELS["linear"]
+        assert _peak(lambda: [model.score_compiled(columns) for columns, _, _ in source.compiled(model)]) < whole_file / 4
 
-        def peak(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        scoring = peak(lambda: [model.score_compiled(columns) for columns, _, _ in source.compiled(model)])
-        assert scoring < peak(lambda: build_dataset(source)) / 4
+    def test_training_memory_is_bounded_by_the_block(self, tmp_path):
+        """Building the dataset of a file of ten blocks reads it block by block,
+        and peaks below two-thirds of featurizing its rows as one block."""
+        source, whole_file = self._ten_blocks(tmp_path)
+        assert _peak(lambda: build_dataset(source)) < whole_file * 2 / 3
 
     def test_a_block_leaves_no_reference_cycle(self):
         """A block's intern tables are freed when ``featurize`` returns, not

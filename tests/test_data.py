@@ -146,6 +146,33 @@ class TestLoadCsv:
             load_csv(str(path), clf_schema)
         assert "f2" in err.value.missing
 
+    @pytest.mark.parametrize("header", ["a,a,y", "a,y,y"])
+    def test_a_schema_column_named_twice_is_refused(self, tmp_path, header):
+        """A feature or response column named twice in the header would read
+        one of its columns and drop the other, so the header is refused, and
+        ``pvml train`` exits 2."""
+        from pvml.cli import main
+        from pvml.provenance import config_to_json, extract_configuration
+        from pvml.trees import CartTrainer, TreeConfig
+
+        path = tmp_path / "twice.csv"
+        path.write_text(f"{header}\n1,2,p\n3,4,q\n", encoding="utf-8")
+        schema = ColumnarSchema("y", CATEGORICAL, (FieldProcessor("a", "numeric"),))
+        with pytest.raises(CsvParseError) as err:
+            load_csv(str(path), schema)
+        assert err.value.line == 1
+        for name, record in (("schema", schema), ("trainer", CartTrainer(TreeConfig(max_depth=2)))):
+            (tmp_path / f"{name}.json").write_text(config_to_json(extract_configuration(record.provenance())))
+        args = ["--data", str(path), "--schema", str(tmp_path / "schema.json"), "--trainer", str(tmp_path / "trainer.json")]
+        assert main(["train", *args, "--output", str(tmp_path / "m.pvml")]) == 2
+        assert not (tmp_path / "m.pvml").exists()
+
+    def test_a_repeated_column_the_schema_ignores_is_read(self, tmp_path):
+        path = tmp_path / "ignored.csv"
+        path.write_text("b,a,b,y\nx,1,z,p\n,3,,q\n", encoding="utf-8")
+        schema = ColumnarSchema("y", CATEGORICAL, (FieldProcessor("a", "numeric"),))
+        assert [ex.as_dict() for ex in load_csv(str(path), schema)] == [{"a": 1.0}, {"a": 3.0}]
+
     def test_missing_file(self, clf_schema):
         with pytest.raises(FileNotFoundError):
             load_csv("/nonexistent/nope.csv", clf_schema)

@@ -11,25 +11,39 @@ it draws, bit for bit, and builds its output domain from the drawn rows.
 
 import math
 import struct
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from pvml.core import CategoricalDomain, CategoricalOutput, RealOutput, build_dataset, make_example, output_task
-from pvml.data import InMemoryDataSource, MinMaxFit, TransformerMap, TransformSpec, ZScoreFit, apply_transformers
+import pvml.data
+from pvml.core import BATCH_ROWS, CategoricalDomain, CategoricalOutput, RealOutput, build_dataset, make_example, output_task
+from pvml.data import (
+    ColumnarSchema,
+    CsvDataSource,
+    FieldProcessor,
+    InMemoryDataSource,
+    MinMaxFit,
+    TransformerMap,
+    TransformSpec,
+    ZScoreFit,
+    apply_transformers,
+)
 from pvml.ensemble import bootstrap_sample
 from pvml.errors import (
+    EmptyExample,
     EmptySource,
     MixedOutputTypes,
     NonFiniteFeature,
     NonFiniteStatistic,
     PvmlError,
     UnlabelledExample,
+    UnparseableNumeric,
 )
 from pvml.provenance import object_provenance
 from pvml.rng import Xoshiro256StarStar
 
-from test_compiled_rows import _source, _write_csv, csv_inputs
+from test_compiled_rows import _arrays, _source, _write_csv, csv_inputs
 
 
 class _ReferenceStats:
@@ -190,18 +204,63 @@ class TestBuild:
     @given(inputs=csv_inputs())
     def test_csv_domains_and_first_error_equal_the_per_example_build(self, tmp_path_factory, inputs):
         """Every row through ``featurize_row`` first, as ``build_dataset`` did:
-        a malformed file raises the same error, for the same first bad row."""
+        a malformed file raises the same error, for the same first bad row,
+        whether its rows make one block or blocks of one or three rows."""
         processors, header, rows = inputs
         path = _write_csv(tmp_path_factory.mktemp("rows"), header, rows)
-        try:
-            examples = list(_source(path, processors))
-        except PvmlError as exc:
-            want = type(exc), str(exc)
-        else:
-            want = _reference(examples)
-        assert _outcome(lambda: build_dataset(_source(path, processors))) == want
-        if not isinstance(want[0], type):
-            assert _example_bits(build_dataset(_source(path, processors)).examples) == _example_bits(examples)
+        for rows_per_block in (BATCH_ROWS, 1, 3):
+            with patch.object(pvml.data, "BATCH_ROWS", rows_per_block):
+                try:
+                    examples = list(_source(path, processors))
+                except PvmlError as exc:
+                    want = type(exc), str(exc)
+                else:
+                    want = _reference(examples)
+                assert _outcome(lambda: build_dataset(_source(path, processors))) == want
+                if not isinstance(want[0], type):
+                    assert _example_bits(build_dataset(_source(path, processors)).examples) == _example_bits(examples)
+
+
+# four columns: ``k`` is constant within a block and varies across blocks,
+# so its statistics take Welford's steps over every block, not the closed form
+BLOCKS_SCHEMA = ColumnarSchema(
+    "y",
+    "categorical",
+    tuple(FieldProcessor(column, kind) for column, kind in (("n", "numeric"), ("k", "numeric"), ("c", "categorical"), ("a", "text"))),
+)
+
+
+class TestBlockJoin:
+    """A CSV file's blocks join into the dataset that its examples build as one block."""
+
+    @pytest.mark.parametrize("n", [BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1, 3 * BATCH_ROWS])
+    def test_the_blocks_of_a_file_build_the_dataset_of_its_examples(self, tmp_path, n):
+        """The token ``last`` is first met in the last row, so in the last block."""
+        rows = [
+            ("" if i % 5 == 0 else str(i % 7 - 3), str(1.5 + i // BATCH_ROWS), ("red", "r", "blue")[i % 3],
+             f"b zz t{i % 11}" + (" last" if i == n - 1 else ""), "pq"[i % 2])
+            for i in range(n)
+        ]
+        source = CsvDataSource(_write_csv(tmp_path, ["n", "k", "c", "a", "y"], rows), BLOCKS_SCHEMA)
+        dataset, reference = build_dataset(source), build_dataset(InMemoryDataSource(tuple(source)))
+        assert _arrays(dataset.columns) == _arrays(reference.columns)
+        assert _domains(dataset) == _domains(reference)
+        assert "a@last" in dataset.feature_domain
+
+    def test_an_empty_row_in_block_two_raises_before_a_bad_cell_in_block_three(self, tmp_path):
+        rows = [("1", "2", "red", "b", "p")] * (3 * BATCH_ROWS)
+        rows[BATCH_ROWS + 5] = ("", "", "", "", "p")
+        rows[2 * BATCH_ROWS + 5] = ("x", "2", "red", "b", "p")
+        with pytest.raises(EmptyExample):
+            build_dataset(CsvDataSource(_write_csv(tmp_path, ["n", "k", "c", "a", "y"], rows), BLOCKS_SCHEMA))
+
+    def test_an_unlabelled_file_raises_the_bad_cell_of_its_last_block(self, tmp_path):
+        """The task checks run once every block is read, so the cell's error comes first."""
+        rows = [("1", "2", "red", "b")] * (2 * BATCH_ROWS + 3)
+        rows[-1] = ("1", "x", "red", "b")
+        with pytest.raises(UnparseableNumeric) as err:
+            build_dataset(CsvDataSource(_write_csv(tmp_path, ["n", "k", "c", "a"], rows), BLOCKS_SCHEMA))
+        assert err.value.value == "x"
 
 
 def _reference_draw(n, fraction, with_replacement, member_seed):
