@@ -29,6 +29,7 @@ from .data import (
 )
 from .errors import (
     OutputTypeMismatch,
+    ParseError,
     PvmlError,
     ReproductionMismatch,
     TaskMismatch,
@@ -58,8 +59,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a configuration document; one that is not UTF-8 raises :class:`ParseError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def _load_schema(path: str) -> ColumnarSchema:
@@ -153,9 +158,9 @@ def _cmd_extract_config(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     model = load_model(args.model)
-    rebuilt = reproduce_model(model.provenance)
-    save_model(rebuilt, args.output)
-    print(f"reproduced model; provenance-hash {provenance_hash(rebuilt.provenance)}")
+    digest = provenance_hash(model.provenance)  # the rebuilt model's too, or reproduction fails
+    save_model(reproduce_model(model.provenance, digest), args.output)
+    print(f"reproduced model; provenance-hash {digest}")
     return 0
 
 

@@ -47,7 +47,6 @@ from .provenance import (
     PObj,
     PStr,
     ProvValue,
-    config_fields,
     object_provenance,
     timestamp_now,
 )
@@ -938,5 +937,5 @@ def config_from_properties(cls, properties: PMap, read_trainer: Callable[[PObj],
             classes = {f"pvml.{c.__name__}": c for c in get_args(kind) or (kind,)}
             if prov.class_name not in classes:
                 raise UnknownClass(f"property {key!r} names unknown class {prov.class_name!r}")
-            values[name] = config_from_properties(classes[prov.class_name], config_fields(prov), read_trainer)
+            values[name] = config_from_properties(classes[prov.class_name], prov.config, read_trainer)
     return cls(**values)

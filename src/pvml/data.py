@@ -67,9 +67,6 @@ from .provenance import (
     _TAG_LIST,
     _TAG_STR,
     _raw_str,
-    config_section,
-    instance_section,
-    is_object_provenance,
     object_provenance,
     sha256_hex,
     timestamp_now,
@@ -338,10 +335,11 @@ class CsvDataSource:
             raw = fh.read()
         digest = sha256_hex(raw)
         try:
-            text = raw.decode("utf-8")
+            raw.decode("utf-8")  # the whole file, before any row is read
         except UnicodeDecodeError as exc:
             raise CsvParseError(f"not valid UTF-8: {exc}") from exc
-        self._header, self._rows = self._parse(text)
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as lines:
+            self._header, self._rows = self._parse(lines)
         self.provenance = object_provenance(
             CSV_SOURCE_CLASS,
             config={
@@ -356,8 +354,8 @@ class CsvDataSource:
             },
         )
 
-    def _parse(self, text: str) -> tuple[list[str], list[list[str]]]:
-        reader = csv.reader(io.StringIO(text, newline=""), delimiter=",", quotechar='"')
+    def _parse(self, lines: Iterator[str]) -> tuple[list[str], list[list[str]]]:
+        reader = csv.reader(lines, delimiter=",", quotechar='"')
         try:
             header = next(reader, None)
         except csv.Error as exc:
@@ -567,7 +565,7 @@ def apply_transformers(dataset: Dataset, transformer: TransformerMap) -> Dataset
     """
     columns = transformer.rescale(dataset.feature_domain, dataset.columns)
     domain = FeatureDomain.observed(dataset.feature_domain.names(), columns.feature_ids, columns.values)
-    done = instance_section(dataset.provenance).get("transformations", PList())
+    done = dataset.provenance.instance.get("transformations", PList())
     prov = with_instance_entry(dataset.provenance, "transformations", PList((*done.items, transformer.provenance)))
     return Dataset(columns, domain, dataset.output_domain, prov)
 
@@ -587,8 +585,8 @@ def recorded_transformers(data_provenance: PObj) -> list[TransformerMap]:
 
 
 def _transformations(data_provenance: PObj) -> tuple[PObj, ...]:
-    transformations = instance_section(data_provenance).get("transformations", PList())
-    if not isinstance(transformations, PList) or not all(map(is_object_provenance, transformations)):
+    transformations = data_provenance.instance.get("transformations", PList())
+    if not isinstance(transformations, PList) or not all(isinstance(t, PObj) for t in transformations):
         raise ParseError("data provenance 'transformations' must be a list of object provenances")
     return transformations.items
 
@@ -605,9 +603,8 @@ def pipeline_provenance(model: Model) -> tuple[PObj, ...]:
     provenance, in order: the one reader of a model's pipeline.  A model
     that records no training data raises :class:`MissingProperty`, as
     scoring raw values without its pipeline would be a silent wrong answer."""
-    prov = model.provenance  # a model file's provenance is not checked on load
-    data = instance_section(prov).get("data") if is_object_provenance(prov) else None
-    if not is_object_provenance(data):
+    data = model.provenance.instance.get("data")
+    if not isinstance(data, PObj):
         raise MissingProperty("data")
     return _transformations(data)
 
@@ -631,7 +628,7 @@ def in_model_space(model: Model, dataset: Dataset) -> tuple[Columns, list[int], 
     any pipeline but that one raises :class:`PipelineMismatch` rather than be rescaled twice."""
     pipeline, provenance = recorded_pipeline(model), dataset.provenance
     recorded = PList(tuple(t.provenance for t in pipeline))
-    done = instance_section(provenance).get("transformations", PList())
+    done = provenance.instance.get("transformations", PList())
     if done == recorded:
         pipeline = []
     elif done == PList():
@@ -646,8 +643,7 @@ def in_model_space(model: Model, dataset: Dataset) -> tuple[Columns, list[int], 
 
 def _recorded_map(tprov: PObj) -> TransformerMap:
     spec = transform_spec_from_provenance(tprov)
-    instance = instance_section(tprov)
-    fitted, warnings = instance.get("fitted"), instance.get("warnings", PList())
+    fitted, warnings = tprov.instance.get("fitted"), tprov.instance.get("warnings", PList())
     if not isinstance(fitted, PMap) or not isinstance(warnings, PList):
         raise ParseError(f"{tprov.class_name} must record a 'fitted' map and a 'warnings' list")
     keys = ("mean", "std") if spec.kind == ZSCORE else ("min", "max")
@@ -669,7 +665,7 @@ def transform_spec_from_provenance(tprov: PObj) -> TransformSpec:
     kind = _TRANSFORM_KINDS.get(tprov.class_name)
     if kind is None:
         raise UnknownClass(f"unknown transformation class {tprov.class_name!r}")
-    features = config_section(tprov).get("features")
+    features = tprov.config.get("features")
     if features is None or (isinstance(features, PStr) and features.value == "*"):
         return TransformSpec(kind, None)
     if not isinstance(features, PList):

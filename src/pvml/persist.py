@@ -39,7 +39,7 @@ from .core import (
 from .ensemble import ENSEMBLE_MODEL_CLASS, EnsembleModel
 from .errors import FormatError, InvalidFeatureName, NonFiniteStatistic, TaskMismatch, UnknownModelClass
 from .optimize import LINEAR_MODEL_CLASS, LinearSgdModel
-from .provenance import PList, PObj, from_json_value, instance_section, is_object_provenance, to_json_value
+from .provenance import PList, PObj, from_json_value, to_json_value
 from .trees import TREE_MODEL_CLASS, TreeModel, grow_table
 
 FORMAT_NAME = "PVML"
@@ -241,9 +241,9 @@ def _tree_restore(container: dict, name, prov, fd, od) -> TreeModel:
 
 def _recorded_members(prov: PObj) -> tuple:
     """The member provenances an ensemble provenance records, or :class:`FormatError`."""
-    members = instance_section(prov).get("members") if is_object_provenance(prov) else None
-    if not isinstance(members, PList):
-        raise FormatError("the ensemble provenance records no member list")
+    members = prov.instance.get("members")
+    if not (isinstance(members, PList) and all(isinstance(m, PObj) for m in members)):
+        raise FormatError("the ensemble provenance records no list of member objects")
     return members.items
 
 
@@ -337,6 +337,8 @@ def _model_from_container(container: dict, member_of: tuple[PObj, FeatureDomain]
     try:
         if member_of is None:
             prov = from_json_value(container["provenance"])
+            if not isinstance(prov, PObj):
+                raise FormatError("the model provenance must be an object")
             fd = feature_domain_from_json(container["featureDomain"])
         else:
             prov, fd = member_of[0], _member_domain_from_json(container["featureDomain"], member_of[1])
@@ -388,8 +390,11 @@ def load_model(path: str, expected_task: str | None = None) -> Model:
     silently answer classification queries (or vice versa).  ``None`` skips
     the check, for tooling that only inspects the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not valid UTF-8: {exc}") from exc
     try:
         container = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply

@@ -127,16 +127,16 @@ class PHash:
             raise ValueError("hash needs an algorithm and a digest")
 
 
-def _set_depth(node, children) -> None:
-    """Record ``node``'s depth, one more than its deepest child's (a leaf's is 0): above :data:`MAX_DEPTH`, raise."""
+def _set_depth(node, children, levels: int = 1) -> None:
+    """Record ``node``'s depth, ``levels`` more than its deepest child's (a leaf's is 0): above :data:`MAX_DEPTH`, raise."""
     deepest = 0
     for child in children:  # a loop, not max(): this runs for every list, map and object built
         depth = getattr(child, "_depth", 0)
         if depth > deepest:
             deepest = depth
-    if deepest >= MAX_DEPTH:
+    if deepest + levels > MAX_DEPTH:
         raise ParseError(f"provenance nests deeper than {MAX_DEPTH} levels")
-    object.__setattr__(node, "_depth", deepest + 1)
+    object.__setattr__(node, "_depth", deepest + levels)
 
 
 @dataclass(frozen=True)
@@ -209,17 +209,34 @@ _MISSING = object()
 
 @dataclass(frozen=True)
 class PObj:
+    """A named object: its configuration, known before the computation ran
+    (hyperparameters, paths, seeds), and its instance values, derived during
+    it (hashes, counts, timestamps, host info).  A key may appear in one
+    section only.  Both sections are :class:`PMap`; a mapping is converted.
+
+    An object encodes, hashes and reads from JSON as its class name and the
+    two-entry map ``{"config": ..., "instance": ...}``, and that map counts
+    as one level of its depth.  :func:`from_json_value` refuses an ``obj``
+    node whose ``fields`` are not exactly those two maps.
+    """
+
     class_name: str
-    fields: PMap = field(default_factory=PMap)
+    config: PMap = field(default_factory=PMap)
+    instance: PMap = field(default_factory=PMap)
 
     def __post_init__(self):
         if not isinstance(self.class_name, str):
             raise TypeError("PObj takes a str class name")
         if not self.class_name:
             raise ValueError("object class name must be non-empty")
-        if not isinstance(self.fields, PMap):
-            object.__setattr__(self, "fields", PMap(self.fields))
-        _set_depth(self, (self.fields,))
+        if not isinstance(self.config, PMap):
+            object.__setattr__(self, "config", PMap(self.config))
+        if not isinstance(self.instance, PMap):
+            object.__setattr__(self, "instance", PMap(self.instance))
+        overlap = self.config._index.keys() & self.instance._index.keys()
+        if overlap:
+            raise ValueError(f"fields in both sections: {sorted(overlap)}")
+        _set_depth(self, (self.config, self.instance), levels=2)
 
 
 ProvValue = Union[PStr, PInt, PFlt, PBool, PTimestamp, PHash, PList, PMap, PObj]
@@ -230,60 +247,18 @@ def timestamp_now() -> PTimestamp:
     return PTimestamp(ns // 1_000_000_000, ns % 1_000_000_000)
 
 
-# ---------------------------------------------------------------------------
-# Object provenance: config/instance partition
-# ---------------------------------------------------------------------------
-
 def object_provenance(
     class_name: str,
     config: Mapping[str, ProvValue] | None = None,
     instance: Mapping[str, ProvValue] | None = None,
 ) -> PObj:
-    """Build an object node whose fields are split into the two sections.
-
-    Configuration fields are those known before the computation ran
-    (hyperparameters, paths, seeds); instance fields are derived during it
-    (hashes, counts, timestamps, host info).  A key may appear in exactly
-    one section.
-    """
-    config = dict(config or {})
-    instance = dict(instance or {})
-    overlap = set(config) & set(instance)
-    if overlap:
-        raise ValueError(f"fields in both sections: {sorted(overlap)}")
-    return PObj(
-        class_name,
-        PMap({CONFIG_SECTION: PMap(config), INSTANCE_SECTION: PMap(instance)}),
-    )
-
-
-def is_object_provenance(v: ProvValue) -> bool:
-    return (
-        isinstance(v, PObj)
-        and v.fields.keys() == (CONFIG_SECTION, INSTANCE_SECTION)
-        and isinstance(v.fields[CONFIG_SECTION], PMap)
-        and isinstance(v.fields[INSTANCE_SECTION], PMap)
-    )
-
-
-def config_section(obj: PObj) -> PMap:
-    return obj.fields[CONFIG_SECTION]
-
-
-def instance_section(obj: PObj) -> PMap:
-    return obj.fields[INSTANCE_SECTION]
-
-
-def config_fields(obj: PObj) -> PMap:
-    """An object's configuration section, or all its fields when it does not
-    follow the config/instance convention."""
-    return config_section(obj) if is_object_provenance(obj) else obj.fields
+    """The :class:`PObj` of ``class_name`` with these sections, each empty when not given."""
+    return PObj(class_name, config or {}, instance or {})
 
 
 def with_instance_entry(obj: PObj, key: str, value: ProvValue) -> PObj:
     """Copy an object provenance node with one instance field replaced."""
-    inst = instance_section(obj).with_entry(key, value)
-    return PObj(obj.class_name, obj.fields.with_entry(INSTANCE_SECTION, inst))
+    return PObj(obj.class_name, obj.config, obj.instance.with_entry(key, value))
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +270,10 @@ def rewrite(v, visit):
 
     ``visit(node)`` returns the node's replacement (any value, such as a
     :class:`ConfigRef`), or ``None`` to rebuild a list, map or object around
-    its rewritten children, in order and map entries by key, and to keep
-    any other node.  A container whose children all come back unchanged is
-    kept, so only the paths to replaced nodes are copied.
+    its rewritten children (items in order, map entries by key, an object's
+    two section maps) and to keep any other node.  A container whose
+    children all come back unchanged is kept, so only the paths to replaced
+    nodes are copied.
     """
     out = visit(v)
     if out is not None:
@@ -309,8 +285,8 @@ def rewrite(v, visit):
         values = [rewrite(val, visit) for _, val in v.entries]
         return v if _same(values, [val for _, val in v.entries]) else PMap(zip(v.keys(), values))
     if isinstance(v, PObj):
-        fields = rewrite(v.fields, visit)
-        return v if fields is v.fields else PObj(v.class_name, fields)
+        config, instance = rewrite(v.config, visit), rewrite(v.instance, visit)
+        return v if config is v.config and instance is v.instance else PObj(v.class_name, config, instance)
     return v
 
 
@@ -336,6 +312,11 @@ _TAG_OBJ = b"\x09"
 def _raw_str(s: str) -> bytes:
     data = s.encode("utf-8")
     return struct.pack(">I", len(data)) + data
+
+
+# an object's sections encode as the two-entry map {"config": ..., "instance": ...}
+_OBJ_CONFIG = _TAG_MAP + struct.pack(">I", 2) + _raw_str(CONFIG_SECTION)
+_OBJ_INSTANCE = _raw_str(INSTANCE_SECTION)
 
 
 def canonical_encode(v: ProvValue) -> bytes:
@@ -386,7 +367,10 @@ def _encode_into(v: ProvValue, out: bytearray) -> None:
     elif isinstance(v, PObj):
         out += _TAG_OBJ
         out += _raw_str(v.class_name)
-        _encode_into(v.fields, out)
+        out += _OBJ_CONFIG
+        _encode_into(v.config, out)
+        out += _OBJ_INSTANCE
+        _encode_into(v.instance, out)
     else:
         raise TypeError(f"not a provenance value: {type(v).__name__}")
 
@@ -409,13 +393,12 @@ def strip_volatile(v: ProvValue) -> ProvValue:
     def visit(node):
         if isinstance(node, PTimestamp):
             return _VOLATILE
-        if isinstance(node, PObj) and is_object_provenance(node):
+        if isinstance(node, PObj):
             instance = [
                 (k, _VOLATILE if k in VOLATILE_INSTANCE_KEYS else rewrite(val, visit))
-                for k, val in instance_section(node).entries
+                for k, val in node.instance.entries
             ]
-            config = rewrite(config_section(node), visit)
-            return PObj(node.class_name, PMap({CONFIG_SECTION: config, INSTANCE_SECTION: PMap(instance)}))
+            return PObj(node.class_name, rewrite(node.config, visit), PMap(instance))
         return None
 
     return rewrite(v, visit)
@@ -453,10 +436,8 @@ def to_json_value(v: ProvValue):
     if isinstance(v, PMap):
         return {"type": "map", "value": {k: to_json_value(val) for k, val in v.entries}}
     if isinstance(v, PObj):
-        return {
-            "type": "obj",
-            "value": {"class": v.class_name, "fields": {k: to_json_value(val) for k, val in v.fields.entries}},
-        }
+        fields = {CONFIG_SECTION: to_json_value(v.config), INSTANCE_SECTION: to_json_value(v.instance)}
+        return {"type": "obj", "value": {"class": v.class_name, "fields": fields}}
     if isinstance(v, ConfigRef):
         return {"type": "ref", "value": v.name}
     raise TypeError(f"not a provenance value: {type(v).__name__}")
@@ -502,10 +483,12 @@ def from_json_value(node, allow_refs: bool = False) -> ProvValue:
             return PMap({k: from_json_value(val, allow_refs) for k, val in value.items()})
         if tag == "ref":
             return ConfigRef(value)
-        if not isinstance(value["fields"], dict):
-            raise ParseError("object fields must be an object")
-        fields = {k: from_json_value(val, allow_refs) for k, val in value["fields"].items()}
-        return PObj(value["class"], PMap(fields))
+        fields = value["fields"]
+        if isinstance(fields, dict) and fields.keys() == {CONFIG_SECTION, INSTANCE_SECTION}:
+            config, instance = (from_json_value(fields[k], allow_refs) for k in (CONFIG_SECTION, INSTANCE_SECTION))
+            if isinstance(config, PMap) and isinstance(instance, PMap):
+                return PObj(value["class"], config, instance)
+        raise ParseError("object fields must be exactly a 'config' and an 'instance' map")
     except (TypeError, ValueError, KeyError) as exc:
         raise ParseError(f"malformed {tag!r} value: {exc}") from exc
 
@@ -576,12 +559,8 @@ def extract_configuration(root: PObj) -> list[ConfigRecord]:
         slot = len(records)
         name = f"{obj.class_name}-{slot}"
         records.append(None)  # reserve position: parents precede children
-        if is_object_provenance(obj):
-            config, instance = config_section(obj), instance_section(obj)
-        else:
-            config, instance = obj.fields, PMap()
-        records[slot] = ConfigRecord(name, obj.class_name, {k: substitute(v) for k, v in config.entries})
-        substitute(instance)  # extracts the objects stored there; the copy is dropped
+        records[slot] = ConfigRecord(name, obj.class_name, {k: substitute(v) for k, v in obj.config.entries})
+        substitute(obj.instance)  # extracts the objects stored there; the copy is dropped
         return name
 
     visit(root)
@@ -641,22 +620,20 @@ def redact(model_prov: PObj) -> tuple[str, PObj]:
         return None if isinstance(node, (PList, PMap, PObj)) else blank
 
     def redact_model(mp: PObj) -> PObj:
-        config = config_section(mp)
+        config = mp.config
         trainer = config.get("trainer")
         if isinstance(trainer, PObj):
             # configuration values are blanked; the instance side
             # (invocation count) is not considered confidential
-            blanked = rewrite(config_section(trainer), redact_values)
-            config = config.with_entry(
-                "trainer", PObj(trainer.class_name, trainer.fields.with_entry(CONFIG_SECTION, blanked))
-            )
-        instance = instance_section(mp)
+            blanked = rewrite(trainer.config, redact_values)
+            config = config.with_entry("trainer", PObj(trainer.class_name, blanked, trainer.instance))
+        instance = mp.instance
         if "data" in instance:
             instance = instance.with_entry("data", rewrite(instance["data"], redact_values))
         members = instance.get("members")
         if isinstance(members, PList):
             instance = instance.with_entry("members", PList(tuple(redact_model(m) for m in members.items)))
-        return PObj(mp.class_name, PMap({CONFIG_SECTION: config, INSTANCE_SECTION: instance}))
+        return PObj(mp.class_name, config, instance)
 
     redacted = with_instance_entry(redact_model(model_prov), "provenance-hash", PHash("SHA-256", digest))
     return digest, redacted

@@ -38,11 +38,7 @@ from .provenance import (
     PTimestamp,
     ProvValue,
     VOLATILE_INSTANCE_KEYS,
-    config_fields,
-    config_section,
     extract_configuration,
-    instance_section,
-    is_object_provenance,
     object_provenance,
     provenance_hash,
     rewrite,
@@ -55,15 +51,13 @@ from .trees import CART_TRAINER_CLASS, CartTrainer, TreeConfig
 
 
 class _Props:
-    """One object's configuration, as registered builders read it; an object
-    outside the config/instance convention reads its fields.  A recorded
-    invocation count must be a non-negative int."""
+    """One object's configuration, as registered builders read it.  A
+    recorded invocation count must be a non-negative int."""
 
     def __init__(self, obj: PObj):
         self.class_name = obj.class_name
-        self.config = config_fields(obj)
-        instance = instance_section(obj) if is_object_provenance(obj) else PMap()
-        recorded = instance.get("invocation-count", PInt(0))
+        self.config = obj.config
+        recorded = obj.instance.get("invocation-count", PInt(0))
         if not (isinstance(recorded, PInt) and recorded.value >= 0):
             raise ParseError(f"the invocation-count of {obj.class_name!r} must be a non-negative int")
         self.invocation_count = recorded.value
@@ -177,7 +171,7 @@ def reconstruct_source(
     loader = _resolve(records, _LOADER_BUILDERS, "loader")
     source = _build(_LOADER_BUILDERS[loader.class_name], _Props(loader))
     if expected_data_hash is not None:
-        actual = instance_section(source.provenance).get("data-hash")
+        actual = source.provenance.instance.get("data-hash")
         if not isinstance(actual, PHash) or actual.digest != expected_data_hash:
             got = actual.digest if isinstance(actual, PHash) else "<none>"
             raise ResourceChanged(
@@ -221,11 +215,10 @@ def reconstruct_trainer(spec: PObj | Sequence[ConfigRecord]) -> Trainer:
 
 def rebuild_dataset(data_prov: PObj) -> Dataset:
     """Source + recorded transformations -> the dataset a model trained on."""
-    inst = instance_section(data_prov)
-    source_prov = inst.get("source")
+    source_prov = data_prov.instance.get("source")
     if not isinstance(source_prov, PObj):
         raise MissingProperty("source")
-    expected = instance_section(source_prov).get("data-hash")
+    expected = source_prov.instance.get("data-hash")
     digest = expected.digest if isinstance(expected, PHash) else None
     source = reconstruct_source(extract_configuration(source_prov), expected_data_hash=digest)
     dataset = build_dataset(source)
@@ -234,21 +227,22 @@ def rebuild_dataset(data_prov: PObj) -> Dataset:
     return dataset
 
 
-def reproduce_model(model_prov: PObj) -> Model:
+def reproduce_model(model_prov: PObj, digest: str | None = None) -> Model:
     """Re-run the recorded pipeline and verify it lands on the same model.
 
     Raises :class:`ResourceChanged` when the training data differs from the
     recorded hash and :class:`ReproductionMismatch` when the rebuilt
-    model's non-volatile provenance hash differs from the original's.
+    model's non-volatile provenance hash differs from the original's,
+    ``digest`` when the caller has hashed ``model_prov`` already.
     """
-    trainer_prov = config_section(model_prov).get("trainer")
-    data_prov = instance_section(model_prov).get("data")
+    trainer_prov = model_prov.config.get("trainer")
+    data_prov = model_prov.instance.get("data")
     if not isinstance(trainer_prov, PObj) or not isinstance(data_prov, PObj):
         raise MissingProperty("trainer/data")
     dataset = rebuild_dataset(data_prov)
     trainer = reconstruct_trainer(trainer_prov)
     model = trainer.train(dataset)
-    original = provenance_hash(model_prov)
+    original = provenance_hash(model_prov) if digest is None else digest
     rebuilt = provenance_hash(model.provenance)
     if original != rebuilt:
         raise ReproductionMismatch(
@@ -289,11 +283,8 @@ def diff_provenance(a: ProvValue, b: ProvValue) -> list[DiffEntry]:
                 entries.append(
                     DiffEntry(join(path, "class-name"), PStr(x.class_name), PStr(y.class_name), volatile)
                 )
-            if is_object_provenance(x) and is_object_provenance(y):
-                walk(config_section(x), config_section(y), join(path, "config"), volatile)
-                walk_instance(instance_section(x), instance_section(y), join(path, "instance"), volatile)
-            else:
-                walk(x.fields, y.fields, path, volatile)
+            walk(x.config, y.config, join(path, "config"), volatile)
+            walk_instance(x.instance, y.instance, join(path, "instance"), volatile)
             return
         if isinstance(x, PMap):
             for key in sorted(set(x.keys()) | set(y.keys())):

@@ -43,11 +43,10 @@ from pvml.provenance import (
     PInt,
     PList,
     PMap,
-    PObj,
     PStr,
     PTimestamp,
     canonical_encode,
-    instance_section,
+    object_provenance,
     parse_provenance,
     provenance_hash,
     serialize_provenance,
@@ -96,9 +95,11 @@ def _random_prov_value(rnd: random.Random, depth: int):
     if pick == 1:
         keys = rnd.sample("abcdefghij", k=len(children))
         return PMap(dict(zip(keys, children)))
-    return PObj(
+    fields = {f"k{i}": child for i, child in enumerate(children)}
+    return object_provenance(  # even keys configure, odd ones are instance values
         "cls" + str(rnd.randrange(5)),
-        PMap({f"k{i}": child for i, child in enumerate(children)}),
+        config={k: v for i, (k, v) in enumerate(fields.items()) if i % 2 == 0},
+        instance={k: v for i, (k, v) in enumerate(fields.items()) if i % 2},
     )
 
 
@@ -132,14 +133,15 @@ def test_criterion_1_provenance_round_trip():
 
 def test_criterion_1_corpus_bytes_and_hashes_pinned():
     # digest of the canonical bytes and hashes of the corpus above, recorded
-    # before map lookups were indexed
+    # before map lookups were indexed and again, by the same code, once the
+    # corpus's objects were split into configuration and instance values
     rnd = random.Random(20250)
     digest = hashlib.sha256()
     for _ in range(10_000):
         value = _random_prov_value(rnd, depth=3)
         digest.update(canonical_encode(value))
         digest.update(provenance_hash(value).encode())
-    assert digest.hexdigest() == "eb2e82a5a03073e5a3aaf728d77bf7f82f7f821454c7a2077dc662ca3ab2d082"
+    assert digest.hexdigest() == "070e4c7ebcce97829d9759a3948b8041ac2c5b8ceb0aa8a0fb734fe3828c1b48"
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +420,7 @@ def test_criterion_7_transformations(tmp_path):
             assert abs(transformed.feature_domain.variance[fid] - 1.0) < 1e-9
 
         def transformations(ds):
-            return instance_section(ds.provenance)["transformations"]
+            return ds.provenance.instance["transformations"]
 
         assert len(transformations(transformed)) == len(transformations(dataset)) + 1
         again = apply_transformers(transformed, fit_transformers(transformed, TransformSpec("minmax")))

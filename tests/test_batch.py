@@ -37,7 +37,7 @@ from pvml.errors import NoFeatureOverlap, NonFiniteFeature, NonFiniteScore, Pars
 from pvml.evaluate import evaluate_classification
 from pvml.optimize import AdaGrad, LinearSgdModel, LinearSgdTrainer, Sgd, train_linear_sgd
 from pvml.persist import load_model, save_model
-from pvml.provenance import PFlt, PInt, PList, PMap, PStr, instance_section, with_instance_entry
+from pvml.provenance import PFlt, PInt, PList, PMap, PStr, with_instance_entry
 from pvml.trees import CartTrainer, TreeConfig, TreeModel, train_cart
 
 # Two numeric features plus one rare token per row: a bootstrap sample
@@ -454,7 +454,7 @@ class TestReplayedTransformations:
         (recorded,) = recorded_transformers(transformed.provenance)
         domain, x = CLF.feature_domain, CLF.feature_domain.ids["x"]
         assert recorded.fits["x"] == MinMaxFit(domain.min[x], domain.max[x])
-        assert instance_section(recorded.provenance) == instance_section(maps[0].provenance)
+        assert recorded.provenance.instance == maps[0].provenance.instance
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -19,17 +19,17 @@ from pvml.persist import load_model, save_model
 
 from test_batch import MODELS
 
-_CHECKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "checks.py")
+_BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
 
 
-def _checks():
-    spec = importlib.util.spec_from_file_location("benchmark_checks", _CHECKS)
+def _benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", os.path.join(_BENCHMARKS, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-checks = _checks()
+checks = _benchmark_module("checks")
 
 ROWS = [
     {"x": -1.5, "y": 3.0, "t@2": 1.0},
@@ -76,3 +76,23 @@ def test_member_parameter_blocks_are_the_members_own(tmp_path):
     members = block["parameters"]["members"]
     assert [m["modelClass"] for m in members] == [m.model_class for m in MODELS["forest-reg"].members]
     assert all("root" in m["parameters"] for m in members)
+
+
+def test_every_name_the_tracer_wraps_exists():
+    """``benchmarks/tracing.py`` times layers by swapping module and class
+    attributes for wrappers, and reports a name it cannot find only as a
+    ``names_not_found`` entry of a traced run: every name must exist."""
+    tracing = _benchmark_module("tracing")
+    for owner, attr, _ in tracing.SPANS:
+        assert attr in vars(tracing._resolve(owner)), f"{owner}.{attr}"
+    wrapped = [("pvml.cli", "json"), ("pvml.optimize", "optimizer_step"), ("pvml.trees", "best_split"),
+               ("pvml.cli", "provenance_hash"), ("pvml.repro", "provenance_hash")]
+    settled = [("pvml.provenance", "canonical_encode"), ("pvml.provenance", "strip_volatile")]
+    for owner, attr in wrapped + settled:
+        assert attr in vars(importlib.import_module(owner)), f"{owner}.{attr}"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()

@@ -9,15 +9,16 @@ from pvml.cli import main
 from pvml.core import REAL
 from pvml.data import ColumnarSchema, FieldProcessor, TransformSpec, fit_transformers
 from pvml.optimize import AdaGrad, LinearSgdTrainer
+from pvml.persist import load_model
 from pvml.provenance import (
     PInt,
     PStr,
-    config_section,
+    canonical_encode,
     config_to_json,
     extract_configuration,
     from_json_value,
-    instance_section,
     object_provenance,
+    provenance_hash,
     to_json_value,
 )
 from pvml.trees import CartTrainer, TreeConfig
@@ -117,6 +118,25 @@ class TestHappyPaths:
         out = capsys.readouterr().out
         assert "[volatile]" in out  # timestamps differ, and that is all
 
+    def test_reproduce_hashes_each_record_once(self, workspace, tmp_path, monkeypatch, capsys):
+        """The loaded record and the rebuilt one are hashed once each, and the
+        line printed is the rebuilt model's hash."""
+        import pvml.cli
+        import pvml.repro
+
+        assert _train(workspace) == 0
+        hashed = []
+        for module in (pvml.cli, pvml.repro):
+            monkeypatch.setattr(module, "provenance_hash", lambda v, real=module.provenance_hash: hashed.append(v) or real(v))
+        capsys.readouterr()
+        model2 = str(tmp_path / "model2.pvml")
+        assert main(["reproduce", "--model", workspace["model"], "--output", model2]) == 0
+        rebuilt = load_model(model2).provenance
+        assert [canonical_encode(v) for v in hashed] == [
+            canonical_encode(load_model(workspace["model"]).provenance), canonical_encode(rebuilt)
+        ]
+        assert capsys.readouterr().out == f"reproduced model; provenance-hash {provenance_hash(rebuilt)}\n"
+
     def test_inspect_redacted(self, workspace, capsys):
         assert _train(workspace) == 0
         assert main(["inspect", "--model", workspace["model"], "--redact"]) == 0
@@ -144,7 +164,7 @@ class TestTransformFlag:
         assert rc == 0
         container = json.loads(Path(workspace["model"]).read_text())
         prov = from_json_value(container["provenance"])
-        transformations = instance_section(instance_section(prov)["data"])["transformations"]
+        transformations = prov.instance["data"].instance["transformations"]
         assert len(transformations) == 1
 
 
@@ -292,22 +312,50 @@ class TestExitCodes:
         # forge the recorded example count so the rebuilt hash cannot match
         container = json.loads(Path(workspace["model"]).read_text())
         prov = from_json_value(container["provenance"])
-        data = instance_section(prov)["data"]
+        data = prov.instance["data"]
         forged_data = object_provenance(
             data.class_name,
-            config=dict(config_section(data).entries),
-            instance={**dict(instance_section(data).entries), "num-examples": PInt(999)},
+            config=dict(data.config.entries),
+            instance={**dict(data.instance.entries), "num-examples": PInt(999)},
         )
         forged = object_provenance(
             prov.class_name,
-            config=dict(config_section(prov).entries),
-            instance={**dict(instance_section(prov).entries), "data": forged_data},
+            config=dict(prov.config.entries),
+            instance={**dict(prov.instance.entries), "data": forged_data},
         )
         container["provenance"] = to_json_value(forged)
         with open(workspace["model"], "w") as fh:
             json.dump(container, fh)
         rc = main(["reproduce", "--model", workspace["model"], "--output", workspace["model"] + ".2"])
         assert rc == 4
+
+    @pytest.mark.parametrize(
+        "command, document",
+        [("train", "schema"), ("train", "trainer"), ("train", "transform"), ("predict", "schema"),
+         ("evaluate", "schema"), ("predict", "model"), ("evaluate", "model"), ("inspect", "model"),
+         ("extract-config", "model"), ("reproduce", "model"), ("diff", "left"), ("diff", "right")],
+    )
+    def test_a_document_that_is_not_utf8_is_2(self, workspace, tmp_path, capsys, command, document):
+        assert _train(workspace) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")  # a UTF-16 byte order mark
+        files = {**workspace, "left": workspace["model"], "right": workspace["model"],
+                 "transform": str(tmp_path / "t.json"), "out": str(tmp_path / "out"), document: str(bad)}
+        (tmp_path / "t.json").write_text('{"config": []}', encoding="utf-8")
+        argv = {
+            "train": ["--data", files["data"], "--schema", files["schema"], "--trainer", files["trainer"],
+                      "--transform", files["transform"], "--output", files["out"]],
+            "predict": ["--model", files["model"], "--data", files["data"], "--schema", files["schema"], "--out", files["out"]],
+            "evaluate": ["--model", files["model"], "--data", files["data"], "--schema", files["schema"], "--report", files["out"]],
+            "inspect": ["--model", files["model"]],
+            "extract-config": ["--model", files["model"], "--out", files["out"]],
+            "reproduce": ["--model", files["model"], "--output", files["out"]],
+            "diff": ["--left", files["left"], "--right", files["right"]],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid UTF-8" in err and "Traceback" not in err
 
     def test_diff_nonvolatile_difference_is_1(self, workspace, tmp_path):
         assert _train(workspace) == 0
@@ -344,8 +392,8 @@ class TestScoringReplaysTheRecordedPipeline:
         # read by hand from the provenance, as an outside reader would
         from pvml.data import TransformerMap, ZScoreFit
 
-        (tprov,) = instance_section(instance_section(model.provenance)["data"])["transformations"]
-        fitted = instance_section(tprov)["fitted"]
+        (tprov,) = model.provenance.instance["data"].instance["transformations"]
+        fitted = tprov.instance["fitted"]
         fits = {name: ZScoreFit(fit["mean"].value, fit["std"].value) for name, fit in fitted.entries}
         return TransformerMap(TransformSpec("zscore", ("f1", "f2")), fits, (), tprov)
 
@@ -367,7 +415,7 @@ class TestScoringReplaysTheRecordedPipeline:
         assert report["confusion"] == expected["confusion"]
 
         def test_data(r):
-            return strip_volatile(instance_section(from_json_value(r["provenance"]))["test-data"])
+            return strip_volatile(from_json_value(r["provenance"]).instance["test-data"])
 
         assert test_data(report) == test_data(expected)
 
@@ -393,12 +441,12 @@ class TestScoringReplaysTheRecordedPipeline:
         assert _train(workspace) == 0
         container = json.loads(Path(workspace["model"]).read_text())
         prov = from_json_value(container["provenance"])
-        instance = dict(instance_section(prov).entries)
+        instance = dict(prov.instance.entries)
         if data == "missing":
             del instance["data"]
         else:
             instance["data"] = PStr("train.csv")
-        edited = object_provenance(prov.class_name, config=dict(config_section(prov).entries), instance=instance)
+        edited = object_provenance(prov.class_name, config=dict(prov.config.entries), instance=instance)
         container["provenance"] = to_json_value(edited)
         Path(workspace["model"]).write_text(json.dumps(container))
         out, report = tmp_path / "preds.csv", tmp_path / "report.json"

@@ -33,8 +33,6 @@ from pvml.provenance import (
     PInt,
     PList,
     canonical_encode,
-    config_section,
-    instance_section,
     provenance_hash,
     sha256_hex,
     strip_volatile,
@@ -46,8 +44,8 @@ from pvml.trees import RANDOM_THRESHOLD, CartTrainer, TreeConfig, train_cart
 def assert_members_trained_alone(dataset, cfg, model):
     """Member i equals the base trainer's model trained alone on the sample
     drawn from splitmix64(seed + i), with invocation count base + i."""
-    trainer_prov = config_section(model.provenance)["trainer"]
-    base = instance_section(config_section(trainer_prov)["base-trainer"])["invocation-count"].value
+    trainer_prov = model.provenance.config["trainer"]
+    base = trainer_prov.config["base-trainer"].instance["invocation-count"].value
     assert len(model.members) == cfg.num_members
     for i, member in enumerate(model.members):
         member_seed = splitmix64((cfg.seed + i) & MASK64)
@@ -87,8 +85,8 @@ class TestBootstrapSample:
 
     def test_sample_provenance_records_seed_and_indices_hash(self, interleaved_dataset):
         sample = bootstrap_sample(interleaved_dataset, 0.5, True, member_seed=33)
-        source = instance_section(sample.provenance)["source"]
-        inst = instance_section(source)
+        source = sample.provenance.instance["source"]
+        inst = source.instance
         assert inst["member-seed"] == PInt(33)
         assert inst["indices-hash"].algorithm == "SHA-256"
         assert inst["base"] == interleaved_dataset.provenance
@@ -112,7 +110,7 @@ class TestIndexListEncoding:
     @pytest.mark.parametrize("with_replacement", [True, False])
     def test_a_sample_records_the_hash_of_its_indices(self, interleaved_dataset, with_replacement):
         sample = bootstrap_sample(interleaved_dataset, 0.6, with_replacement, member_seed=21)
-        recorded = instance_section(instance_section(sample.provenance)["source"])["indices-hash"].digest
+        recorded = sample.provenance.instance["source"].instance["indices-hash"].digest
         indices = _drawn_indices(len(interleaved_dataset), 0.6, with_replacement, 21)
         assert recorded == sha256_hex(self._old(indices))
         assert sample.examples == tuple(interleaved_dataset.examples[i] for i in indices)
@@ -183,7 +181,7 @@ class TestTrainEnsemble:
             CartTrainer(TreeConfig(max_depth=2, seed=4)), num_members=7, seed=8, variant=BAGGING
         )
         ensemble = train_ensemble(interleaved_dataset, cfg)
-        members = instance_section(ensemble.provenance)["members"]
+        members = ensemble.provenance.instance["members"]
         assert len(members) == 7 == len(ensemble.members)
 
     def test_member_hashes_distinct(self, interleaved_dataset):
@@ -191,7 +189,7 @@ class TestTrainEnsemble:
             CartTrainer(TreeConfig(max_depth=2, seed=4)), num_members=5, seed=8, variant=BAGGING
         )
         ensemble = train_ensemble(interleaved_dataset, cfg)
-        hashes = {provenance_hash(p) for p in instance_section(ensemble.provenance)["members"].items}
+        hashes = {provenance_hash(p) for p in ensemble.provenance.instance["members"].items}
         assert len(hashes) == 5
 
     def test_deterministic_across_runs(self, interleaved_dataset):

@@ -16,7 +16,7 @@ from pvml.core import (
 from pvml.data import InMemoryDataSource
 from pvml.errors import MissingProperty, TaskMismatch
 from pvml.evaluate import evaluate_classification, evaluate_regression
-from pvml.provenance import instance_section, object_provenance, provenance_hash
+from pvml.provenance import object_provenance, provenance_hash
 
 
 def _provenance(model_class):
@@ -138,7 +138,7 @@ class TestClassificationEvaluation:
         model = _FixedClassifier(["a"], ["a"])
         ds = _clf_dataset(["a"])
         ev = evaluate_classification(model, ds)
-        inst = instance_section(ev.provenance)
+        inst = ev.provenance.instance
         assert provenance_hash(inst["model"]) == provenance_hash(model.provenance)
         assert provenance_hash(inst["test-data"]) == provenance_hash(ds.provenance)
 

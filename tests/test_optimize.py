@@ -22,7 +22,7 @@ from pvml.optimize import (
     train_linear_sgd,
 )
 from pvml.persist import model_to_container
-from pvml.provenance import PInt, config_section, instance_section, provenance_hash
+from pvml.provenance import PInt, provenance_hash
 from pvml.rng import Xoshiro256StarStar
 
 
@@ -278,13 +278,13 @@ class TestTrainLinearSgd:
         trainer = LinearSgdTrainer("logistic", Adam(0.01), epochs=2, batch_size=4, seed=9)
         trainer.train(separable_dataset)
         model = trainer.train(separable_dataset)
-        tp = config_section(model.provenance)["trainer"]
-        cfg = config_section(tp)
+        tp = model.provenance.config["trainer"]
+        cfg = tp.config
         assert cfg["epochs"] == PInt(2)
         assert cfg["batch-size"] == PInt(4)
         assert cfg["seed"] == PInt(9)
-        assert config_section(cfg["optimizer"]).keys() == ("beta1", "beta2", "eps", "lr")
-        assert instance_section(tp)["invocation-count"] == PInt(1)
+        assert cfg["optimizer"].config.keys() == ("beta1", "beta2", "eps", "lr")
+        assert tp.instance["invocation-count"] == PInt(1)
 
     def test_scores_max_equals_predicted_label(self, separable_dataset):
         model = train_linear_sgd(separable_dataset, "logistic", Sgd(0.1), 5, 10, 2)

@@ -12,7 +12,7 @@ from pvml.ensemble import ADABOOST, BAGGING, EnsembleConfig, EnsembleModel, trai
 from pvml.errors import FormatError, NonFiniteStatistic, TaskMismatch, UnknownModelClass
 from pvml.optimize import AdaGrad, LinearSgdModel, train_linear_sgd
 from pvml.persist import load_model, model_to_container, save_model, write_atomically
-from pvml.provenance import PList, instance_section, provenance_hash, with_instance_entry
+from pvml.provenance import PList, provenance_hash, with_instance_entry
 from pvml.rng import Xoshiro256StarStar
 from pvml.trees import EXHAUSTIVE, RANDOM_THRESHOLD, CartTrainer, TreeConfig, TreeModel, train_cart
 
@@ -443,7 +443,7 @@ def _check_members(loaded, trained):
     """Each member of ``loaded``, nested ones too, carries the provenance its
     ensemble records and the ensemble's domain restricted to its names, as
     the member trained in ``trained`` does."""
-    recorded = instance_section(loaded.provenance)["members"].items
+    recorded = loaded.provenance.instance["members"].items
     assert len(recorded) == len(loaded.members) == len(trained.members)
     for member, entry, original in zip(loaded.members, recorded, trained.members):
         assert member.provenance is entry
@@ -534,7 +534,7 @@ class TestEnsembleMembersOnce:
 
     def test_saving_members_the_provenance_does_not_record(self, tmp_path):
         model = _ensemble_models()["forest-reg"]
-        members = instance_section(model.provenance)["members"].items
+        members = model.provenance.instance["members"].items
         for recorded in (members[1:], members[::-1]):
             prov = with_instance_entry(model.provenance, "members", PList(recorded))
             swapped = EnsembleModel(model.name, prov, model.feature_domain, model.output_domain, model.members, model.member_weights)

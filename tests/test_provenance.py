@@ -21,11 +21,8 @@ from pvml.provenance import (
     PTimestamp,
     canonical_encode,
     config_from_json,
-    config_section,
     config_to_json,
     extract_configuration,
-    instance_section,
-    is_object_provenance,
     object_provenance,
     parse_provenance,
     provenance_hash,
@@ -104,12 +101,14 @@ class TestCanonicalEncoding:
         for _ in range(120):
             n = rnd.randrange(0, 4)
             entries = {f"k{i}": PInt(rnd.randrange(-5, 5)) for i in range(n)}
+            split = rnd.randrange(n + 1)  # the same keys in other sections make other objects
+            items = list(entries.items())
             corpus.append(
                 rnd.choice(
                     [
                         PMap(entries),
                         PList(tuple(entries.values())),
-                        PObj(f"c{rnd.randrange(3)}", PMap(entries)),
+                        PObj(f"c{rnd.randrange(3)}", PMap(items[:split]), PMap(items[split:])),
                         PStr("".join(rnd.choices("ab", k=n))),
                         PInt(rnd.randrange(-5, 5)),
                         PFlt(rnd.randrange(-5, 5) / 2.0),
@@ -204,7 +203,7 @@ class TestProvenanceHash:
             config={"lr": PFlt(0.2), "seed": PInt(42)},
             instance={"invocation-count": PInt(3)},
         )
-        b = PObj(a.class_name, a.fields.with_entry("config", PMap({"trainer": trainer})))
+        b = PObj(a.class_name, PMap({"trainer": trainer}), a.instance)
         assert provenance_hash(a) != provenance_hash(b)
 
     def test_map_order_invariance(self):
@@ -235,12 +234,21 @@ def prov_values(max_leaves=12):
         lambda children: st.one_of(
             st.lists(children, max_size=4).map(lambda xs: PList(tuple(xs))),
             st.dictionaries(st.text(max_size=6), children, max_size=4).map(PMap),
-            st.tuples(st.text(min_size=1, max_size=8), st.dictionaries(st.text(max_size=6), children, max_size=3)).map(
-                lambda t: PObj(t[0], PMap(t[1]))
-            ),
+            st.tuples(
+                st.text(min_size=1, max_size=8),
+                st.dictionaries(st.text(max_size=6), st.tuples(st.booleans(), children), max_size=3),
+            ).map(lambda t: _split_object(*t)),
         ),
         max_leaves=max_leaves,
     )
+
+
+def _split_object(class_name, fields):
+    """The object of ``class_name`` whose fields ``{key: (in_instance, value)}`` go to their sections."""
+    sections = ({}, {})
+    for key, (in_instance, value) in fields.items():
+        sections[in_instance][key] = value
+    return PObj(class_name, *sections)
 
 
 class TestJsonRoundTrip:
@@ -320,14 +328,18 @@ class TestJsonRoundTrip:
 
 
 def _nested(depth, kind, leaf=PStr("leaf")):
-    """``depth`` levels of ``kind`` around ``leaf``: lists, maps, or maps and
-    objects in turn, an object's fields being the map inside it."""
-    wrap = {
-        "list": lambda v: PList((v,)),
-        "map": lambda v: PMap({"k": v}),
-        "object": lambda v: PObj("demo.Node", v) if isinstance(v, PMap) else PMap({"k": v}),
-    }[kind]
+    """``depth`` levels of ``kind`` around ``leaf``: lists, maps, or objects
+    whose configuration holds the level below, three levels apiece (the
+    configuration map, the sections map and the object), over the maps that
+    make up the rest."""
     value = leaf
+    if kind == "object":
+        for _ in range(depth % 3):
+            value = PMap({"k": value})
+        for _ in range(depth // 3):
+            value = PObj("demo.Node", PMap({"k": value}))
+        return value
+    wrap = {"list": lambda v: PList((v,)), "map": lambda v: PMap({"k": v})}[kind]
     for _ in range(depth):
         value = wrap(value)
     return value
@@ -380,13 +392,16 @@ class TestDepthCap:
 class TestObjectProvenance:
     def test_sections_partition_fields(self):
         obj = object_provenance("demo.Thing", config={"a": PInt(1)}, instance={"b": PInt(2)})
-        assert is_object_provenance(obj)
-        assert config_section(obj).keys() == ("a",)
-        assert instance_section(obj).keys() == ("b",)
+        assert obj == PObj("demo.Thing", PMap({"a": PInt(1)}), PMap({"b": PInt(2)}))
+        assert obj.config.keys() == ("a",)
+        assert obj.instance.keys() == ("b",)
+        assert object_provenance("demo.Thing") == PObj("demo.Thing", PMap(), PMap())
 
     def test_key_in_both_sections_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"fields in both sections: \['a'\]"):
             object_provenance("demo.Thing", config={"a": PInt(1)}, instance={"a": PInt(2)})
+        with pytest.raises(ValueError, match="fields in both sections"):
+            PObj("demo.Thing", PMap({"a": PInt(1), "b": PInt(2)}), PMap({"a": PInt(2)}))
 
 
 class TestExtractConfiguration:
@@ -461,7 +476,7 @@ class TestRedact:
         digest, redacted = redact(v)
         text = serialize_provenance(redacted)
         assert "demo.Trainer" in text and "demo.Source" in text
-        stored = instance_section(redacted)["provenance-hash"]
+        stored = redacted.instance["provenance-hash"]
         assert stored == PHash("SHA-256", digest)
 
     def test_deterministic(self):
@@ -502,9 +517,9 @@ def _corpus_value(rnd: random.Random, depth: int):
     if pick == 1:
         keys = rnd.sample(_CORPUS_KEYS, k=rnd.randrange(0, 4))
         return PMap({k: _corpus_value(rnd, depth - 1) for k in keys})
-    if pick == 2:  # an object outside the config/instance convention
+    if pick == 2:  # an object with configuration only
         keys = rnd.sample(_CORPUS_KEYS, k=rnd.randrange(0, 3))
-        return PObj(f"plain{rnd.randrange(3)}", PMap({k: _corpus_value(rnd, depth - 1) for k in keys}))
+        return object_provenance(f"plain{rnd.randrange(3)}", config={k: _corpus_value(rnd, depth - 1) for k in keys})
     return _corpus_object(rnd, depth - 1)
 
 
@@ -538,7 +553,10 @@ class TestPinnedDigests:
     """SHA-256 over a seeded corpus of object provenances, per operation.
 
     The constants were recorded with the hand-written recursions that the
-    generic ``rewrite`` walk replaced; equal digests mean equal bytes.
+    generic ``rewrite`` walk replaced; equal digests mean equal bytes.  The
+    redacted and stripped ones were recorded again, by the code from before
+    ``PObj`` held its two sections, once the corpus's objects with
+    configuration only were given an empty instance section.
     """
 
     @staticmethod
@@ -565,5 +583,5 @@ class TestPinnedDigests:
 
 
 PINNED_CONFIG = "546b06d5c60a51188a7f44c2859d3c25d3be82ce54f7821c983a21c88e29c5ef"
-PINNED_REDACTED = "5c34a37cd6f3a020a13d0f8eee1bfef55276ad72e8e419bf1e5533595c65cdf3"
-PINNED_STRIPPED = "d28b03b580952f0956072ca6f13ff6b5f729e2bffd405d322272c35eb4885fb3"
+PINNED_REDACTED = "85d7c82b8bf2c76a7b4d57a1affefd2d89ea4430e16efda904dc6a91b795d77f"
+PINNED_STRIPPED = "400f8d1db866c50d69f7227dc3fec93a48c693b14ebe1eb1be844fa3931b5899"

@@ -19,9 +19,7 @@ from pvml.provenance import (
     PStr,
     PTimestamp,
     canonical_encode,
-    config_section,
     extract_configuration,
-    instance_section,
     object_provenance,
     provenance_hash,
 )
@@ -51,7 +49,7 @@ class TestReconstructSource:
     def test_changed_file_detected(self, clf_csv):
         path, schema = clf_csv
         source = load_csv(str(path), schema)
-        recorded = instance_section(source.provenance)["data-hash"].digest
+        recorded = source.provenance.instance["data-hash"].digest
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("9.0,9.0,red,a\n")
         with pytest.raises(ResourceChanged):
@@ -62,7 +60,7 @@ class TestReconstructSource:
     def test_hash_check_passes_for_untouched_file(self, clf_csv):
         path, schema = clf_csv
         source = load_csv(str(path), schema)
-        recorded = instance_section(source.provenance)["data-hash"].digest
+        recorded = source.provenance.instance["data-hash"].digest
         rebuilt = reconstruct_source(
             extract_configuration(source.provenance), expected_data_hash=recorded
         )
@@ -80,20 +78,20 @@ class TestReconstructTrainer:
     def test_linear_trainer_round_trip(self):
         trainer = LinearSgdTrainer("logistic", AdaGrad(0.25, eps=1e-7), 12, 5, seed=99)
         rebuilt = reconstruct_trainer(trainer.provenance())
-        assert config_section(rebuilt.provenance()) == config_section(trainer.provenance())
+        assert rebuilt.provenance().config == trainer.provenance().config
 
     def test_round_trip_via_records(self):
         trainer = CartTrainer(TreeConfig(max_depth=5, min_examples_per_leaf=2, seed=7))
         records = extract_configuration(trainer.provenance())
         rebuilt = reconstruct_trainer(records)
-        assert config_section(rebuilt.provenance()) == config_section(trainer.provenance())
+        assert rebuilt.provenance().config == trainer.provenance().config
 
     def test_invocation_count_restored_from_provenance(self, interleaved_dataset):
         trainer = CartTrainer(TreeConfig(max_depth=2, seed=7))
         trainer.train(interleaved_dataset)
         trainer.train(interleaved_dataset)
         model = trainer.train(interleaved_dataset)  # third call records count 2
-        tp = config_section(model.provenance)["trainer"]
+        tp = model.provenance.config["trainer"]
         rebuilt = reconstruct_trainer(tp)
         assert rebuilt.invocation_count == 2
 
@@ -105,10 +103,10 @@ class TestReconstructTrainer:
         rebuilt = reconstruct_trainer(trainer.provenance())
         assert isinstance(rebuilt, EnsembleTrainer)
         assert isinstance(rebuilt.cfg.base_trainer, CartTrainer)
-        assert config_section(rebuilt.provenance()) == config_section(trainer.provenance())
+        assert rebuilt.provenance().config == trainer.provenance().config
         # and the configuration-record path reaches the same trainer
         via_records = reconstruct_trainer(extract_configuration(trainer.provenance()))
-        assert config_section(via_records.provenance()) == config_section(trainer.provenance())
+        assert via_records.provenance().config == trainer.provenance().config
 
     def test_missing_property(self):
         prov = object_provenance(
@@ -171,7 +169,7 @@ class TestConfigurationRoundTrip:
     def test_random_valid_configs_round_trip(self, trainer, count):
         trainer.set_invocation_count(count)
         via_records = reconstruct_trainer(extract_configuration(trainer.provenance()))
-        assert config_section(via_records.provenance()) == config_section(trainer.provenance())
+        assert via_records.provenance().config == trainer.provenance().config
         assert canonical_encode(reconstruct_trainer(trainer.provenance()).provenance()) == canonical_encode(
             trainer.provenance()
         )
@@ -211,8 +209,8 @@ class TestReproduceModel:
         )
         ds, model = _train_fixture_model(path, schema, EnsembleTrainer(cfg))
         rebuilt = reproduce_model(model.provenance)
-        original = [provenance_hash(p) for p in instance_section(model.provenance)["members"].items]
-        reproduced = [provenance_hash(p) for p in instance_section(rebuilt.provenance)["members"].items]
+        original = [provenance_hash(p) for p in model.provenance.instance["members"].items]
+        reproduced = [provenance_hash(p) for p in rebuilt.provenance.instance["members"].items]
         assert original == reproduced
 
     def test_inconsistent_provenance_raises_mismatch(self, clf_csv):
@@ -221,16 +219,16 @@ class TestReproduceModel:
         _, model = _train_fixture_model(path, schema, trainer)
         # claim the dataset had a different size than the source really yields
         mp = model.provenance
-        data = instance_section(mp)["data"]
+        data = mp.instance["data"]
         forged_data = object_provenance(
             data.class_name,
-            config=dict(config_section(data).entries),
-            instance={**dict(instance_section(data).entries), "num-examples": PInt(999)},
+            config=dict(data.config.entries),
+            instance={**dict(data.instance.entries), "num-examples": PInt(999)},
         )
         forged = object_provenance(
             mp.class_name,
-            config=dict(config_section(mp).entries),
-            instance={**dict(instance_section(mp).entries), "data": forged_data},
+            config=dict(mp.config.entries),
+            instance={**dict(mp.instance.entries), "data": forged_data},
         )
         with pytest.raises(ReproductionMismatch):
             reproduce_model(forged)
@@ -281,9 +279,9 @@ class TestOpenWorldRegistries:
         )
         trainer = StumpTrainer(seed=3)
         model = trainer.train(interleaved_dataset)
-        rebuilt = reconstruct_trainer(config_section(model.provenance)["trainer"])
+        rebuilt = reconstruct_trainer(model.provenance.config["trainer"])
         assert isinstance(rebuilt, StumpTrainer)
-        assert config_section(rebuilt.provenance()) == config_section(trainer.provenance())
+        assert rebuilt.provenance().config == trainer.provenance().config
 
     def test_user_config_dataclass_is_declared_once(self):
         from pvml.core import Trainer
@@ -301,7 +299,7 @@ class TestOpenWorldRegistries:
 
         register_trainer_class("ext.ConfiguredStump", lambda props: StumpTrainer(props.read(_StumpConfig)))
         trainer = StumpTrainer(_StumpConfig(0.5, with_bias=False, seed=-1))
-        assert config_section(trainer.provenance()) == PMap(
+        assert trainer.provenance().config == PMap(
             {"min-gain": PFlt(0.5), "with-bias": PBool(False), "seed": PInt(-1)}
         )
         rebuilt = reconstruct_trainer(extract_configuration(trainer.provenance()))

@@ -104,10 +104,9 @@ class TestKnownAnswers:
         from pvml.core import CategoricalOutput, build_dataset, make_example
         from pvml.data import InMemoryDataSource
         from pvml.ensemble import bootstrap_sample
-        from pvml.provenance import instance_section
 
         examples = [make_example([("x", float(i))], CategoricalOutput("ab"[i % 2])) for i in range(50)]
         sample = bootstrap_sample(build_dataset(InMemoryDataSource(examples, "known")), 0.8, True, 0x5EED)
-        source = instance_section(sample.provenance)["source"]
-        assert instance_section(source)["indices-hash"].digest == KNOWN_BOOTSTRAP
+        source = sample.provenance.instance["source"]
+        assert source.instance["indices-hash"].digest == KNOWN_BOOTSTRAP
         assert [int(f.value) for ex in sample.examples for f in ex.features] == KNOWN_BOOTSTRAP_ROWS
